@@ -57,7 +57,6 @@ from .spectral import (
     SpectrumEntry,
     SpectrumReport,
     build_coset_sum_matrix,
-    build_eigenvector_blocks,
     eig_dense,
     irrep_image,
     lift_eigenvectors,
@@ -104,7 +103,6 @@ __all__ = [
     "base_matrix_power",
     "build_base_matrix",
     "build_coset_sum_matrix",
-    "build_eigenvector_blocks",
     "build_lift",
     "build_regular_lift",
     "builtin_irreps",

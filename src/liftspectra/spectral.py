@@ -3,9 +3,11 @@
 The base matrix of a voltage graph, pushed through a ``d``-dimensional irrep,
 becomes a ``dk x dk`` complex matrix.  Its eigenvalues enter the lift
 spectrum with multiplicity equal to the rank of the irrep's subgroup sum,
-and its eigenvectors pull back to lift eigenvectors through a fixed sparse
-matrix of coset-summed irrep rows.  Nothing here builds the lift itself
-except for the final residual cross-checks.
+and its eigenvectors pull back to lift eigenvectors through the irrep's
+coset sums, one irrep at a time.  The basis is chosen per irrep from
+independent rows of the subgroup projector, and residuals are checked by
+gathering over the base arcs, so nothing here builds the lift itself except
+the oracle cross-check.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConsistencyError, NumericalError
 from .irreps import Irrep, IrrepSet, subgroup_sum
@@ -24,6 +25,9 @@ DEFAULT_MATCH_TOL = 1e-7
 DEFAULT_RESIDUAL_TOL = 1e-8
 DEFAULT_ZERO_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
+RANK_TRACE_TOL = 1e-8
+FULL_RANK_TOL = 1e-10
+PIVOT_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,16 +267,29 @@ def lift_spectrum(
     return SpectrumReport(entries=tuple(entries), total=total)
 
 
+def _coset_sums(irrep: Irrep, ctx: SubgroupContext) -> np.ndarray:
+    """The ``n x d x d`` array whose slice ``J`` sums the irrep over coset ``J``.
+
+    Coset 0 is the subgroup itself, so slice 0 is ``|H|`` times the
+    projector ``P = (1/|H|) sum_{h in H} rho(h)``.
+    """
+    order = np.argsort(ctx.coset_of, kind="stable")
+    size = len(ctx.subgroup_elements)
+    d = irrep.dim
+    return irrep.matrices[order].reshape(ctx.index_n, size, d, d).sum(axis=1)
+
+
 def build_coset_sum_matrix(
     irrep_set: IrrepSet, ctx: SubgroupContext, k: int
 ) -> np.ndarray:
-    """Stack the coset-summed irrep rows used to pull eigenvectors back.
+    """Stack the coset-summed irrep rows that pull eigenvectors back.
 
     For each irrep of dimension ``d`` and each row index ``j``, the ``n x d``
     block holds in row ``J`` the ``j``-th row of the irrep summed over coset
     ``J``; that block is repeated down the diagonal once per base vertex.
     Blocks are concatenated over ``j`` and then over irreps, giving a
-    ``kn x k|G|`` matrix whose rank is exactly ``kn``.
+    ``kn x k|G|`` matrix whose rank is exactly ``kn``.  :func:`lift_eigenvectors`
+    never forms it; it applies the same coset sums one irrep at a time.
     """
     if irrep_set.group is not ctx.group:
         raise ConsistencyError("irreps and subgroup context belong to different groups")
@@ -281,46 +298,109 @@ def build_coset_sum_matrix(
     blocks = []
     eye_k = np.eye(k)
     for irrep in irrep_set:
-        coset_sums = np.stack(
-            [irrep.matrices[sorted(coset)].sum(axis=0) for coset in ctx.cosets]
-        )
+        sums = _coset_sums(irrep, ctx)
         for j in range(irrep.dim):
-            blocks.append(np.kron(eye_k, coset_sums[:, j, :]))
+            blocks.append(np.kron(eye_k, sums[:, j, :]))
     return np.hstack(blocks)
 
 
-def build_eigenvector_blocks(eigendata: list[IrrepEigenData], k: int) -> np.ndarray:
-    """Block-diagonal matrix of per-irrep eigenvector matrices.
+def _trace_rank(idx: int, projector: np.ndarray) -> int:
+    """Rank of an orthogonal projector read off its trace, which must be integral."""
+    trace = complex(np.trace(projector))
+    rank = round(trace.real)
+    if abs(trace - rank) > RANK_TRACE_TOL:
+        raise NumericalError(
+            f"rank identity: irrep {idx}, tr P = {trace.real:.12g}{trace.imag:+.3g}j "
+            f"is not within {RANK_TRACE_TOL:g} of an integer"
+        )
+    return rank
 
-    Each irrep's ``dk x dk`` eigenvector matrix appears ``d`` times on the
-    diagonal, once per coset-sum row block.  A singular eigenvector matrix
-    (possible only for defective non-Hermitian images) raises
-    :class:`NumericalError`.
+
+def _select_rows(idx: int, sums: np.ndarray, projector: np.ndarray, rank: int) -> list[int]:
+    """``rank`` rows of ``P`` whose coset sums have full rank ``rank * d``.
+
+    Greedy pivoted Gram-Schmidt on the ``d x d`` projector: each step takes
+    the row with the largest residual norm and projects it out of the rest.
+    Among rows whose norms tie up to rounding, the lowest index wins, so
+    rounding noise does not decide the selection.
     """
-    blocks = []
-    for data in eigendata:
-        u = data.eigenvectors
-        singular_values = np.linalg.svd(u, compute_uv=False)
-        if singular_values.size and singular_values[-1] <= 1e-10 * singular_values[0]:
+    residual = projector.astype(complex)
+    picked: list[int] = []
+    for _ in range(rank):
+        norms = np.linalg.norm(residual, axis=1)
+        j = int(np.flatnonzero(norms >= (1.0 - PIVOT_TIE_TOL) * norms.max())[0])
+        picked.append(j)
+        if norms[j] > 0.0:
+            q = residual[j] / norms[j]
+            residual -= np.outer(residual @ q.conj(), q)
+    picked.sort()
+    if picked:
+        n = sums.shape[0]
+        stack = sums[:, picked, :].reshape(n, -1)
+        singular_values = np.linalg.svd(stack, compute_uv=False)
+        if stack.shape[1] > n or singular_values[-1] <= FULL_RANK_TOL * singular_values[0]:
             raise NumericalError(
-                "eigenvector matrix is singular; the irrep image is defective"
+                f"basis selection: irrep {idx}, coset sums of rows {picked} "
+                f"do not reach rank {stack.shape[1]}"
             )
-        blocks.append(np.kron(np.eye(data.irrep.dim), u))
-    return scipy.linalg.block_diag(*blocks)
+    return picked
 
 
-def _adjacency_from_base(base: BaseMatrix, ctx: SubgroupContext) -> np.ndarray:
-    """Reconstruct the lift adjacency from base-matrix coefficients."""
-    n = ctx.index_n
-    k = base.k
-    adjacency = np.zeros((k * n, k * n), dtype=np.int64)
-    coset_rows = np.arange(n)
-    for u in range(k):
-        for v in range(k):
+def _pull_back(sums: np.ndarray, eigenvectors: np.ndarray, k: int) -> np.ndarray:
+    """Pulled-back columns of one irrep as a ``(k, n, d, dk)`` array.
+
+    Entry ``[u, J, j, c]`` is ``sum_m sums[J, j, m] * U[u*d + m, c]``: row
+    ``u*n + J`` of the lift, column ``(j, c)`` of the irrep's block.  Adding
+    ``0.0`` makes the array contiguous and turns the ``-0.0`` that these
+    short sums can leave into ``0.0``, as a full matrix product gives.
+    """
+    d = sums.shape[1]
+    u3 = eigenvectors.reshape(k, d, d * k)
+    return np.tensordot(u3, sums, axes=([1], [2])).transpose(0, 2, 3, 1) + 0.0
+
+
+def _lift_terms(base: BaseMatrix, ctx: SubgroupContext) -> list:
+    """``(u, v, multiplicity, coset action)`` for every voltage in the base matrix."""
+    actions: dict[int, np.ndarray] = {}
+    terms = []
+    for u in range(base.k):
+        for v in range(base.k):
             for g, c in base.entry(u, v).integer_coefficients().items():
-                action = ctx.action_on_cosets(g)
-                adjacency[u * n + coset_rows, v * n + action] += c
-    return adjacency
+                if g not in actions:
+                    actions[g] = ctx.action_on_cosets(g)
+                terms.append((u, v, c, actions[g]))
+    return terms
+
+
+def _apply_lift(terms: list, vectors: np.ndarray) -> np.ndarray:
+    """Lift adjacency times ``vectors`` of shape ``(k, n, m)``, never formed densely.
+
+    An arc ``u -> v`` with voltage ``a`` joins ``(u, J)`` to ``(v, J a)``, so
+    row ``(u, J)`` of the product gathers row ``(v, J a)`` of ``vectors``.
+    """
+    out = np.zeros_like(vectors)
+    for u, v, c, action in terms:
+        out[u] += c * vectors[v, action]
+    return out
+
+
+def _check_residuals(
+    idx: int, terms: list, chosen: np.ndarray, values: np.ndarray, rows: list[int], tol: float
+) -> None:
+    """Residual-check the selected ``(k, n, r, dk)`` columns of one irrep."""
+    k, n, r, dk = chosen.shape
+    vectors = chosen.reshape(k, n, r * dk)
+    residual = _apply_lift(terms, vectors) - vectors * np.tile(values, r)
+    residuals = np.linalg.norm(residual.reshape(k * n, -1), axis=0)
+    bounds = tol * np.maximum(1.0, np.linalg.norm(vectors.reshape(k * n, -1), axis=0))
+    failed = np.flatnonzero(residuals > bounds)
+    if failed.size:
+        j, c = divmod(int(failed[0]), dk)
+        d = dk // k
+        raise NumericalError(
+            f"residual: irrep {idx}, column j={rows[j]} w={c // d} i={c % d} "
+            f"fails the eigenvector residual bound ({residuals[failed[0]]:.3e})"
+        )
 
 
 def lift_eigenvectors(
@@ -330,79 +410,86 @@ def lift_eigenvectors(
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
     zero_tol: float = DEFAULT_ZERO_TOL,
 ) -> EigenvectorBundle:
-    """Pull irrep-image eigenvectors back to a full lift eigenbasis.
+    """Pull irrep-image eigenvectors back to a full lift eigenbasis, one irrep at a time.
 
-    The coset-sum matrix times the block-diagonal eigenvector matrix yields
-    one tagged column per (irrep, row block, image eigenvector).  Columns
-    vanish exactly when the irrep's subgroup sum kills the row block; the
-    remaining columns span every eigenspace, and a column-pivoted QR selects
-    ``kn`` of them as a basis.  Every selected column is residual-checked
-    against the lift adjacency.
+    For an irrep of dimension ``d``, the coset sums of its rows times its
+    ``dk x dk`` image eigenvectors give one tagged column per (row ``j``,
+    image eigenvector); all ``k|G|`` columns are returned.  A column is
+    flagged ``zero`` when its largest entry is within ``zero_tol`` of the
+    largest entry over all columns, which happens exactly on the rows ``j``
+    that ``P = (1/|H|) sum_{h in H} rho(h)`` kills.
+
+    The rank of ``P`` is its trace (Frobenius reciprocity), and the
+    dimension-weighted ranks must add up to ``n``.  Greedy pivoted
+    Gram-Schmidt picks ``rank`` independent rows of ``P``, and every column
+    of a picked row is selected: the coset sums of the picked rows must have
+    full rank ``rank * d``, the image eigenvectors are unitary and distinct
+    irreps pull back to orthogonal subspaces, so the ``kn`` selected columns
+    form a basis.  Each selected column is residual-checked against the lift
+    adjacency applied by gathering over the base arcs.  Any failed check
+    raises :class:`NumericalError` naming its stage and irrep.
     """
     _check_triple(base, irrep_set, ctx)
     n = ctx.index_n
     k = base.k
     kn = k * n
-    eigendata = [_image_eigendata(base, irrep) for irrep in irrep_set]
-    coset_matrix = build_coset_sum_matrix(irrep_set, ctx, k)
-    blocks = build_eigenvector_blocks(eigendata, k)
-    pulled = coset_matrix @ blocks
-
-    tags: list[tuple[int, int, int, int, complex]] = []
-    for idx, data in enumerate(eigendata):
-        d = data.irrep.dim
-        for j in range(d):
-            for c in range(d * k):
-                tags.append((idx, j, c // d, c % d, complex(data.eigenvalues[c])))
-    if len(tags) != pulled.shape[1]:
-        raise NumericalError("column tagging does not match the pulled-back matrix")
-
-    column_peaks = (
-        np.max(np.abs(pulled), axis=0) if pulled.size else np.zeros(pulled.shape[1])
-    )
-    global_peak = float(column_peaks.max()) if column_peaks.size else 0.0
-    zero_mask = column_peaks <= zero_tol * global_peak
-
-    nonzero_idx = np.flatnonzero(~zero_mask)
-    if nonzero_idx.size < kn:
+    sums = [_coset_sums(irrep, ctx) for irrep in irrep_set]
+    projectors = [s[0] / len(ctx.subgroup_elements) for s in sums]
+    ranks = [_trace_rank(idx, p) for idx, p in enumerate(projectors)]
+    weighted = sum(r.dim * rank for r, rank in zip(irrep_set, ranks))
+    if weighted != n:
         raise NumericalError(
-            f"only {nonzero_idx.size} nonzero columns, cannot select {kn}"
+            f"rank identity: dimension-weighted ranks sum to {weighted}, expected {n}; "
+            "irrep list is incomplete or duplicated"
         )
-    _, r_factor, pivots = scipy.linalg.qr(
-        pulled[:, nonzero_idx], mode="economic", pivoting=True
-    )
-    diag = np.abs(np.diag(r_factor))
-    if diag.size < kn or diag[kn - 1] <= 1e-10 * diag[0]:
-        raise NumericalError(
-            "pulled-back columns do not reach full rank; cannot select a basis"
-        )
-    selected = sorted(int(nonzero_idx[p]) for p in pivots[:kn])
-    selected_set = set(selected)
+    terms = _lift_terms(base, ctx)
 
-    adjacency = _adjacency_from_base(base, ctx)
-    for col in selected:
-        vec = pulled[:, col]
-        residual = np.linalg.norm(adjacency @ vec - tags[col][4] * vec)
-        if residual > residual_tol * max(1.0, np.linalg.norm(vec)):
+    blocks = []
+    for idx, irrep in enumerate(irrep_set):
+        data = _image_eigendata(base, irrep)
+        if not data.hermitian:
             raise NumericalError(
-                f"selected column {col} fails the eigenvector residual bound "
-                f"({residual:.3e})"
+                f"pull-back: irrep {idx}, image is not Hermitian, "
+                "so its eigenvectors need not be unitary"
             )
+        pulled = _pull_back(sums[idx], data.eigenvectors, k)
+        picked = _select_rows(idx, sums[idx], projectors[idx], ranks[idx])
+        if picked:
+            _check_residuals(
+                idx, terms, pulled[:, :, picked, :], data.eigenvalues, picked, residual_tol
+            )
+        blocks.append((data, pulled.reshape(kn, -1), picked))
 
-    columns = tuple(
-        EigenvectorColumn(
-            vector=pulled[:, col],
-            eigenvalue=tags[col][4],
-            irrep=tags[col][0],
-            j=tags[col][1],
-            w=tags[col][2],
-            i=tags[col][3],
-            zero=bool(zero_mask[col]),
-            selected=col in selected_set,
-        )
-        for col in range(pulled.shape[1])
-    )
-    return EigenvectorBundle(columns=columns, selected_basis=tuple(selected), kn=kn)
+    peaks = [np.max(np.abs(b), axis=0, initial=0.0) for _, b, _ in blocks]
+    global_peak = max((float(p.max(initial=0.0)) for p in peaks), default=0.0)
+
+    columns: list[EigenvectorColumn] = []
+    selected: list[int] = []
+    for idx, ((data, pulled, picked), peak) in enumerate(zip(blocks, peaks)):
+        d = data.irrep.dim
+        zero = peak <= zero_tol * global_peak
+        for col in range(pulled.shape[1]):
+            j, c = divmod(col, d * k)
+            if j in picked:
+                if zero[col]:
+                    raise NumericalError(
+                        f"basis selection: irrep {idx}, picked row j={j} "
+                        "pulls back to zero columns"
+                    )
+                selected.append(len(columns))
+            columns.append(
+                EigenvectorColumn(
+                    vector=pulled[:, col],
+                    eigenvalue=complex(data.eigenvalues[c]),
+                    irrep=idx,
+                    j=j,
+                    w=c // d,
+                    i=c % d,
+                    zero=bool(zero[col]),
+                    selected=j in picked,
+                )
+            )
+    return EigenvectorBundle(columns=tuple(columns), selected_basis=tuple(selected), kn=kn)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import liftspectra
 from liftspectra import NumericalError
 from liftspectra.cli import load_instance, main
 
@@ -344,3 +348,25 @@ class TestExitCodes:
         code, out, _ = _run(capsys, ["verify", DUMBBELL, "--trials", "0"])
         assert code == 1
         assert json.loads(out)["passed"] is False
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy is a test-only dependency; a fresh CLI process must not pay
+        # for importing it.
+        src = str(Path(liftspectra.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = (
+            "import sys, liftspectra.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert result.stdout.strip() == "[]"

@@ -1,0 +1,163 @@
+"""Properties of the per-irrep eigenvector pull-back in ``lift_eigenvectors``.
+
+Random undirected bases over S4, A5 and dihedral groups, lifted over random
+cyclic and two-generator subgroups, are checked against the explicit lift:
+exactly ``kn`` selected columns of full rank, each an eigenvector within the
+residual tolerance, and ``zero`` flags on exactly the rows the subgroup
+projector kills.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liftspectra import (
+    Irrep,
+    IrrepSet,
+    NumericalError,
+    VoltageGraph,
+    build_base_matrix,
+    build_lift,
+    builtin_irreps,
+    compute_irreps,
+    generate_group,
+    lift_eigenvectors,
+    parse_permutation,
+    right_cosets,
+    subgroup_closure,
+    subgroup_sum,
+)
+
+TOL_RESIDUAL = 1e-8
+
+GENERATED = {
+    "S4": (4, ("(1 2)", "(1 2 3 4)")),
+    "A5": (5, ("(1 2 3)", "(1 2 3 4 5)")),
+}
+DIHEDRAL = {"D5": 5, "D6": 6}
+
+
+@functools.cache
+def catalog(name: str) -> IrrepSet:
+    if name in DIHEDRAL:
+        return builtin_irreps("dihedral", DIHEDRAL[name])
+    degree, gens = GENERATED[name]
+    group = generate_group([parse_permutation(g, degree) for g in gens])
+    return compute_irreps(group, seed=0)
+
+
+def projector(irrep: Irrep, members) -> np.ndarray:
+    return irrep.matrices[sorted(members)].mean(axis=0)
+
+
+@st.composite
+def lifts(draw):
+    """A catalog, a subgroup context and a random undirected base over it."""
+    irrep_set = catalog(draw(st.sampled_from(sorted({**GENERATED, **DIHEDRAL}))))
+    group = irrep_set.group
+    element = st.integers(0, group.order - 1)
+    members = subgroup_closure(group, draw(st.lists(element, min_size=1, max_size=2)))
+    k = draw(st.integers(1, 3))
+    vertex = st.integers(0, k - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, element), max_size=2 * k))
+    labelled = [(str(u), str(v), g) for u, v, g in edges]
+    graph = VoltageGraph.build(group, [str(v) for v in range(k)], labelled)
+    return irrep_set, right_cosets(group, members), graph
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(lifts())
+def test_selected_columns_form_a_checked_eigenbasis(lift):
+    irrep_set, ctx, graph = lift
+    bundle = lift_eigenvectors(build_base_matrix(graph), irrep_set, ctx, residual_tol=TOL_RESIDUAL)
+    kn = graph.k * ctx.index_n
+    assert bundle.kn == kn
+    assert len(bundle.selected_basis) == kn
+
+    chosen = [bundle.columns[c] for c in bundle.selected_basis]
+    vectors = np.column_stack([c.vector for c in chosen])
+    assert np.linalg.matrix_rank(vectors) == kn
+
+    adjacency = build_lift(graph, ctx).adjacency.astype(float)
+    values = np.array([c.eigenvalue for c in chosen])
+    residuals = np.linalg.norm(adjacency @ vectors - vectors * values, axis=0)
+    assert np.all(residuals <= TOL_RESIDUAL * np.maximum(1.0, np.linalg.norm(vectors, axis=0)))
+
+    # Each irrep contributes rank * d * k columns, with the rank from the SVD
+    # of its subgroup sum agreeing with the trace rank used for selection.
+    for idx, irrep in enumerate(irrep_set):
+        count = sum(1 for c in chosen if c.irrep == idx)
+        assert count == subgroup_sum(irrep, ctx).rank * irrep.dim * graph.k
+
+    members = ctx.subgroup_elements
+    killed = [np.max(np.abs(projector(r, members)), axis=1) <= 1e-9 for r in irrep_set]
+    assert all(c.zero == killed[c.irrep][c.j] for c in bundle.columns)
+    assert not any(c.zero for c in chosen)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(lifts(), st.data())
+def test_duplicated_irrep_breaks_the_rank_identity(lift, data):
+    irrep_set, ctx, graph = lift
+    present = [r for r in irrep_set if subgroup_sum(r, ctx).rank > 0]
+    extra = data.draw(st.sampled_from(present))
+    doubled = IrrepSet(group=irrep_set.group, irreps=irrep_set.irreps + (extra,))
+    with pytest.raises(NumericalError, match="^rank identity: dimension-weighted ranks"):
+        lift_eigenvectors(build_base_matrix(graph), doubled, ctx)
+
+
+def test_row_selection_skips_killed_rows(dumbbell_base, sym3, sym3_catalog, point_stabilizer_ctx):
+    # Rotate the plane irrep so that the stabilizer's projector becomes
+    # diag(0, 1): row 0 is killed and only row 1 may be selected.
+    plane = sym3_catalog[2]
+    _, basis = np.linalg.eigh(projector(plane, point_stabilizer_ctx.subgroup_elements))
+    rotated = basis.conj().T @ plane.matrices @ basis
+    irreps = IrrepSet(
+        group=sym3,
+        irreps=sym3_catalog.irreps[:2]
+        + (Irrep(group=sym3, dim=2, matrices=rotated, character=plane.character),),
+    )
+    bundle = lift_eigenvectors(dumbbell_base, irreps, point_stabilizer_ctx)
+    plane_columns = [c for c in bundle.columns if c.irrep == 2]
+    assert all(c.zero == (c.j == 0) and c.selected == (c.j == 1) for c in plane_columns)
+    assert len(bundle.selected_basis) == bundle.kn == 6
+
+
+class TestErrorMessages:
+    def test_missing_irrep(self, dumbbell_base, sym3, sym3_catalog, point_stabilizer_ctx):
+        partial = IrrepSet(group=sym3, irreps=sym3_catalog.irreps[:2])
+        with pytest.raises(NumericalError, match="^rank identity: .* sum to 1, expected 3"):
+            lift_eigenvectors(dumbbell_base, partial, point_stabilizer_ctx)
+
+    def test_non_integer_trace(self, dumbbell_base, sym3, sym3_catalog, point_stabilizer_ctx):
+        plane = sym3_catalog[2]
+        shrunk = Irrep(
+            group=sym3, dim=2, matrices=0.5 * plane.matrices, character=0.5 * plane.character
+        )
+        irreps = IrrepSet(group=sym3, irreps=sym3_catalog.irreps[:2] + (shrunk,))
+        with pytest.raises(NumericalError, match=r"^rank identity: irrep 2, tr P = 0\.5"):
+            lift_eigenvectors(dumbbell_base, irreps, point_stabilizer_ctx)
+
+    def test_non_unitary_images(self, dumbbell_base, sym3, sym3_catalog, point_stabilizer_ctx):
+        # An equivalent but non-unitary form of the plane irrep keeps every
+        # trace, so the rank identity holds, but its images are not Hermitian.
+        plane = sym3_catalog[2]
+        s = np.array([[1.0, 2.0], [0.0, 1.0]])
+        skewed = s @ plane.matrices @ np.linalg.inv(s)
+        irreps = IrrepSet(
+            group=sym3,
+            irreps=sym3_catalog.irreps[:2]
+            + (Irrep(group=sym3, dim=2, matrices=skewed, character=plane.character),),
+        )
+        with pytest.raises(NumericalError, match="^pull-back: irrep 2, image is not Hermitian"):
+            lift_eigenvectors(dumbbell_base, irreps, point_stabilizer_ctx)
+
+    def test_residual_bound(self, dumbbell_base, sym3_catalog, point_stabilizer_ctx):
+        message = r"^residual: irrep \d+, column j=\d+ w=\d+ i=\d+"
+        with pytest.raises(NumericalError, match=message):
+            lift_eigenvectors(
+                dumbbell_base, sym3_catalog, point_stabilizer_ctx, residual_tol=1e-300
+            )
