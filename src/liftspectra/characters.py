@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConsistencyError, NumericalError
 from .irreps import IrrepSet
-from .spectral import eig_dense, irrep_image
+from .spectral import eig_dense, irrep_image, is_hermitian
 from .voltage import BaseMatrix, GroupAlgebraElement, base_matrix_power
 
 MAX_NEWTON_DEGREE = 32
@@ -45,15 +45,13 @@ def _kahan_sum(values) -> complex:
     return total
 
 
-def power_sums_to_roots(
-    sums, degree: int | None = None, roundtrip_tol: float = ROUNDTRIP_TOL
-) -> np.ndarray:
+def power_sums_to_roots(sums, degree: int | None = None) -> np.ndarray:
     """Recover a root multiset from its first ``degree`` power sums.
 
     Newton's identities (with compensated summation) turn the power sums into
     elementary symmetric polynomials, hence into a monic polynomial whose
     companion matrix is eigendecomposed.  The recovered roots are verified by
-    reproducing every power sum within ``roundtrip_tol * max(1, |p_l|)``.
+    reproducing every power sum within ``ROUNDTRIP_TOL * max(1, |p_l|)``.
 
     Degrees above 32 are refused: the identities become too ill-conditioned,
     and the blockwise spectral route should be used instead.
@@ -92,7 +90,7 @@ def power_sums_to_roots(
 
     for ell in range(1, degree + 1):
         reproduced = _kahan_sum(r**ell for r in roots)
-        if abs(reproduced - sums[ell - 1]) > roundtrip_tol * max(
+        if abs(reproduced - sums[ell - 1]) > ROUNDTRIP_TOL * max(
             1.0, abs(sums[ell - 1])
         ):
             raise NumericalError(
@@ -169,14 +167,8 @@ def regular_spectrum_via_characters(
         profiles.append(PowerSumProfile(irrep=idx, dim=irrep.dim, power_sums=sums))
         if irrep.dim == 1:
             image = irrep_image(base, irrep).matrix
-            scale = float(np.max(np.abs(image))) if image.size else 0.0
-            hermitian = bool(
-                np.max(np.abs(image - image.conj().T)) <= 1e-12 * max(1.0, scale)
-            )
-            values, _ = eig_dense(image, hermitian_hint=hermitian)
+            values, _ = eig_dense(image, hermitian_hint=is_hermitian(image))
             roots = np.asarray(values, dtype=complex)
-            order = np.lexsort((roots.imag, roots.real))
-            roots = roots[order]
         else:
             roots = power_sums_to_roots(sums, m)
         roots_by_irrep.append(roots)

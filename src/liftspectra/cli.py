@@ -55,7 +55,6 @@ NAMED_FAMILIES = ("cyclic", "dihedral", "sym3")
 @dataclass(frozen=True)
 class Options:
     seed: int = 0
-    tol_rank: float = 1e-9
     tol_residual: float = 1e-8
     tol_match: float = 1e-7
     order_cap: int = DEFAULT_ORDER_CAP
@@ -89,7 +88,6 @@ def _load_options(raw, overrides: dict) -> Options:
             raise ParseError("options must be a JSON object")
         fields = {
             "seed": int,
-            "tol_rank": float,
             "tol_residual": float,
             "tol_match": float,
             "order_cap": int,
@@ -218,11 +216,7 @@ def cmd_spectrum(doc: InstanceDocument) -> int:
     _require_undirected(doc, "spectrum")
     base = build_base_matrix(doc.graph)
     report = lift_spectrum(
-        base,
-        doc.irrep_set,
-        doc.ctx,
-        match_tol=doc.options.tol_match,
-        rank_tol=doc.options.tol_rank,
+        base, doc.irrep_set, doc.ctx, match_tol=doc.options.tol_match
     )
     _emit(report.to_json())
     return 0
@@ -321,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="instance JSON document")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol-rank", dest="tol_rank", type=float, default=None)
         p.add_argument("--tol-residual", dest="tol_residual", type=float, default=None)
         p.add_argument("--tol-match", dest="tol_match", type=float, default=None)
         return p
@@ -342,7 +335,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {
         "seed": args.seed,
-        "tol_rank": args.tol_rank,
         "tol_residual": args.tol_residual,
         "tol_match": args.tol_match,
     }

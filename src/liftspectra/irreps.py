@@ -25,9 +25,10 @@ from .permgroup import (
     parse_permutation,
 )
 
-DEFAULT_RANK_TOL = 1e-9
 DEFAULT_VERIFY_TOL = 1e-8
 CHARACTER_TOL = 1e-6
+RANK_TRACE_TOL = 1e-8
+MAX_RETRIES = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,11 +70,10 @@ class IrrepSet:
 
 @dataclass(frozen=True, eq=False)
 class SubgroupSumImage:
-    """The sum of an irrep's matrices over a subgroup, with its rank data."""
+    """The sum of an irrep's matrices over a subgroup, with its rank."""
 
     irrep: Irrep
     matrix: np.ndarray
-    singular_values: np.ndarray
     rank: int
 
 
@@ -103,7 +103,7 @@ def _sort_irreps(group, mats_list, classes):
     )
 
 
-def _validate_irrep_set(irrep_set: IrrepSet, tol: float = DEFAULT_VERIFY_TOL) -> None:
+def _validate_irrep_set(irrep_set: IrrepSet) -> None:
     group = irrep_set.group
     n = group.order
     if sum(r.dim * r.dim for r in irrep_set) != n:
@@ -115,14 +115,14 @@ def _validate_irrep_set(irrep_set: IrrepSet, tol: float = DEFAULT_VERIFY_TOL) ->
         if mats.shape != (n, r.dim, r.dim):
             raise NumericalError("matrix stack has the wrong shape")
         eye = np.eye(r.dim)
-        if np.max(np.abs(mats[group.identity] - eye)) > tol:
+        if np.max(np.abs(mats[group.identity] - eye)) > DEFAULT_VERIFY_TOL:
             raise NumericalError("identity element is not mapped to the identity matrix")
         unit = np.einsum("gij,gkj->gik", mats, mats.conj())
-        if np.max(np.abs(unit - eye)) > tol:
+        if np.max(np.abs(unit - eye)) > DEFAULT_VERIFY_TOL:
             raise NumericalError(f"{r.dim}-dimensional irrep is not unitary")
         for gen in group.generators:
             prod = mats @ mats[gen]
-            if np.max(np.abs(mats[group.mult_table[:, gen]] - prod)) > tol:
+            if np.max(np.abs(mats[group.mult_table[:, gen]] - prod)) > DEFAULT_VERIFY_TOL:
                 raise NumericalError(f"{r.dim}-dimensional irrep is not a homomorphism")
         norm = np.vdot(r.character, r.character) / n
         if abs(norm - 1) > CHARACTER_TOL:
@@ -279,7 +279,7 @@ def _random_hermitian(rng: np.random.Generator, size: int) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def _split_rep(mats: np.ndarray, rng: np.random.Generator, inv_tol: float):
+def _split_rep(mats: np.ndarray, rng: np.random.Generator):
     """Recursively split a unitary representation into irreducible pieces."""
     n, dim, _ = mats.shape
     char = _character(mats)
@@ -300,7 +300,7 @@ def _split_rep(mats: np.ndarray, rng: np.random.Generator, inv_tol: float):
             basis = eigenvectors[:, lo:hi]
             sub = np.einsum("ai,gab,bj->gij", basis.conj(), mats, basis)
             residual = np.max(np.abs(mats @ basis - np.einsum("ab,gbj->gaj", basis, sub)))
-            if residual > inv_tol:
+            if residual > DEFAULT_VERIFY_TOL:
                 invariant = False
                 break
             pieces.append(sub)
@@ -308,14 +308,14 @@ def _split_rep(mats: np.ndarray, rng: np.random.Generator, inv_tol: float):
             continue
         out = []
         for piece in pieces:
-            out.extend(_split_rep(piece, rng, inv_tol))
+            out.extend(_split_rep(piece, rng))
         return out
     raise NumericalError(
         f"failed to split a reducible {dim}-dimensional representation after 8 draws"
     )
 
 
-def _decompose_regular(group: FiniteGroup, rng: np.random.Generator, cluster_tol: float, inv_tol: float):
+def _decompose_regular(group: FiniteGroup, rng: np.random.Generator):
     n = group.order
     table = group.mult_table
     seed_matrix = _random_hermitian(rng, n)
@@ -327,52 +327,45 @@ def _decompose_regular(group: FiniteGroup, rng: np.random.Generator, cluster_tol
         averaged += seed_matrix[np.ix_(col, col)]
     averaged /= n
     eigenvalues, eigenvectors = np.linalg.eigh(averaged)
-    spans = _cluster_spans(eigenvalues, cluster_tol)
+    spans = _cluster_spans(eigenvalues, 1e-7 * n)
     found = []
     for lo, hi in spans:
         basis = eigenvectors[:, lo:hi]
         shifted = np.stack([basis[table[:, g], :] for g in range(n)])
         sub = np.einsum("ai,gab->gib", basis.conj(), shifted)
         residual = np.max(np.abs(shifted - np.einsum("ab,gbj->gaj", basis, sub)))
-        if residual > inv_tol:
+        if residual > DEFAULT_VERIFY_TOL:
             raise NumericalError("eigenvalue cluster did not give an invariant subspace")
-        found.extend(_split_rep(sub, rng, inv_tol))
+        found.extend(_split_rep(sub, rng))
     return found
 
 
-def compute_irreps(
-    group: FiniteGroup,
-    seed: int = 0,
-    tol: float = DEFAULT_VERIFY_TOL,
-    cluster_tol: float | None = None,
-    max_retries: int = 8,
-) -> IrrepSet:
+def compute_irreps(group: FiniteGroup, seed: int = 0) -> IrrepSet:
     """Compute all irreps of a group by splitting its regular representation.
 
     A random Hermitian matrix is averaged over conjugation by the regular
-    representation; its eigenspaces (clustered with ``cluster_tol``) are
-    invariant subspaces that generically are already irreducible.  Reducible
-    pieces are split recursively with fresh draws.  Duplicates are removed by
-    character comparison and the survivors sorted canonically.
+    representation; its eigenspaces (eigenvalues closer than ``1e-7 * |G|``
+    form one cluster) are invariant subspaces that generically are already
+    irreducible.  Reducible pieces are split recursively with fresh draws.
+    Duplicates are removed by character comparison and the survivors sorted
+    canonically.
 
     The whole procedure is deterministic given ``(group, seed)``.  Each retry
-    uses a child seed spawned from ``seed``; after ``max_retries`` failures a
+    uses a child seed spawned from ``seed``; after ``MAX_RETRIES`` failures a
     :class:`NumericalError` carrying the failure history is raised.
     """
-    if cluster_tol is None:
-        cluster_tol = 1e-7 * group.order
     classes = conjugacy_classes(group)
     failures = []
-    for attempt in range(max_retries):
+    for attempt in range(MAX_RETRIES):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(attempt,))
         )
         try:
-            mats_list = _decompose_regular(group, rng, cluster_tol, tol)
+            mats_list = _decompose_regular(group, rng)
             irrep_set = IrrepSet(
                 group=group, irreps=_sort_irreps(group, mats_list, classes)
             )
-            _validate_irrep_set(irrep_set, tol)
+            _validate_irrep_set(irrep_set)
             return irrep_set
         except NumericalError as exc:
             failures.append(f"attempt {attempt}: {exc}")
@@ -382,34 +375,65 @@ def compute_irreps(
     )
 
 
-def subgroup_sum(
-    irrep: Irrep, ctx: SubgroupContext, rank_tol: float = DEFAULT_RANK_TOL
-) -> SubgroupSumImage:
-    """Sum the irrep over the context's subgroup and measure its rank.
+def _trace_rank(irrep: Irrep, ctx: SubgroupContext, label: str) -> int:
+    """Rank of the projector ``P = (1/|H|) sum_{h in H} rho(h)``, which is its trace.
 
-    The rank counts singular values above ``rank_tol`` relative to the
-    largest one.  For the trivial subgroup the sum is the identity (rank equal
-    to the irrep dimension); for the full group it is zero unless the irrep
-    is trivial.
+    ``P`` is an orthogonal projector, so ``rank P = tr P = (1/|H|) sum_{h in H}
+    chi(h)``, the multiplicity of the irrep in the coset module (Frobenius
+    reciprocity).  A trace further than ``RANK_TRACE_TOL`` from an integer
+    raises :class:`NumericalError`, since no unitary irrep gives one.
     """
     if irrep.group is not ctx.group:
         raise ConsistencyError("irrep and subgroup context belong to different groups")
-    members = sorted(ctx.subgroup_elements)
-    matrix = irrep.matrices[members].sum(axis=0)
-    singular_values = np.linalg.svd(matrix, compute_uv=False)
-    top = float(singular_values[0]) if singular_values.size else 0.0
-    rank = int(np.sum(singular_values > rank_tol * max(1.0, top)))
-    return SubgroupSumImage(
-        irrep=irrep, matrix=matrix, singular_values=singular_values, rank=rank
-    )
+    trace = complex(np.mean(irrep.character[sorted(ctx.subgroup_elements)]))
+    rank = round(trace.real)
+    if abs(trace - rank) > RANK_TRACE_TOL:
+        raise NumericalError(
+            f"rank identity: {label}, tr P = {trace.real:.12g}{trace.imag:+.3g}j "
+            f"is not within {RANK_TRACE_TOL:g} of an integer"
+        )
+    return rank
 
 
-def verify_rank_identity(
-    irrep_set: IrrepSet, ctx: SubgroupContext, rank_tol: float = DEFAULT_RANK_TOL
-) -> bool:
-    """Check that dimension-weighted subgroup-sum ranks add up to the coset count."""
-    total = sum(r.dim * subgroup_sum(r, ctx, rank_tol).rank for r in irrep_set)
-    return total == ctx.index_n
+def subgroup_ranks(irrep_set: IrrepSet, ctx: SubgroupContext) -> list[int]:
+    """Every irrep's projector rank, checked by the rank identity ``sum d * r = n``.
+
+    A violation means the irrep list is incomplete or duplicated and raises
+    :class:`NumericalError` naming the rank-identity stage.
+    """
+    ranks = [_trace_rank(r, ctx, f"irrep {idx}") for idx, r in enumerate(irrep_set)]
+    weighted = sum(r.dim * rank for r, rank in zip(irrep_set, ranks))
+    if weighted != ctx.index_n:
+        raise NumericalError(
+            f"rank identity: dimension-weighted ranks sum to {weighted}, "
+            f"expected {ctx.index_n}; irrep list is incomplete or duplicated"
+        )
+    return ranks
+
+
+def subgroup_sum(irrep: Irrep, ctx: SubgroupContext) -> SubgroupSumImage:
+    """Sum the irrep over the context's subgroup, with the rank of that sum.
+
+    The sum is ``|H|`` times the projector ``P``, and its rank is the exact
+    integer ``tr P`` read off the character (see :func:`_trace_rank`).  For
+    the trivial subgroup the sum is the identity (rank equal to the irrep
+    dimension); for the full group it is zero unless the irrep is trivial.
+    """
+    rank = _trace_rank(irrep, ctx, f"{irrep.dim}-dimensional irrep")
+    matrix = irrep.matrices[sorted(ctx.subgroup_elements)].sum(axis=0)
+    return SubgroupSumImage(irrep=irrep, matrix=matrix, rank=rank)
+
+
+def verify_rank_identity(irrep_set: IrrepSet, ctx: SubgroupContext) -> bool:
+    """Check that dimension-weighted subgroup-sum ranks add up to the coset count.
+
+    A projector trace that is not integral fails the check.
+    """
+    try:
+        subgroup_ranks(irrep_set, ctx)
+    except NumericalError:
+        return False
+    return True
 
 
 def verify_great_orthogonality(irrep_set: IrrepSet, tol: float = DEFAULT_VERIFY_TOL) -> bool:

@@ -17,15 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, NumericalError
-from .irreps import Irrep, IrrepSet, subgroup_sum
+from .irreps import Irrep, IrrepSet, subgroup_ranks
 from .permgroup import SubgroupContext
 from .voltage import BaseMatrix, VoltageGraph, build_base_matrix, build_lift
 
 DEFAULT_MATCH_TOL = 1e-7
 DEFAULT_RESIDUAL_TOL = 1e-8
-DEFAULT_ZERO_TOL = 1e-10
+ZERO_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
-RANK_TRACE_TOL = 1e-8
 FULL_RANK_TOL = 1e-10
 PIVOT_TIE_TOL = 1e-9
 
@@ -40,13 +39,12 @@ class IrrepImage:
 
 @dataclass(frozen=True, eq=False)
 class IrrepEigenData:
-    """Eigendecomposition of one irrep image, eigenvalues sorted ascending."""
+    """Eigendecomposition of one Hermitian irrep image, eigenvalues sorted ascending."""
 
     irrep: Irrep
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    hermitian: bool
 
 
 @dataclass(frozen=True)
@@ -154,15 +152,21 @@ def irrep_image(base: BaseMatrix, irrep: Irrep) -> IrrepImage:
     return IrrepImage(irrep=irrep, matrix=out)
 
 
+def is_hermitian(matrix: np.ndarray) -> bool:
+    """Whether ``M`` equals its conjugate transpose within ``HERMITIAN_TOL * max|M|``."""
+    skew = np.max(np.abs(matrix - matrix.conj().T), initial=0.0)
+    return bool(skew <= HERMITIAN_TOL * max(1.0, np.max(np.abs(matrix), initial=0.0)))
+
+
 def eig_dense(
-    matrix: np.ndarray, hermitian_hint: bool = False, tol: float = DEFAULT_RESIDUAL_TOL
+    matrix: np.ndarray, hermitian_hint: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense eigendecomposition with a residual guarantee.
 
     Eigenvalues are sorted ascending by (real, imaginary) with matching
     eigenvector columns; with ``hermitian_hint`` the eigenvalues come back as
     a real array.  The residual ``max |M U - U diag|`` must stay within
-    ``tol * max|M|`` or a :class:`NumericalError` is raised.
+    ``DEFAULT_RESIDUAL_TOL * max|M|`` or a :class:`NumericalError` is raised.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -180,30 +184,15 @@ def eig_dense(
         np.abs(matrix @ eigenvectors - eigenvectors * eigenvalues[np.newaxis, :])
     ) if matrix.size else 0.0
     scale = float(np.max(np.abs(matrix))) if matrix.size else 0.0
-    if residual > tol * max(1.0, scale):
+    if residual > DEFAULT_RESIDUAL_TOL * max(1.0, scale):
         raise NumericalError(
             f"eigendecomposition residual {residual:.3e} exceeds tolerance"
         )
     return eigenvalues, eigenvectors
 
 
-def _image_eigendata(base: BaseMatrix, irrep: Irrep) -> IrrepEigenData:
-    image = irrep_image(base, irrep).matrix
-    scale = float(np.max(np.abs(image))) if image.size else 0.0
-    hermitian = bool(
-        np.max(np.abs(image - image.conj().T)) <= HERMITIAN_TOL * max(1.0, scale)
-    ) if image.size else True
-    eigenvalues, eigenvectors = eig_dense(image, hermitian_hint=hermitian)
-    return IrrepEigenData(
-        irrep=irrep,
-        matrix=image,
-        eigenvalues=np.asarray(eigenvalues, dtype=complex),
-        eigenvectors=eigenvectors,
-        hermitian=hermitian,
-    )
-
-
-def _check_triple(base: BaseMatrix, irrep_set: IrrepSet, ctx: SubgroupContext) -> None:
+def _lift_ranks(base: BaseMatrix, irrep_set: IrrepSet, ctx: SubgroupContext) -> list[int]:
+    """Check the inputs of both lift routes and return each irrep's subgroup rank."""
     if base.group is not irrep_set.group or base.group is not ctx.group:
         raise ConsistencyError("base matrix, irreps, and context must share one group")
     if base.directed:
@@ -211,6 +200,29 @@ def _check_triple(base: BaseMatrix, irrep_set: IrrepSet, ctx: SubgroupContext) -
             "spectral lift routines need an undirected base; "
             "use the character route for digraph regular lifts"
         )
+    return subgroup_ranks(irrep_set, ctx)
+
+
+def _image_eigendata(base: BaseMatrix, idx: int, irrep: Irrep) -> IrrepEigenData:
+    """Eigendecompose one irrep image, which must be Hermitian.
+
+    A unitary irrep on an undirected base always gives a Hermitian image, so
+    a failed test means the irrep is out of contract; both lift routes refuse
+    it rather than answer from a general eigensolve.
+    """
+    image = irrep_image(base, irrep).matrix
+    if not is_hermitian(image):
+        raise NumericalError(
+            f"image eigensolve: irrep {idx}, image is not Hermitian; "
+            "irreps must be unitary"
+        )
+    eigenvalues, eigenvectors = eig_dense(image, hermitian_hint=True)
+    return IrrepEigenData(
+        irrep=irrep,
+        matrix=image,
+        eigenvalues=np.asarray(eigenvalues, dtype=complex),
+        eigenvectors=eigenvectors,
+    )
 
 
 def lift_spectrum(
@@ -218,30 +230,24 @@ def lift_spectrum(
     irrep_set: IrrepSet,
     ctx: SubgroupContext,
     match_tol: float = DEFAULT_MATCH_TOL,
-    rank_tol: float = 1e-9,
 ) -> SpectrumReport:
     """Assemble the full lift spectrum from per-irrep image eigenvalues.
 
     Each irrep contributes the spectrum of its base-matrix image, repeated by
-    the rank of its subgroup sum.  The dimension-weighted ranks must add up
-    to the coset count; a violation means the irrep list is wrong and raises
-    :class:`NumericalError`.  Eigenvalues closer than ``match_tol`` merge
-    into a single entry with combined multiplicity.
+    the rank of ``P = (1/|H|) sum_{h in H} rho(h)``.  That rank, also the
+    provenance rank, is the exact integer ``tr P``, read off the character
+    mean over ``H`` (Frobenius reciprocity) as in :func:`lift_eigenvectors`.
+    The dimension-weighted ranks must add up to the coset count, and every
+    image of nonzero rank must be Hermitian; a violation raises
+    :class:`NumericalError` naming its stage.  Eigenvalues closer than
+    ``match_tol`` merge into a single entry with combined multiplicity.
     """
-    _check_triple(base, irrep_set, ctx)
-    n = ctx.index_n
-    ranks = [subgroup_sum(r, ctx, rank_tol).rank for r in irrep_set]
-    weighted = sum(r.dim * rank for r, rank in zip(irrep_set, ranks))
-    if weighted != n:
-        raise NumericalError(
-            f"dimension-weighted ranks sum to {weighted}, expected {n}; "
-            "irrep list is incomplete or duplicated"
-        )
+    ranks = _lift_ranks(base, irrep_set, ctx)
     raw: list[tuple[complex, int, tuple[int, int, int]]] = []
     for idx, (irrep, rank) in enumerate(zip(irrep_set, ranks)):
         if rank == 0:
             continue
-        data = _image_eigendata(base, irrep)
+        data = _image_eigendata(base, idx, irrep)
         for value in data.eigenvalues:
             raw.append((complex(value), rank, (idx, irrep.dim, rank)))
     raw.sort(key=lambda item: (item[0].real, item[0].imag))
@@ -260,9 +266,9 @@ def lift_spectrum(
         )
         pos = end
     total = sum(e.count for e in entries)
-    if total != base.k * n:
+    if total != base.k * ctx.index_n:
         raise NumericalError(
-            f"spectrum size {total} does not match lift order {base.k * n}"
+            f"spectrum size {total} does not match lift order {base.k * ctx.index_n}"
         )
     return SpectrumReport(entries=tuple(entries), total=total)
 
@@ -302,18 +308,6 @@ def build_coset_sum_matrix(
         for j in range(irrep.dim):
             blocks.append(np.kron(eye_k, sums[:, j, :]))
     return np.hstack(blocks)
-
-
-def _trace_rank(idx: int, projector: np.ndarray) -> int:
-    """Rank of an orthogonal projector read off its trace, which must be integral."""
-    trace = complex(np.trace(projector))
-    rank = round(trace.real)
-    if abs(trace - rank) > RANK_TRACE_TOL:
-        raise NumericalError(
-            f"rank identity: irrep {idx}, tr P = {trace.real:.12g}{trace.imag:+.3g}j "
-            f"is not within {RANK_TRACE_TOL:g} of an integer"
-        )
-    return rank
 
 
 def _select_rows(idx: int, sums: np.ndarray, projector: np.ndarray, rank: int) -> list[int]:
@@ -408,14 +402,13 @@ def lift_eigenvectors(
     irrep_set: IrrepSet,
     ctx: SubgroupContext,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    zero_tol: float = DEFAULT_ZERO_TOL,
 ) -> EigenvectorBundle:
     """Pull irrep-image eigenvectors back to a full lift eigenbasis, one irrep at a time.
 
     For an irrep of dimension ``d``, the coset sums of its rows times its
     ``dk x dk`` image eigenvectors give one tagged column per (row ``j``,
     image eigenvector); all ``k|G|`` columns are returned.  A column is
-    flagged ``zero`` when its largest entry is within ``zero_tol`` of the
+    flagged ``zero`` when its largest entry is within ``ZERO_TOL`` of the
     largest entry over all columns, which happens exactly on the rows ``j``
     that ``P = (1/|H|) sum_{h in H} rho(h)`` kills.
 
@@ -429,29 +422,16 @@ def lift_eigenvectors(
     adjacency applied by gathering over the base arcs.  Any failed check
     raises :class:`NumericalError` naming its stage and irrep.
     """
-    _check_triple(base, irrep_set, ctx)
-    n = ctx.index_n
+    ranks = _lift_ranks(base, irrep_set, ctx)
     k = base.k
-    kn = k * n
+    kn = k * ctx.index_n
     sums = [_coset_sums(irrep, ctx) for irrep in irrep_set]
     projectors = [s[0] / len(ctx.subgroup_elements) for s in sums]
-    ranks = [_trace_rank(idx, p) for idx, p in enumerate(projectors)]
-    weighted = sum(r.dim * rank for r, rank in zip(irrep_set, ranks))
-    if weighted != n:
-        raise NumericalError(
-            f"rank identity: dimension-weighted ranks sum to {weighted}, expected {n}; "
-            "irrep list is incomplete or duplicated"
-        )
     terms = _lift_terms(base, ctx)
 
     blocks = []
     for idx, irrep in enumerate(irrep_set):
-        data = _image_eigendata(base, irrep)
-        if not data.hermitian:
-            raise NumericalError(
-                f"pull-back: irrep {idx}, image is not Hermitian, "
-                "so its eigenvectors need not be unitary"
-            )
+        data = _image_eigendata(base, idx, irrep)
         pulled = _pull_back(sums[idx], data.eigenvectors, k)
         picked = _select_rows(idx, sums[idx], projectors[idx], ranks[idx])
         if picked:
@@ -467,7 +447,7 @@ def lift_eigenvectors(
     selected: list[int] = []
     for idx, ((data, pulled, picked), peak) in enumerate(zip(blocks, peaks)):
         d = data.irrep.dim
-        zero = peak <= zero_tol * global_peak
+        zero = peak <= ZERO_TOL * global_peak
         for col in range(pulled.shape[1]):
             j, c = divmod(col, d * k)
             if j in picked:

@@ -20,6 +20,30 @@ DUMBBELL_TRIVIAL = str(INSTANCES / "dumbbell_regular.json")
 DUMBBELL_GENERATORS = str(INSTANCES / "dumbbell_generators.json")
 
 
+# Per instance: kn, then (count, provenance tags (irrep, dim, rank)) of each
+# spectrum entry in output order.  Literals, so any change in how ranks are
+# computed shows up here.
+STABILIZER_SPECTRUM = (
+    6,
+    [(1, [(2, 2, 1)])] * 2
+    + [(1, [(0, 1, 1)])]
+    + [(1, [(2, 2, 1)])] * 2
+    + [(1, [(0, 1, 1)])],
+)
+PINNED_SPECTRA = {
+    "dumbbell.json": STABILIZER_SPECTRUM,
+    "dumbbell_generators.json": STABILIZER_SPECTRUM,
+    "dumbbell_regular.json": (
+        12,
+        [(1, [(1, 1, 1)])]
+        + [(2, [(2, 2, 2)])] * 2
+        + [(1, [(1, 1, 1)]), (1, [(0, 1, 1)])]
+        + [(2, [(2, 2, 2)])] * 2
+        + [(1, [(0, 1, 1)])],
+    ),
+}
+
+
 def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -106,6 +130,17 @@ class TestSpectrumCommand:
         _, out_a, _ = _run(capsys, ["spectrum", DUMBBELL])
         _, out_b, _ = _run(capsys, ["spectrum", DUMBBELL])
         assert out_a == out_b
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in INSTANCES.glob("*.json")))
+    def test_pinned_counts_and_provenance(self, capsys, name):
+        code, out, _ = _run(capsys, ["spectrum", str(INSTANCES / name)])
+        assert code == 0
+        payload = json.loads(out)
+        got = [
+            (e["count"], [(p["irrep"], p["dim"], p["rank"]) for p in e["provenance"]])
+            for e in payload["eigenvalues"]
+        ]
+        assert (payload["kn"], got) == PINNED_SPECTRA[name]
 
     def test_floats_roundtrip_losslessly(self, capsys):
         from liftspectra import build_base_matrix, lift_spectrum
@@ -306,6 +341,13 @@ class TestExitCodes:
             code, _, err = _run(capsys, [command, _write_instance(tmp_path, doc)])
             assert code == 3
             assert "undirected" in err
+
+    def test_tol_rank_flag_removed(self, capsys):
+        # Ranks are exact projector traces, so there is no rank tolerance to set.
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", DUMBBELL, "--tol-rank", "1e-9"])
+        assert exc.value.code == 2
+        assert "--tol-rank" in capsys.readouterr().err
 
     def test_order_cap_exceeded(self, tmp_path, capsys):
         doc = _dumbbell_doc()
