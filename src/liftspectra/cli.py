@@ -92,6 +92,11 @@ def _load_options(raw, overrides: dict) -> Options:
             "tol_match": float,
             "order_cap": int,
         }
+        unknown = sorted(set(raw) - set(fields))
+        if unknown:
+            raise ParseError(
+                f"unknown options keys {unknown}; allowed keys are {sorted(fields)}"
+            )
         updates = {}
         for key, cast in fields.items():
             if key in raw:

@@ -2,7 +2,9 @@
 
 Two sources are provided: exact catalogs for the cyclic, dihedral, and
 degree-3 symmetric families, and a seeded randomized decomposition of the
-regular representation for arbitrary groups.  Both return the same
+regular representation for groups of order up to ``MAX_COMPUTED_ORDER``,
+which builds each irrep once and retries when an eigenspace is reducible.
+Both return the same
 :class:`IrrepSet` shape, with irreps sorted by ascending dimension and ties
 broken by character values on conjugacy-class representatives (descending,
 so the trivial representation always comes first).
@@ -29,6 +31,9 @@ DEFAULT_VERIFY_TOL = 1e-8
 CHARACTER_TOL = 1e-6
 RANK_TRACE_TOL = 1e-8
 MAX_RETRIES = 8
+# compute_irreps takes about 10 s for S6 (order 720) and 35 s for S5 x C8
+# (order 960) on one core, and its time grows as |G|^3.
+MAX_COMPUTED_ORDER = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,14 +97,9 @@ def _sort_irreps(group, mats_list, classes):
         char = _character(mats)
         decorated.append((_canonical_key(mats.shape[1], char, classes), pos, mats, char))
     decorated.sort(key=lambda item: (item[0], item[1]))
-    kept = []
-    for _, _, mats, char in decorated:
-        if any(np.max(np.abs(char - kchar)) <= CHARACTER_TOL for _, kchar in kept):
-            continue
-        kept.append((mats, char))
     return tuple(
         Irrep(group=group, dim=mats.shape[1], matrices=mats, character=char)
-        for mats, char in kept
+        for _, _, mats, char in decorated
     )
 
 
@@ -279,43 +279,10 @@ def _random_hermitian(rng: np.random.Generator, size: int) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def _split_rep(mats: np.ndarray, rng: np.random.Generator):
-    """Recursively split a unitary representation into irreducible pieces."""
-    n, dim, _ = mats.shape
-    char = _character(mats)
-    norm = np.vdot(char, char) / n
-    if abs(norm - 1) <= CHARACTER_TOL:
-        return [mats]
-    for _ in range(8):
-        seed_matrix = _random_hermitian(rng, dim)
-        averaged = np.einsum("gij,jk,glk->il", mats, seed_matrix, mats.conj()) / n
-        eigenvalues, eigenvectors = np.linalg.eigh(averaged)
-        gap_tol = 1e-7 * max(1.0, float(eigenvalues[-1] - eigenvalues[0]))
-        spans = _cluster_spans(eigenvalues, gap_tol)
-        if len(spans) == 1:
-            continue
-        pieces = []
-        invariant = True
-        for lo, hi in spans:
-            basis = eigenvectors[:, lo:hi]
-            sub = np.einsum("ai,gab,bj->gij", basis.conj(), mats, basis)
-            residual = np.max(np.abs(mats @ basis - np.einsum("ab,gbj->gaj", basis, sub)))
-            if residual > DEFAULT_VERIFY_TOL:
-                invariant = False
-                break
-            pieces.append(sub)
-        if not invariant:
-            continue
-        out = []
-        for piece in pieces:
-            out.extend(_split_rep(piece, rng))
-        return out
-    raise NumericalError(
-        f"failed to split a reducible {dim}-dimensional representation after 8 draws"
-    )
-
-
-def _decompose_regular(group: FiniteGroup, rng: np.random.Generator):
+def _decompose_regular(
+    group: FiniteGroup, classes: list[ConjugacyClass], rng: np.random.Generator
+):
+    """Images of each irrep, built from the first eigenvalue cluster that carries it."""
     n = group.order
     table = group.mult_table
     seed_matrix = _random_hermitian(rng, n)
@@ -327,16 +294,32 @@ def _decompose_regular(group: FiniteGroup, rng: np.random.Generator):
         averaged += seed_matrix[np.ix_(col, col)]
     averaged /= n
     eigenvalues, eigenvectors = np.linalg.eigh(averaged)
-    spans = _cluster_spans(eigenvalues, 1e-7 * n)
+    # One eigenspace's eigenvalues agree to ~1e-14 up to |G| = 720, while
+    # distinct ones come within ~1e-6; merging two costs a whole retry.
+    spans = _cluster_spans(eigenvalues, 1e-10 * n)
+    class_cols = table[:, [c.representative for c in classes]].T
+    sizes = np.array([c.size for c in classes])
     found = []
-    for lo, hi in spans:
+    kept = np.zeros((0, len(classes)), dtype=complex)
+    for idx, (lo, hi) in enumerate(spans):
         basis = eigenvectors[:, lo:hi]
+        class_char = np.einsum("ai,cai->c", basis.conj(), basis[class_cols])
+        norm = float(sizes @ np.abs(class_char) ** 2) / n
+        if abs(norm - 1) > CHARACTER_TOL:
+            raise NumericalError(
+                f"reducible eigenvalue cluster {idx} ({hi - lo}-dimensional): "
+                f"character norm {norm:.6f} departs from 1"
+            )
+        # An irrep of dimension d spans d clusters; build it from the first.
+        if np.any(np.max(np.abs(kept - class_char), axis=1) <= CHARACTER_TOL):
+            continue
+        kept = np.vstack([kept, class_char])
         shifted = np.stack([basis[table[:, g], :] for g in range(n)])
         sub = np.einsum("ai,gab->gib", basis.conj(), shifted)
         residual = np.max(np.abs(shifted - np.einsum("ab,gbj->gaj", basis, sub)))
         if residual > DEFAULT_VERIFY_TOL:
             raise NumericalError("eigenvalue cluster did not give an invariant subspace")
-        found.extend(_split_rep(sub, rng))
+        found.append(sub)
     return found
 
 
@@ -344,16 +327,26 @@ def compute_irreps(group: FiniteGroup, seed: int = 0) -> IrrepSet:
     """Compute all irreps of a group by splitting its regular representation.
 
     A random Hermitian matrix is averaged over conjugation by the regular
-    representation; its eigenspaces (eigenvalues closer than ``1e-7 * |G|``
-    form one cluster) are invariant subspaces that generically are already
-    irreducible.  Reducible pieces are split recursively with fresh draws.
-    Duplicates are removed by character comparison and the survivors sorted
-    canonically.
+    representation; its eigenspaces (eigenvalues closer than ``1e-10 * |G|``
+    form one cluster) are invariant subspaces, and generically each is one
+    copy of an irrep, so an irrep of dimension ``d`` fills ``d`` clusters.
+    Each cluster's character at the conjugacy-class representatives shows
+    whether it is irreducible and which irrep it carries; only the first
+    cluster of each irrep is turned into matrices.  The irreps are then
+    sorted canonically.  A reducible cluster, which takes an accidental
+    eigenvalue coincidence, fails the attempt like any failed check.
 
-    The whole procedure is deterministic given ``(group, seed)``.  Each retry
-    uses a child seed spawned from ``seed``; after ``MAX_RETRIES`` failures a
-    :class:`NumericalError` carrying the failure history is raised.
+    The whole procedure is deterministic given ``(group, seed)``.  Each
+    attempt uses a child seed spawned from ``seed``; after ``MAX_RETRIES``
+    failed attempts a :class:`NumericalError` carrying the failure history
+    is raised.  Its time grows as ``|G|^3``, so a group of order above
+    ``MAX_COMPUTED_ORDER`` raises :class:`ConsistencyError` before any work.
     """
+    if group.order > MAX_COMPUTED_ORDER:
+        raise ConsistencyError(
+            f"compute_irreps: group order {group.order} exceeds the limit "
+            f"MAX_COMPUTED_ORDER = {MAX_COMPUTED_ORDER}; its time grows as |G|^3"
+        )
     classes = conjugacy_classes(group)
     failures = []
     for attempt in range(MAX_RETRIES):
@@ -361,7 +354,7 @@ def compute_irreps(group: FiniteGroup, seed: int = 0) -> IrrepSet:
             np.random.SeedSequence(entropy=seed, spawn_key=(attempt,))
         )
         try:
-            mats_list = _decompose_regular(group, rng)
+            mats_list = _decompose_regular(group, classes, rng)
             irrep_set = IrrepSet(
                 group=group, irreps=_sort_irreps(group, mats_list, classes)
             )

@@ -349,6 +349,15 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--tol-rank" in capsys.readouterr().err
 
+    def test_unknown_option_key(self, tmp_path, capsys):
+        # A misspelt or retired option must not fall back to its default.
+        doc = _dumbbell_doc()
+        doc["options"] = {"seed": 0, "tol_rank": 1e-9}
+        code, out, err = _run(capsys, ["spectrum", _write_instance(tmp_path, doc)])
+        assert code == 2
+        assert out == ""
+        assert "tol_rank" in err
+
     def test_order_cap_exceeded(self, tmp_path, capsys):
         doc = _dumbbell_doc()
         doc["group"] = {

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import liftspectra.irreps as irreps_module
 from liftspectra import (
     ConsistencyError,
     Irrep,
     IrrepSet,
+    NumericalError,
     builtin_irreps,
     compute_irreps,
     conjugacy_classes,
@@ -19,12 +21,79 @@ from liftspectra import (
 )
 
 ROOT3 = np.sqrt(3.0)
+GOLDEN = (1 + np.sqrt(5.0)) / 2
+
+# Dimensions and characters at the class representatives, in the order that
+# conjugacy_classes lists them (shown as comments), of the computed catalogs.
+PINNED_TABLES = {
+    "S4": (
+        4,
+        ["(1 2 3 4)", "(1 2)"],
+        # ()  (3 4)  (2 3 4)  (1 2)(3 4)  (1 2 3 4)
+        [
+            [1, 1, 1, 1, 1],
+            [1, -1, 1, 1, -1],
+            [2, 0, -1, 2, 0],
+            [3, 1, 0, -1, -1],
+            [3, -1, 0, -1, 1],
+        ],
+    ),
+    "A5": (
+        5,
+        ["(1 2 3 4 5)", "(1 2 3)"],
+        # ()  (3 4 5)  (2 3)(4 5)  (1 2 3 4 5)  (1 2 3 5 4)
+        [
+            [1, 1, 1, 1, 1],
+            [3, 0, -1, GOLDEN, 1 - GOLDEN],
+            [3, 0, -1, 1 - GOLDEN, GOLDEN],
+            [4, 1, 0, -1, -1],
+            [5, -1, 1, 0, 0],
+        ],
+    ),
+    "S5": (
+        5,
+        ["(1 2)", "(1 2 3 4 5)"],
+        # ()  (4 5)  (3 4 5)  (2 3)(4 5)  (2 3 4 5)  (1 2)(3 4 5)  (1 2 3 4 5)
+        [
+            [1, 1, 1, 1, 1, 1, 1],
+            [1, -1, 1, 1, -1, -1, 1],
+            [4, 2, 1, 0, 0, -1, -1],
+            [4, -2, 1, 0, 0, 1, -1],
+            [5, 1, -1, 1, -1, 1, 0],
+            [5, -1, -1, 1, 1, -1, 0],
+            [6, 0, 0, -2, 0, 0, 1],
+        ],
+    ),
+}
 
 
 def _sym4():
     return generate_group(
         [parse_permutation("(1 2 3 4)", 4), parse_permutation("(1 2)", 4)]
     )
+
+
+def _class_table(irrep_set):
+    reps = [c.representative for c in conjugacy_classes(irrep_set.group)]
+    return np.array([r.character[reps] for r in irrep_set])
+
+
+def _merge_first_two_spans(monkeypatch, merge_on_call):
+    """Record the span count of each ``_cluster_spans`` call, and make call
+    ``n`` join its first two spans, as an eigenvalue coincidence would,
+    whenever ``merge_on_call(n)`` holds."""
+    original = irreps_module._cluster_spans
+    calls = []
+
+    def spans(eigenvalues, gap_tol):
+        out = original(eigenvalues, gap_tol)
+        calls.append(len(out))
+        if merge_on_call(len(calls)):
+            out = [(out[0][0], out[1][1])] + out[2:]
+        return out
+
+    monkeypatch.setattr(irreps_module, "_cluster_spans", spans)
+    return calls
 
 
 class TestSym3Catalog:
@@ -182,6 +251,57 @@ class TestComputedIrreps:
         got = np.array([[r.character[g] for g in reps] for r in computed])
         want = np.array([[r.character[g] for g in reps] for r in catalog])
         assert np.max(np.abs(got - want)) < 1e-8
+
+    @pytest.mark.parametrize("name", sorted(PINNED_TABLES))
+    def test_pinned_dimensions_and_character_table(self, name):
+        degree, gens, table = PINNED_TABLES[name]
+        group = generate_group([parse_permutation(g, degree) for g in gens])
+        irr = compute_irreps(group, seed=0)
+        expected = np.array(table, dtype=complex)
+        assert irr.dims == tuple(int(row[0]) for row in table)
+        assert np.max(np.abs(_class_table(irr) - expected)) < 1e-8
+
+    def test_reducible_cluster_is_retried(self, monkeypatch):
+        calls = _merge_first_two_spans(monkeypatch, lambda n: n == 1)
+        irr = compute_irreps(_sym4(), seed=0)
+        assert len(calls) == 2
+        assert irr.dims == (1, 1, 2, 3, 3)
+        assert verify_great_orthogonality(irr)
+        assert verify_character_orthogonality(irr)
+
+    def test_reducible_cluster_on_every_attempt_raises(self, monkeypatch):
+        calls = _merge_first_two_spans(monkeypatch, lambda n: True)
+        with pytest.raises(NumericalError) as exc:
+            compute_irreps(_sym4(), seed=0)
+        assert len(calls) == irreps_module.MAX_RETRIES
+        message = str(exc.value)
+        for attempt in range(irreps_module.MAX_RETRIES):
+            assert f"attempt {attempt}: reducible eigenvalue cluster 0 " in message
+
+    @pytest.mark.parametrize("seed", [0, 13])
+    def test_many_clusters_split_on_the_first_attempt(self, monkeypatch, seed):
+        # C2^7 has 128 one-dimensional irreps, so 128 eigenvalue clusters.
+        # With a gap of 1e-7 * |G| these seeds merged two of them.
+        group = generate_group(
+            [parse_permutation(f"({2 * i + 1} {2 * i + 2})", 14) for i in range(7)]
+        )
+        calls = _merge_first_two_spans(monkeypatch, lambda n: False)
+        irr = compute_irreps(group, seed=seed)
+        assert calls == [128]
+        assert irr.dims == (1,) * 128
+
+    def test_order_above_limit_fails_fast(self):
+        k = 1 + int(np.log2(irreps_module.MAX_COMPUTED_ORDER))
+        group = generate_group(
+            [parse_permutation(f"({2 * i + 1} {2 * i + 2})", 2 * k) for i in range(k)]
+        )
+        assert group.order == 2**k > irreps_module.MAX_COMPUTED_ORDER
+        with pytest.raises(ConsistencyError) as exc:
+            compute_irreps(group)
+        message = str(exc.value)
+        assert "compute_irreps" in message
+        assert str(group.order) in message
+        assert str(irreps_module.MAX_COMPUTED_ORDER) in message
 
 
 class TestSubgroupSums:
