@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -100,13 +101,24 @@ def _load_options(raw, overrides: dict) -> Options:
         updates = {}
         for key, cast in fields.items():
             if key in raw:
-                if isinstance(raw[key], bool) or not isinstance(raw[key], (int, float)):
+                value = raw[key]
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise ParseError(f"options.{key} must be a number")
-                updates[key] = cast(raw[key])
+                if cast is int and not isinstance(value, int):
+                    raise ParseError(f"options.{key} must be an integer, got {value!r}")
+                updates[key] = cast(value)
         options = replace(options, **updates)
     cleaned = {k: v for k, v in overrides.items() if v is not None}
     if cleaned:
         options = replace(options, **cleaned)
+    # NaN compares false and an infinite tolerance accepts everything, so
+    # either would switch its check off rather than set it.
+    for key in ("tol_match", "tol_residual"):
+        value = getattr(options, key)
+        if not 0.0 < value < math.inf:
+            raise ParseError(f"{key} must be finite and greater than 0, got {value!r}")
+    if options.seed < 0:
+        raise ParseError(f"seed must be a non-negative integer, got {options.seed}")
     return options
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConsistencyError, NumericalError
 from .irreps import Irrep, IrrepSet, subgroup_ranks
 from .permgroup import SubgroupContext
-from .voltage import BaseMatrix, VoltageGraph, build_base_matrix, build_lift
+from .voltage import INTEGER_TOL, BaseMatrix, VoltageGraph, build_base_matrix, build_lift
 
 DEFAULT_MATCH_TOL = 1e-7
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -138,18 +138,22 @@ class EigenvectorBundle:
 
 
 def irrep_image(base: BaseMatrix, irrep: Irrep) -> IrrepImage:
-    """Apply an irrep entrywise to a base matrix, producing a ``dk x dk`` block matrix."""
+    """Apply an irrep entrywise to a base matrix, producing a ``dk x dk`` block matrix.
+
+    Block ``(u, v)`` is ``sum c * rho(g)`` over the rows of the base
+    matrix's voltage table at ``(u, v)``.  ``np.add.at`` adds unbuffered and
+    in table order, which is each entry's coefficient order, so every block
+    sums its terms in the same order as an entrywise loop and the image has
+    the same bits.
+    """
     if base.group is not irrep.group:
         raise ConsistencyError("base matrix and irrep belong to different groups")
     d = irrep.dim
     k = base.k
-    out = np.zeros((d * k, d * k), dtype=complex)
-    for u in range(k):
-        for v in range(k):
-            block = out[u * d : (u + 1) * d, v * d : (v + 1) * d]
-            for g, c in base.entry(u, v).coefficients.items():
-                block += c * irrep.matrices[g]
-    return IrrepImage(irrep=irrep, matrix=out)
+    table = base.voltage_table
+    blocks = np.zeros((k, k, d, d), dtype=complex)
+    np.add.at(blocks, (table.u, table.v), table.c[:, None, None] * irrep.matrices[table.g])
+    return IrrepImage(irrep=irrep, matrix=blocks.transpose(0, 2, 1, 3).reshape(d * k, d * k))
 
 
 def is_hermitian(matrix: np.ndarray) -> bool:
@@ -354,15 +358,28 @@ def _pull_back(sums: np.ndarray, eigenvectors: np.ndarray, k: int) -> np.ndarray
 
 
 def _lift_terms(base: BaseMatrix, ctx: SubgroupContext) -> list:
-    """``(u, v, multiplicity, coset action)`` for every voltage in the base matrix."""
+    """``(u, v, multiplicity, coset action)`` for every voltage in the base matrix.
+
+    Coefficients are read from the voltage table, must be integers within
+    ``INTEGER_TOL`` (else :class:`NumericalError` names the first one off)
+    and are dropped when they round to zero.
+    """
+    table = base.voltage_table
+    nearest = np.round(table.c.real)
+    off = np.flatnonzero(np.abs(table.c - nearest) > INTEGER_TOL)
+    if off.size:
+        i = off[0]
+        raise NumericalError(
+            f"coefficient {complex(table.c[i])} of element {int(table.g[i])} "
+            f"is not an integer within {INTEGER_TOL}"
+        )
     actions: dict[int, np.ndarray] = {}
     terms = []
-    for u in range(base.k):
-        for v in range(base.k):
-            for g, c in base.entry(u, v).integer_coefficients().items():
-                if g not in actions:
-                    actions[g] = ctx.action_on_cosets(g)
-                terms.append((u, v, c, actions[g]))
+    keep = np.flatnonzero(nearest)
+    for u, v, g, c in zip(*(col[keep].tolist() for col in (table.u, table.v, table.g, nearest))):
+        if g not in actions:
+            actions[g] = ctx.action_on_cosets(g)
+        terms.append((u, v, int(c), actions[g]))
     return terms
 
 

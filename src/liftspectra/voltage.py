@@ -11,6 +11,7 @@ for every arc ``u -> v``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -194,6 +195,15 @@ def randomize_voltages(graph: VoltageGraph, rng: np.random.Generator) -> Voltage
     return VoltageGraph.build(graph.group, graph.vertices, edges, graph.directed)
 
 
+class VoltageTable(NamedTuple):
+    """One row per base-matrix coefficient: entry ``(u, v)`` holds ``c * g``."""
+
+    u: np.ndarray
+    v: np.ndarray
+    g: np.ndarray
+    c: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class BaseMatrix:
     """The vertex-by-vertex matrix of summed arc voltages.
@@ -210,6 +220,34 @@ class BaseMatrix:
 
     def entry(self, u: int, v: int) -> GroupAlgebraElement:
         return self.entries[u][v]
+
+    @cached_property
+    def voltage_table(self) -> VoltageTable:
+        """Every coefficient as a ``(u, v, g, c)`` row, computed once per matrix.
+
+        Rows run in entry order: by ``u``, then ``v``, then the insertion
+        order of the entry's coefficient dict, which is the order the
+        entrywise loops over :meth:`entry` visit them.  Consumers that sum
+        rows in table order therefore add in the same order as those loops
+        and reproduce their bits.
+        """
+        rows = [
+            (u, v, g, c)
+            for u, row in enumerate(self.entries)
+            for v, entry in enumerate(row)
+            for g, c in entry.coefficients.items()
+        ]
+        u, v, g, c = zip(*rows) if rows else ((), (), (), ())
+        table = VoltageTable(
+            u=np.array(u, dtype=np.intp),
+            v=np.array(v, dtype=np.intp),
+            g=np.array(g, dtype=np.intp),
+            c=np.array(c, dtype=complex),
+        )
+        # Every caller of this matrix shares the cached arrays.
+        for column in table:
+            column.flags.writeable = False
+        return table
 
     def __matmul__(self, other: "BaseMatrix") -> "BaseMatrix":
         if self.group is not other.group or self.k != other.k:
@@ -241,19 +279,26 @@ class BaseMatrix:
 
 
 def build_base_matrix(graph: VoltageGraph) -> BaseMatrix:
-    """Sum arc voltages into the ``k x k`` group-algebra base matrix."""
+    """Sum arc voltages into the ``k x k`` group-algebra base matrix.
+
+    Each cell is a plain dict filled in arc order with
+    ``cell.get(g, 0j) + (1 + 0j)`` and wrapped as a group-algebra element
+    once at the end.  That is the arithmetic and key order of folding
+    ``GroupAlgebraElement.from_element`` terms into ``zero()``, so the
+    coefficients, their bits and their order are the same.
+    """
     k = graph.k
-    grid = [
-        [GroupAlgebraElement.zero(graph.group) for _ in range(k)] for _ in range(k)
-    ]
+    cells: list[list[dict[int, complex]]] = [[{} for _ in range(k)] for _ in range(k)]
     for arc in graph.arcs:
-        grid[arc.tail][arc.head] = grid[arc.tail][arc.head] + GroupAlgebraElement.from_element(
-            graph.group, arc.voltage
-        )
+        cell = cells[arc.tail][arc.head]
+        g = int(arc.voltage)
+        cell[g] = cell.get(g, 0j) + (1 + 0j)
     return BaseMatrix(
         group=graph.group,
         k=k,
-        entries=tuple(tuple(row) for row in grid),
+        entries=tuple(
+            tuple(GroupAlgebraElement(graph.group, cell) for cell in row) for row in cells
+        ),
         directed=graph.directed,
     )
 

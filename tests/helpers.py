@@ -64,3 +64,33 @@ def expand_counts(pairs):
     for value, count in pairs:
         out.extend([value] * count)
     return out
+
+
+def reference_irrep_image(base, irrep):
+    """``rho`` applied entry by entry in a triple loop: the bit-for-bit reference.
+
+    Each ``d x d`` block starts at zero and adds ``c * rho(g)`` in the
+    entry's coefficient order.
+    """
+    d = irrep.dim
+    k = base.k
+    out = np.zeros((d * k, d * k), dtype=complex)
+    for u in range(k):
+        for v in range(k):
+            block = out[u * d : (u + 1) * d, v * d : (v + 1) * d]
+            for g, c in base.entry(u, v).coefficients.items():
+                block += c * irrep.matrices[g]
+    return out
+
+
+def reference_base_entries(graph):
+    """Base-matrix entries folded arc by arc as ``zero() + from_element``."""
+    from liftspectra import GroupAlgebraElement
+
+    k = graph.k
+    grid = [[GroupAlgebraElement.zero(graph.group) for _ in range(k)] for _ in range(k)]
+    for arc in graph.arcs:
+        grid[arc.tail][arc.head] = grid[arc.tail][arc.head] + GroupAlgebraElement.from_element(
+            graph.group, arc.voltage
+        )
+    return grid

@@ -358,6 +358,39 @@ class TestExitCodes:
         assert out == ""
         assert "tol_rank" in err
 
+    @pytest.mark.parametrize("key", ["tol_match", "tol_residual"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-8])
+    def test_tolerance_that_disables_its_check_refused(self, tmp_path, capsys, key, value):
+        # NaN never compares true and an infinite tolerance accepts anything:
+        # both would run the command with its check switched off.
+        doc = _dumbbell_doc()
+        doc["options"] = {key: value}
+        code, out, err = _run(capsys, ["eigvecs", _write_instance(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert key in err
+        flag = "--" + key.replace("_", "-")
+        code, out, err = _run(capsys, ["eigvecs", DUMBBELL, f"{flag}={value!r}"])
+        assert (code, out) == (2, "")
+        assert key in err
+
+    @pytest.mark.parametrize("key", ["seed", "order_cap"])
+    @pytest.mark.parametrize("value", [1.7, 1.0])
+    def test_integer_option_must_be_json_integer(self, tmp_path, capsys, key, value):
+        doc = _dumbbell_doc()
+        doc["options"] = {key: value}
+        code, out, err = _run(capsys, ["spectrum", _write_instance(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert f"options.{key} must be an integer" in err
+
+    def test_negative_seed_refused(self, tmp_path, capsys):
+        doc = _dumbbell_doc()
+        doc["options"] = {"seed": -1}
+        code, out, err = _run(capsys, ["spectrum", _write_instance(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert "seed" in err
+        code, out, _ = _run(capsys, ["spectrum", DUMBBELL_GENERATORS, "--seed", "-1"])
+        assert (code, out) == (2, "")
+
     def test_order_cap_exceeded(self, tmp_path, capsys):
         doc = _dumbbell_doc()
         doc["group"] = {

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liftspectra import (
     ConsistencyError,
@@ -23,7 +27,7 @@ from liftspectra import (
 )
 
 from conftest import DUMBBELL_REGULAR, DUMBBELL_RELATIVE, SQRT3, SQRT7
-from helpers import multiset_distance
+from helpers import multiset_distance, reference_base_entries, reference_irrep_image
 
 ROOT3 = np.sqrt(3.0)
 
@@ -77,6 +81,50 @@ class TestIrrepImage:
         other = builtin_irreps("cyclic", 2)
         with pytest.raises(ConsistencyError):
             irrep_image(dumbbell_base, other[0])
+
+
+@functools.cache
+def _catalog(name: str) -> IrrepSet:
+    if name == "D6":
+        return builtin_irreps("dihedral", 6)
+    degree, gens = {"S4": (4, ("(1 2)", "(1 2 3 4)")), "A5": (5, ("(1 2 3)", "(1 2 3 4 5)"))}[name]
+    return compute_irreps(generate_group([parse_permutation(g, degree) for g in gens]), seed=0)
+
+
+@st.composite
+def _base_specs(draw):
+    """``(catalog, k, directed, edges)``; loops and parallel edges are drawn often."""
+    name = draw(st.sampled_from(["S4", "A5", "D6"]))
+    k = draw(st.integers(1, 4))
+    vertex = st.integers(0, k - 1)
+    element = st.integers(0, _catalog(name).group.order - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, element), max_size=3 * k))
+    if edges and draw(st.booleans()):
+        edges.append(draw(st.sampled_from(edges)))
+    return name, k, draw(st.booleans()), edges
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_base_specs())
+@example(("D6", 3, False, []))
+@example(("S4", 2, True, [(0, 0, 5), (0, 0, 5), (0, 1, 7), (0, 1, 3)]))
+@example(("A5", 2, False, [(1, 1, 0), (0, 1, 11), (0, 1, 11)]))
+def test_irrep_images_match_the_entrywise_loop_bit_for_bit(spec):
+    name, k, directed, edges = spec
+    irrep_set = _catalog(name)
+    labelled = [(str(u), str(v), g) for u, v, g in edges]
+    graph = VoltageGraph.build(irrep_set.group, [str(v) for v in range(k)], labelled, directed)
+    base = build_base_matrix(graph)
+    for row, expected_row in zip(base.entries, reference_base_entries(graph)):
+        for entry, expected in zip(row, expected_row):
+            got = list(entry.coefficients.items())
+            assert got == list(expected.coefficients.items())
+            assert all(type(g) is int and type(c) is complex for g, c in got)
+    # The square has coefficients above one and longer entries.
+    for matrix in (base, base @ base):
+        for irrep in irrep_set:
+            image = irrep_image(matrix, irrep).matrix
+            assert image.tobytes() == reference_irrep_image(matrix, irrep).tobytes()
 
 
 class TestEigDense:
