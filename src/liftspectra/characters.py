@@ -94,7 +94,7 @@ def power_sums_to_roots(sums, degree: int | None = None) -> np.ndarray:
             1.0, abs(sums[ell - 1])
         ):
             raise NumericalError(
-                f"power-sum roundtrip failed at l={ell}: "
+                f"power-sum roundtrip: failed at l={ell}: "
                 f"{reproduced} vs {sums[ell - 1]}"
             )
     order = np.lexsort((roots.imag, roots.real))
@@ -180,7 +180,8 @@ def regular_spectrum_via_characters(
     total = k * irrep_set.group.order
     if spectrum.shape[0] != total:
         raise NumericalError(
-            f"assembled {spectrum.shape[0]} eigenvalues, expected {total}"
+            f"character spectrum: assembled {spectrum.shape[0]} eigenvalues, "
+            f"expected {total}"
         )
     return CharacterSpectrum(
         profiles=tuple(profiles),

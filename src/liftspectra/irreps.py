@@ -378,7 +378,7 @@ def _trace_rank(irrep: Irrep, ctx: SubgroupContext, label: str) -> int:
     """
     if irrep.group is not ctx.group:
         raise ConsistencyError("irrep and subgroup context belong to different groups")
-    trace = complex(np.mean(irrep.character[sorted(ctx.subgroup_elements)]))
+    trace = complex(np.mean(irrep.character[ctx.sorted_members]))
     rank = round(trace.real)
     if abs(trace - rank) > RANK_TRACE_TOL:
         raise NumericalError(
@@ -413,7 +413,7 @@ def subgroup_sum(irrep: Irrep, ctx: SubgroupContext) -> SubgroupSumImage:
     dimension); for the full group it is zero unless the irrep is trivial.
     """
     rank = _trace_rank(irrep, ctx, f"{irrep.dim}-dimensional irrep")
-    matrix = irrep.matrices[sorted(ctx.subgroup_elements)].sum(axis=0)
+    matrix = irrep.matrices[ctx.sorted_members].sum(axis=0)
     return SubgroupSumImage(irrep=irrep, matrix=matrix, rank=rank)
 
 

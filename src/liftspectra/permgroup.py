@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -348,6 +349,24 @@ class SubgroupContext:
     @property
     def index_n(self) -> int:
         return len(self.cosets)
+
+    @functools.cached_property
+    def sorted_members(self) -> np.ndarray:
+        """The subgroup's element indices in ascending order (read-only)."""
+        members = np.array(sorted(self.subgroup_elements), dtype=np.int64)
+        members.flags.writeable = False
+        return members
+
+    @functools.cached_property
+    def coset_order(self) -> np.ndarray:
+        """Element indices grouped by coset label, ascending within each coset (read-only).
+
+        This is ``argsort(coset_of)`` with a stable sort, so coset ``J``
+        occupies positions ``J * |H|`` to ``(J + 1) * |H|``.
+        """
+        order = np.argsort(self.coset_of, kind="stable")
+        order.flags.writeable = False
+        return order
 
     def action_on_cosets(self, elem: int) -> np.ndarray:
         """Permutation of coset labels induced by right multiplication."""

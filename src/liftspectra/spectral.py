@@ -12,6 +12,7 @@ the oracle cross-check.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,34 +108,92 @@ class EigenvectorColumn:
 
 
 @dataclass(frozen=True, eq=False)
-class EigenvectorBundle:
-    """All pulled-back columns plus a selected basis of exactly ``kn`` of them."""
+class IrrepColumns:
+    """The pulled-back columns of one irrep, kept as arrays.
 
-    columns: tuple[EigenvectorColumn, ...]
+    ``pulled`` has shape ``(kn, d * dk)``: its column ``j * dk + c`` comes
+    from coset-sum row ``j`` and image eigenvector ``c``, whose eigenvalue is
+    ``eigenvalues[c]``.  Every column of a row in ``picked`` is selected, and
+    ``zero`` flags the columns that vanish.
+    """
+
+    dim: int
+    pulled: np.ndarray
+    eigenvalues: np.ndarray
+    picked: tuple[int, ...]
+    zero: np.ndarray
+
+    @property
+    def selected(self) -> np.ndarray:
+        """Per-column flags: whether the column's row ``j`` is picked."""
+        rows = np.zeros(self.dim, dtype=bool)
+        rows[list(self.picked)] = True
+        return np.repeat(rows, self.eigenvalues.size)
+
+
+@dataclass(frozen=True, eq=False)
+class EigenvectorBundle:
+    """All pulled-back columns plus a selected basis of exactly ``kn`` of them.
+
+    The columns are held per irrep as arrays (``blocks``), in irrep order;
+    ``selected_basis`` indexes them in that order.  ``columns``, one tagged
+    :class:`EigenvectorColumn` per pulled column whose ``vector`` is a view
+    into its block, is built the first time it is read.
+    """
+
+    blocks: tuple[IrrepColumns, ...]
     selected_basis: tuple[int, ...]
     kn: int
 
+    @functools.cached_property
+    def columns(self) -> tuple[EigenvectorColumn, ...]:
+        """One tagged column per pulled column, in bundle order, built on first read."""
+        columns = []
+        for idx, block in enumerate(self.blocks):
+            d = block.dim
+            dk = block.eigenvalues.size
+            for col in range(block.pulled.shape[1]):
+                j, c = divmod(col, dk)
+                columns.append(
+                    EigenvectorColumn(
+                        vector=block.pulled[:, col],
+                        eigenvalue=complex(block.eigenvalues[c]),
+                        irrep=idx,
+                        j=j,
+                        w=c // d,
+                        i=c % d,
+                        zero=bool(block.zero[col]),
+                        selected=j in block.picked,
+                    )
+                )
+        return tuple(columns)
+
     def matrix(self) -> np.ndarray:
-        return np.column_stack([c.vector for c in self.columns])
+        return np.hstack([block.pulled for block in self.blocks])
 
     def to_json(self) -> dict:
-        return {
-            "kn": self.kn,
-            "selected": list(self.selected_basis),
-            "columns": [
-                {
-                    "eigenvalue": [c.eigenvalue.real, c.eigenvalue.imag],
-                    "irrep": c.irrep,
-                    "j": c.j,
-                    "w": c.w,
-                    "i": c.i,
-                    "vector": [[x.real, x.imag] for x in c.vector],
-                    "selected": c.selected,
-                    "zero": c.zero,
-                }
-                for c in self.columns
-            ],
-        }
+        columns = []
+        for idx, block in enumerate(self.blocks):
+            d = block.dim
+            dk = block.eigenvalues.size
+            real = block.eigenvalues.real.tolist()
+            imag = block.eigenvalues.imag.tolist()
+            per_column = zip(block.pulled.real.T, block.pulled.imag.T, block.selected, block.zero)
+            for col, (re, im, selected, zero) in enumerate(per_column):
+                j, c = divmod(col, dk)
+                columns.append(
+                    {
+                        "eigenvalue": [real[c], imag[c]],
+                        "irrep": idx,
+                        "j": j,
+                        "w": c // d,
+                        "i": c % d,
+                        "vector": [[x, y] for x, y in zip(re, im)],
+                        "selected": bool(selected),
+                        "zero": bool(zero),
+                    }
+                )
+        return {"kn": self.kn, "selected": list(self.selected_basis), "columns": columns}
 
 
 def irrep_image(base: BaseMatrix, irrep: Irrep) -> IrrepImage:
@@ -176,7 +235,7 @@ def eig_dense(
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("eig_dense needs a square matrix")
     if not np.all(np.isfinite(matrix)):
-        raise NumericalError("matrix has non-finite entries")
+        raise NumericalError("eigensolve: matrix has non-finite entries")
     if hermitian_hint:
         eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     else:
@@ -190,7 +249,7 @@ def eig_dense(
     scale = float(np.max(np.abs(matrix))) if matrix.size else 0.0
     if residual > DEFAULT_RESIDUAL_TOL * max(1.0, scale):
         raise NumericalError(
-            f"eigendecomposition residual {residual:.3e} exceeds tolerance"
+            f"eigensolve: residual {residual:.3e} exceeds tolerance"
         )
     return eigenvalues, eigenvectors
 
@@ -283,10 +342,9 @@ def _coset_sums(irrep: Irrep, ctx: SubgroupContext) -> np.ndarray:
     Coset 0 is the subgroup itself, so slice 0 is ``|H|`` times the
     projector ``P = (1/|H|) sum_{h in H} rho(h)``.
     """
-    order = np.argsort(ctx.coset_of, kind="stable")
     size = len(ctx.subgroup_elements)
     d = irrep.dim
-    return irrep.matrices[order].reshape(ctx.index_n, size, d, d).sum(axis=1)
+    return irrep.matrices[ctx.coset_order].reshape(ctx.index_n, size, d, d).sum(axis=1)
 
 
 def build_coset_sum_matrix(
@@ -424,10 +482,14 @@ def lift_eigenvectors(
 
     For an irrep of dimension ``d``, the coset sums of its rows times its
     ``dk x dk`` image eigenvectors give one tagged column per (row ``j``,
-    image eigenvector); all ``k|G|`` columns are returned.  A column is
-    flagged ``zero`` when its largest entry is within ``ZERO_TOL`` of the
-    largest entry over all columns, which happens exactly on the rows ``j``
-    that ``P = (1/|H|) sum_{h in H} rho(h)`` kills.
+    image eigenvector); all ``k|G|`` columns are returned, held per irrep as
+    a ``(kn, d * dk)`` array with its image eigenvalues, picked rows and
+    ``zero`` mask (:class:`IrrepColumns`).  Flags and the selected basis are
+    computed over whole blocks; no per-column object is built unless
+    :attr:`EigenvectorBundle.columns` is read.  A column is flagged ``zero``
+    when its largest entry is within ``ZERO_TOL`` of the largest entry over
+    all columns, which happens exactly on the rows ``j`` that
+    ``P = (1/|H|) sum_{h in H} rho(h)`` kills.
 
     The rank of ``P`` is its trace (Frobenius reciprocity), and the
     dimension-weighted ranks must add up to ``n``.  Greedy pivoted
@@ -446,7 +508,7 @@ def lift_eigenvectors(
     projectors = [s[0] / len(ctx.subgroup_elements) for s in sums]
     terms = _lift_terms(base, ctx)
 
-    blocks = []
+    parts = []
     for idx, irrep in enumerate(irrep_set):
         data = _image_eigendata(base, idx, irrep)
         pulled = _pull_back(sums[idx], data.eigenvectors, k)
@@ -455,38 +517,32 @@ def lift_eigenvectors(
             _check_residuals(
                 idx, terms, pulled[:, :, picked, :], data.eigenvalues, picked, residual_tol
             )
-        blocks.append((data, pulled.reshape(kn, -1), picked))
+        pulled = pulled.reshape(kn, -1)
+        parts.append((data, pulled, picked, np.max(np.abs(pulled), axis=0, initial=0.0)))
+    global_peak = max((float(peak.max(initial=0.0)) for *_, peak in parts), default=0.0)
 
-    peaks = [np.max(np.abs(b), axis=0, initial=0.0) for _, b, _ in blocks]
-    global_peak = max((float(p.max(initial=0.0)) for p in peaks), default=0.0)
-
-    columns: list[EigenvectorColumn] = []
+    blocks: list[IrrepColumns] = []
     selected: list[int] = []
-    for idx, ((data, pulled, picked), peak) in enumerate(zip(blocks, peaks)):
-        d = data.irrep.dim
-        zero = peak <= ZERO_TOL * global_peak
-        for col in range(pulled.shape[1]):
-            j, c = divmod(col, d * k)
-            if j in picked:
-                if zero[col]:
-                    raise NumericalError(
-                        f"basis selection: irrep {idx}, picked row j={j} "
-                        "pulls back to zero columns"
-                    )
-                selected.append(len(columns))
-            columns.append(
-                EigenvectorColumn(
-                    vector=pulled[:, col],
-                    eigenvalue=complex(data.eigenvalues[c]),
-                    irrep=idx,
-                    j=j,
-                    w=c // d,
-                    i=c % d,
-                    zero=bool(zero[col]),
-                    selected=j in picked,
-                )
+    offset = 0
+    for idx, (data, pulled, picked, peak) in enumerate(parts):
+        block = IrrepColumns(
+            dim=data.irrep.dim,
+            pulled=pulled,
+            eigenvalues=data.eigenvalues,
+            picked=tuple(picked),
+            zero=peak <= ZERO_TOL * global_peak,
+        )
+        flags = block.selected
+        vanishing = np.flatnonzero(flags & block.zero)
+        if vanishing.size:
+            j = int(vanishing[0]) // data.eigenvalues.size
+            raise NumericalError(
+                f"basis selection: irrep {idx}, picked row j={j} pulls back to zero columns"
             )
-    return EigenvectorBundle(columns=tuple(columns), selected_basis=tuple(selected), kn=kn)
+        selected.extend((offset + np.flatnonzero(flags)).tolist())
+        offset += pulled.shape[1]
+        blocks.append(block)
+    return EigenvectorBundle(blocks=tuple(blocks), selected_basis=tuple(selected), kn=kn)
 
 
 @dataclass(frozen=True, eq=False)
@@ -532,22 +588,25 @@ def verify_against_oracle(
     report = lift_spectrum(base, irrep_set, ctx, match_tol=match_tol)
     values = report.expand()
     if np.max(np.abs(values.imag), initial=0.0) > match_tol:
-        raise NumericalError("undirected lift produced non-real eigenvalues")
+        raise NumericalError("oracle check: undirected lift produced non-real eigenvalues")
     computed = np.sort(values.real)
     if computed.shape != reference.shape:
         raise NumericalError(
-            f"spectrum sizes differ: {computed.shape[0]} vs {reference.shape[0]}"
+            f"oracle check: spectrum sizes differ: "
+            f"{computed.shape[0]} vs {reference.shape[0]}"
         )
     spectral_distance = float(np.max(np.abs(computed - reference), initial=0.0))
 
     bundle = lift_eigenvectors(base, irrep_set, ctx, residual_tol=residual_tol)
     max_residual = 0.0
-    for col in bundle.selected_basis:
-        column = bundle.columns[col]
-        residual = np.linalg.norm(
-            lift.adjacency @ column.vector - column.eigenvalue * column.vector
-        ) / max(1.0, np.linalg.norm(column.vector))
-        max_residual = max(max_residual, float(residual))
+    for block in bundle.blocks:
+        for col in np.flatnonzero(block.selected):
+            vector = block.pulled[:, col]
+            eigenvalue = complex(block.eigenvalues[col % block.eigenvalues.size])
+            residual = np.linalg.norm(
+                lift.adjacency @ vector - eigenvalue * vector
+            ) / max(1.0, np.linalg.norm(vector))
+            max_residual = max(max_residual, float(residual))
 
     passed = (
         spectral_distance <= match_tol

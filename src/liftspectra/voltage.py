@@ -90,7 +90,8 @@ class GroupAlgebraElement:
             nearest = round(c.real)
             if abs(c - nearest) > tol:
                 raise NumericalError(
-                    f"coefficient {c} of element {idx} is not an integer within {tol}"
+                    f"walk counts: coefficient {c} of element {idx} "
+                    f"is not an integer within {tol}"
                 )
             if nearest != 0:
                 out[idx] = int(nearest)

@@ -94,3 +94,86 @@ def reference_base_entries(graph):
             graph.group, arc.voltage
         )
     return grid
+
+
+def reference_bundle_columns(base, irrep_set, ctx):
+    """The per-column loop that built ``lift_eigenvectors``' columns: the bit-for-bit reference.
+
+    Repeats the per-irrep pull-back and row selection, skips the residual
+    check, and returns ``(columns, selected_basis, kn)`` with one
+    :class:`EigenvectorColumn` per pulled column, in irrep order, then row
+    ``j``, then image eigenvector.
+    """
+    from liftspectra import EigenvectorColumn, NumericalError
+    from liftspectra.irreps import subgroup_ranks
+    from liftspectra.spectral import (
+        ZERO_TOL,
+        _coset_sums,
+        _image_eigendata,
+        _pull_back,
+        _select_rows,
+    )
+
+    ranks = subgroup_ranks(irrep_set, ctx)
+    k = base.k
+    kn = k * ctx.index_n
+    blocks = []
+    for idx, irrep in enumerate(irrep_set):
+        sums = _coset_sums(irrep, ctx)
+        projector = sums[0] / len(ctx.subgroup_elements)
+        data = _image_eigendata(base, idx, irrep)
+        pulled = _pull_back(sums, data.eigenvectors, k)
+        picked = _select_rows(idx, sums, projector, ranks[idx])
+        blocks.append((data, pulled.reshape(kn, -1), picked))
+
+    peaks = [np.max(np.abs(b), axis=0, initial=0.0) for _, b, _ in blocks]
+    global_peak = max((float(p.max(initial=0.0)) for p in peaks), default=0.0)
+
+    columns = []
+    selected = []
+    for idx, ((data, pulled, picked), peak) in enumerate(zip(blocks, peaks)):
+        d = data.irrep.dim
+        zero = peak <= ZERO_TOL * global_peak
+        for col in range(pulled.shape[1]):
+            j, c = divmod(col, d * k)
+            if j in picked:
+                if zero[col]:
+                    raise NumericalError(
+                        f"basis selection: irrep {idx}, picked row j={j} "
+                        "pulls back to zero columns"
+                    )
+                selected.append(len(columns))
+            columns.append(
+                EigenvectorColumn(
+                    vector=pulled[:, col],
+                    eigenvalue=complex(data.eigenvalues[c]),
+                    irrep=idx,
+                    j=j,
+                    w=c // d,
+                    i=c % d,
+                    zero=bool(zero[col]),
+                    selected=j in picked,
+                )
+            )
+    return tuple(columns), tuple(selected), kn
+
+
+def reference_bundle_json(columns, selected_basis, kn):
+    """``EigenvectorBundle.to_json`` written column by column from tagged columns."""
+    return {
+        "kn": kn,
+        "selected": list(selected_basis),
+        "columns": [
+            {
+                "eigenvalue": [c.eigenvalue.real, c.eigenvalue.imag],
+                "irrep": c.irrep,
+                "j": c.j,
+                "w": c.w,
+                "i": c.i,
+                "vector": [[x.real, x.imag] for x in c.vector],
+                "selected": c.selected,
+                "zero": c.zero,
+            }
+            for c in columns
+        ],
+    }

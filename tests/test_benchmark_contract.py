@@ -1,0 +1,70 @@
+"""The benchmark under ``perfbench/`` still reads the package the way it expects.
+
+``perfbench/checks.py`` turns an eigenvector bundle into the answer it
+checks, and ``perfbench/tracing.py`` wraps package functions by name.  Both
+are imported here from the checkout, unchanged, so a change to the package
+that would silently break the benchmark fails this test instead.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import liftspectra
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def checks():
+    return _load("checks")
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _load("tracing")
+
+
+@pytest.mark.parametrize("context", ["point_stabilizer_ctx", "trivial_ctx", "full_ctx"])
+def test_eigvecs_answer_reads_the_bundle_arrays(
+    checks, request, dumbbell_base, sym3_catalog, context
+):
+    ctx = request.getfixturevalue(context)
+    bundle = liftspectra.lift_eigenvectors(dumbbell_base, sym3_catalog, ctx)
+    vectors, values, kn = checks.eigvecs_answer(bundle)
+
+    expected_vectors = np.hstack([b.pulled[:, b.selected] for b in bundle.blocks])
+    expected_values = np.concatenate(
+        [np.tile(b.eigenvalues, b.dim)[b.selected] for b in bundle.blocks]
+    )
+    assert kn == bundle.kn == vectors.shape[1]
+    assert vectors.tobytes() == expected_vectors.tobytes()
+    assert values.tobytes() == expected_values.tobytes()
+
+
+def test_tracing_wraps_both_lift_routes_by_name(
+    tracing, dumbbell_base, sym3_catalog, point_stabilizer_ctx
+):
+    spectral = liftspectra.spectral
+    originals = (spectral.lift_eigenvectors, spectral.lift_spectrum)
+    rec = tracing.Recorder()
+    undo = tracing.install(rec)
+    try:
+        assert spectral.lift_eigenvectors.__wrapped__ is originals[0]
+        assert spectral.lift_spectrum.__wrapped__ is originals[1]
+        spectral.lift_eigenvectors(dumbbell_base, sym3_catalog, point_stabilizer_ctx)
+        spectral.lift_spectrum(dumbbell_base, sym3_catalog, point_stabilizer_ctx)
+    finally:
+        undo()
+    assert (spectral.lift_eigenvectors, spectral.lift_spectrum) == originals
+    names = {span[0] for span in rec.spans}
+    assert {"spectral.lift_eigenvectors", "spectral.lift_spectrum"} <= names

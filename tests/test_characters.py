@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from liftspectra import characters
 from liftspectra import (
     ConsistencyError,
     GroupAlgebraElement,
+    IrrepSet,
+    NumericalError,
     VoltageGraph,
     apply_character,
     base_matrix_power,
@@ -96,6 +99,13 @@ class TestPowerSumsToRoots:
         with pytest.raises(ValueError):
             power_sums_to_roots([1.0, 2.0], degree=3)
 
+    def test_failed_roundtrip_names_the_stage(self, monkeypatch):
+        # Roots that do not reproduce the power sums must be refused.
+        wrong = np.array([10.0, 20.0], dtype=complex)
+        monkeypatch.setattr(characters, "eig_dense", lambda m: (wrong, None))
+        with pytest.raises(NumericalError, match="^power-sum roundtrip: failed at l=1"):
+            power_sums_to_roots([3.0, 5.0])
+
     def test_random_roundtrip(self):
         rng = np.random.default_rng(42)
         for _ in range(30):
@@ -187,6 +197,12 @@ class TestRegularSpectrumViaCharacters:
         other = builtin_irreps("cyclic", 2)
         with pytest.raises(ConsistencyError):
             regular_spectrum_via_characters(dumbbell_base, other)
+
+    def test_missing_irrep_names_the_stage(self, dumbbell_base, sym3, sym3_catalog):
+        partial = IrrepSet(group=sym3, irreps=sym3_catalog.irreps[:2])
+        message = "^character spectrum: assembled 4 eigenvalues, expected 12"
+        with pytest.raises(NumericalError, match=message):
+            regular_spectrum_via_characters(dumbbell_base, partial)
 
     def test_json_payload(self, dumbbell_base, sym3_catalog):
         doc = regular_spectrum_via_characters(dumbbell_base, sym3_catalog).to_json()

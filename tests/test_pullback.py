@@ -7,7 +7,9 @@ residual tolerance, and ``zero`` flags on exactly the rows the subgroup
 projector kills.
 """
 
+import dataclasses
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -30,6 +32,8 @@ from liftspectra import (
     right_cosets,
     subgroup_closure,
 )
+
+from helpers import reference_bundle_columns, reference_bundle_json
 
 TOL_RESIDUAL = 1e-8
 
@@ -60,9 +64,9 @@ def projector(irrep: Irrep, members) -> np.ndarray:
 
 
 @st.composite
-def lifts(draw):
+def lifts(draw, names=tuple(sorted({**GENERATED, **DIHEDRAL}))):
     """A catalog, a subgroup context and a random undirected base over it."""
-    irrep_set = catalog(draw(st.sampled_from(sorted({**GENERATED, **DIHEDRAL}))))
+    irrep_set = catalog(draw(st.sampled_from(names)))
     group = irrep_set.group
     element = st.integers(0, group.order - 1)
     members = subgroup_closure(group, draw(st.lists(element, min_size=1, max_size=2)))
@@ -104,6 +108,87 @@ def test_selected_columns_form_a_checked_eigenbasis(lift):
     killed = [np.max(np.abs(projector(r, members)), axis=1) <= 1e-9 for r in irrep_set]
     assert all(c.zero == killed[c.irrep][c.j] for c in bundle.columns)
     assert not any(c.zero for c in chosen)
+
+
+def _typed_fields(column):
+    """Every field of a column as ``(type, exact value)``; arrays by dtype, shape and bytes."""
+    out = []
+    for field in dataclasses.fields(column):
+        value = getattr(column, field.name)
+        if isinstance(value, np.ndarray):
+            value = (value.dtype, value.shape, value.tobytes())
+        elif isinstance(value, complex):
+            value = np.array([value]).tobytes()
+        out.append((field.name, type(value), value))
+    return out
+
+
+def _typed_json(value):
+    """A JSON payload with every leaf as ``(type, exact value)`` and dict keys in order."""
+    if isinstance(value, dict):
+        return [(key, _typed_json(item)) for key, item in value.items()]
+    if isinstance(value, list):
+        return [_typed_json(item) for item in value]
+    if isinstance(value, float):
+        return type(value), value.hex()
+    return type(value), value
+
+
+def assert_bundle_matches_reference(irrep_set, ctx, graph):
+    base = build_base_matrix(graph)
+    bundle = lift_eigenvectors(base, irrep_set, ctx, residual_tol=TOL_RESIDUAL)
+    columns, selected, kn = reference_bundle_columns(base, irrep_set, ctx)
+
+    # Neither the query nor the JSON writer builds the per-column objects.
+    payload = bundle.to_json()
+    assert "columns" not in vars(bundle)
+    reference = reference_bundle_json(columns, selected, kn)
+    assert _typed_json(payload) == _typed_json(reference)
+    assert json.dumps(payload, indent=2) == json.dumps(reference, indent=2)
+
+    assert bundle.kn == kn
+    assert bundle.selected_basis == selected
+    assert all(type(c) is int for c in bundle.selected_basis)
+    assert len(bundle.columns) == len(columns)
+    for got, want in zip(bundle.columns, columns):
+        assert type(got) is type(want)
+        assert _typed_fields(got) == _typed_fields(want)
+        assert np.shares_memory(got.vector, bundle.blocks[got.irrep].pulled)
+    assert bundle.matrix().tobytes() == np.column_stack([c.vector for c in columns]).tobytes()
+    return bundle
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lifts(names=("A5", "D6", "S4")))
+def test_bundle_arrays_match_the_per_column_loop_bit_for_bit(lift):
+    assert_bundle_matches_reference(*lift)
+
+
+@pytest.mark.parametrize(
+    "name, generators, k, edges",
+    [
+        # Edge-free base with k = 1; the sign irrep has rank 0 over <(1 2)>.
+        ("S4", ["(1 2)"], 1, []),
+        ("S4", ["(1 2 3)", "(1 2)"], 2, [(0, 0, "(1 2 3 4)"), (0, 1, "(2 4)")]),
+        # Over a point stabilizer only the trivial and 4-dimensional irreps of
+        # A5 have rank above 0.
+        ("A5", ["(1 2 3)", "(2 3 4)"], 1, [(0, 0, "(1 2 3 4 5)")]),
+        # Over a reflection, the 1-dimensional irreps that negate it have rank 0.
+        ("D6", ["(2 6)(3 5)"], 2, [(0, 1, "(1 2 3 4 5 6)"), (1, 1, "(1 4)(2 3)(5 6)")]),
+    ],
+)
+def test_bundle_edge_cases_match_the_per_column_loop(name, generators, k, edges):
+    irrep_set = catalog(name)
+    group = irrep_set.group
+
+    def element(text):
+        return group.index_of(parse_permutation(text, group.degree))
+
+    ctx = right_cosets(group, subgroup_closure(group, [element(g) for g in generators]))
+    labelled = [(str(u), str(v), element(g)) for u, v, g in edges]
+    graph = VoltageGraph.build(group, [str(v) for v in range(k)], labelled)
+    bundle = assert_bundle_matches_reference(irrep_set, ctx, graph)
+    assert any(not block.picked for block in bundle.blocks)
 
 
 @routes

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from liftspectra import spectral
 from liftspectra import (
     ConsistencyError,
     IrrepSet,
     NumericalError,
+    SpectrumEntry,
+    SpectrumReport,
     VoltageGraph,
     build_base_matrix,
     build_coset_sum_matrix,
@@ -148,6 +151,16 @@ class TestEigDense:
         values, vectors = eig_dense(np.zeros((0, 0)))
         assert values.shape == (0,)
         assert vectors.shape == (0, 0)
+
+    def test_non_finite_entries_name_the_stage(self):
+        with pytest.raises(NumericalError, match="^eigensolve: matrix has non-finite entries"):
+            eig_dense(np.array([[1.0, np.nan], [np.nan, 1.0]]), hermitian_hint=True)
+
+    def test_residual_names_the_stage(self, monkeypatch):
+        # A solver that returns the wrong pairs must be caught by the residual.
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.zeros(2), np.eye(2)))
+        with pytest.raises(NumericalError, match=r"^eigensolve: residual 2\.000e\+00 exceeds"):
+            eig_dense(np.diag([1.0, 2.0]), hermitian_hint=True)
 
 
 class TestLiftSpectrum:
@@ -371,3 +384,19 @@ class TestOracle:
         graph = VoltageGraph.build(sym3, ["a"], [("a", "a", 3)], directed=True)
         with pytest.raises(ConsistencyError):
             verify_against_oracle(graph, sym3_catalog, trivial_ctx)
+
+    @pytest.mark.parametrize(
+        "value, count, message",
+        [
+            (1j, 6, "^oracle check: undirected lift produced non-real eigenvalues"),
+            (1.0, 5, "^oracle check: spectrum sizes differ: 5 vs 6"),
+        ],
+    )
+    def test_blockwise_spectrum_checks_name_the_stage(
+        self, monkeypatch, dumbbell, sym3_catalog, point_stabilizer_ctx, value, count, message
+    ):
+        entry = SpectrumEntry(value=value, count=count, provenance=())
+        report = SpectrumReport(entries=(entry,), total=count)
+        monkeypatch.setattr(spectral, "lift_spectrum", lambda *args, **kwargs: report)
+        with pytest.raises(NumericalError, match=message):
+            verify_against_oracle(dumbbell, sym3_catalog, point_stabilizer_ctx)

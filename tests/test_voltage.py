@@ -58,6 +58,11 @@ class TestGroupAlgebra:
         with pytest.raises(NumericalError):
             bad.integer_coefficients()
 
+    def test_non_integer_coefficient_names_the_stage(self, sym3):
+        half = GroupAlgebraElement.from_element(sym3, sym3.identity, 0.5)
+        with pytest.raises(NumericalError, match="^walk counts: coefficient"):
+            half.integer_coefficients()
+
     def test_group_mismatch(self, sym3):
         other = builtin_irreps("cyclic", 3).group
         a = GroupAlgebraElement.from_element(sym3, 0)
