@@ -13,6 +13,7 @@ so the trivial representation always comes first).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,18 @@ class IrrepSet:
     def dims(self) -> tuple[int, ...]:
         return tuple(r.dim for r in self.irreps)
 
+    @cached_property
+    def character_table(self) -> np.ndarray:
+        """The ``(r, |G|)`` array whose row ``i`` is ``irreps[i].character``.
+
+        Built on first read and kept read-only, since every caller of this
+        set shares it.
+        """
+        table = np.array([r.character for r in self.irreps], dtype=complex)
+        table = table.reshape(len(self.irreps), self.group.order)
+        table.flags.writeable = False
+        return table
+
 
 @dataclass(frozen=True, eq=False)
 class SubgroupSumImage:
@@ -108,32 +121,38 @@ def _validate_irrep_set(irrep_set: IrrepSet) -> None:
     n = group.order
     if sum(r.dim * r.dim for r in irrep_set) != n:
         raise NumericalError(
-            f"squared dimensions {irrep_set.dims} do not sum to the group order {n}"
+            f"irrep check: squared dimensions {irrep_set.dims} do not sum to the "
+            f"group order {n}"
         )
     for r in irrep_set:
         mats = r.matrices
         if mats.shape != (n, r.dim, r.dim):
-            raise NumericalError("matrix stack has the wrong shape")
+            raise NumericalError("irrep check: matrix stack has the wrong shape")
         eye = np.eye(r.dim)
         if np.max(np.abs(mats[group.identity] - eye)) > DEFAULT_VERIFY_TOL:
-            raise NumericalError("identity element is not mapped to the identity matrix")
+            raise NumericalError(
+                "irrep check: identity element is not mapped to the identity matrix"
+            )
         unit = np.einsum("gij,gkj->gik", mats, mats.conj())
         if np.max(np.abs(unit - eye)) > DEFAULT_VERIFY_TOL:
-            raise NumericalError(f"{r.dim}-dimensional irrep is not unitary")
+            raise NumericalError(f"irrep check: {r.dim}-dimensional irrep is not unitary")
         for gen in group.generators:
             prod = mats @ mats[gen]
             if np.max(np.abs(mats[group.mult_table[:, gen]] - prod)) > DEFAULT_VERIFY_TOL:
-                raise NumericalError(f"{r.dim}-dimensional irrep is not a homomorphism")
+                raise NumericalError(
+                    f"irrep check: {r.dim}-dimensional irrep is not a homomorphism"
+                )
         norm = np.vdot(r.character, r.character) / n
         if abs(norm - 1) > CHARACTER_TOL:
             raise NumericalError(
-                f"character norm {norm:.6f} departs from 1; representation reducible"
+                f"irrep check: character norm {norm:.6f} departs from 1; "
+                "representation reducible"
             )
     for i, a in enumerate(irrep_set):
         for b in irrep_set.irreps[i + 1 :]:
             inner = np.vdot(a.character, b.character) / n
             if abs(inner) > CHARACTER_TOL:
-                raise NumericalError("two listed irreps are equivalent")
+                raise NumericalError("irrep check: two listed irreps are equivalent")
 
 
 def _bfs_parents(group: FiniteGroup):
@@ -391,10 +410,26 @@ def _trace_rank(irrep: Irrep, ctx: SubgroupContext, label: str) -> int:
 def subgroup_ranks(irrep_set: IrrepSet, ctx: SubgroupContext) -> list[int]:
     """Every irrep's projector rank, checked by the rank identity ``sum d * r = n``.
 
-    A violation means the irrep list is incomplete or duplicated and raises
+    Rank ``i`` is ``tr P``, the mean of row ``i`` of the set's
+    :attr:`~IrrepSet.character_table` over the subgroup (see
+    :func:`_trace_rank`), taken for all irreps in one expression.  A trace
+    further than ``RANK_TRACE_TOL`` from an integer raises
+    :class:`NumericalError` naming the first irrep that is off.  A violated
+    identity means the irrep list is incomplete or duplicated and raises
     :class:`NumericalError` naming the rank-identity stage.
     """
-    ranks = [_trace_rank(r, ctx, f"irrep {idx}") for idx, r in enumerate(irrep_set)]
+    if irrep_set.group is not ctx.group:
+        raise ConsistencyError("irrep and subgroup context belong to different groups")
+    traces = irrep_set.character_table[:, ctx.sorted_members].mean(axis=1)
+    nearest = np.round(traces.real)
+    off = np.flatnonzero(np.abs(traces - nearest) > RANK_TRACE_TOL)
+    if off.size:
+        idx = int(off[0])
+        raise NumericalError(
+            f"rank identity: irrep {idx}, tr P = {traces[idx].real:.12g}"
+            f"{traces[idx].imag:+.3g}j is not within {RANK_TRACE_TOL:g} of an integer"
+        )
+    ranks = nearest.astype(int).tolist()
     weighted = sum(r.dim * rank for r, rank in zip(irrep_set, ranks))
     if weighted != ctx.index_n:
         raise NumericalError(

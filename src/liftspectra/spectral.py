@@ -70,8 +70,9 @@ class SpectrumReport:
 
     def expand(self) -> np.ndarray:
         """The full eigenvalue multiset, sorted, one copy per multiplicity."""
-        values = [e.value for e in self.entries for _ in range(e.count)]
-        return np.array(values, dtype=complex)
+        values = np.array([e.value for e in self.entries], dtype=complex)
+        counts = np.array([e.count for e in self.entries], dtype=np.intp)
+        return np.repeat(values, counts)
 
     def to_json(self) -> dict:
         return {
@@ -217,8 +218,8 @@ def irrep_image(base: BaseMatrix, irrep: Irrep) -> IrrepImage:
 
 def is_hermitian(matrix: np.ndarray) -> bool:
     """Whether ``M`` equals its conjugate transpose within ``HERMITIAN_TOL * max|M|``."""
-    skew = np.max(np.abs(matrix - matrix.conj().T), initial=0.0)
-    return bool(skew <= HERMITIAN_TOL * max(1.0, np.max(np.abs(matrix), initial=0.0)))
+    skew = np.abs(matrix - matrix.conj().T).max(initial=0.0)
+    return bool(skew <= HERMITIAN_TOL * max(1.0, np.abs(matrix).max(initial=0.0)))
 
 
 def eig_dense(
@@ -228,25 +229,27 @@ def eig_dense(
 
     Eigenvalues are sorted ascending by (real, imaginary) with matching
     eigenvector columns; with ``hermitian_hint`` the eigenvalues come back as
-    a real array.  The residual ``max |M U - U diag|`` must stay within
-    ``DEFAULT_RESIDUAL_TOL * max|M|`` or a :class:`NumericalError` is raised.
+    a real array, in the ascending order LAPACK's Hermitian solver already
+    returns them in, so only the general path sorts.  The residual
+    ``max |M U - U diag|`` must stay within ``DEFAULT_RESIDUAL_TOL * max|M|``
+    or a :class:`NumericalError` is raised.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("eig_dense needs a square matrix")
-    if not np.all(np.isfinite(matrix)):
+    if not np.isfinite(matrix).all():
         raise NumericalError("eigensolve: matrix has non-finite entries")
     if hermitian_hint:
         eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     else:
         eigenvalues, eigenvectors = np.linalg.eig(matrix)
-    order = np.lexsort((eigenvalues.imag, eigenvalues.real))
-    eigenvalues = eigenvalues[order]
-    eigenvectors = eigenvectors[:, order]
-    residual = np.max(
-        np.abs(matrix @ eigenvectors - eigenvectors * eigenvalues[np.newaxis, :])
-    ) if matrix.size else 0.0
-    scale = float(np.max(np.abs(matrix))) if matrix.size else 0.0
+        order = np.lexsort((eigenvalues.imag, eigenvalues.real))
+        eigenvalues = eigenvalues[order]
+        eigenvectors = eigenvectors[:, order]
+    residual = np.abs(
+        matrix @ eigenvectors - eigenvectors * eigenvalues[np.newaxis, :]
+    ).max(initial=0.0)
+    scale = float(np.abs(matrix).max(initial=0.0))
     if residual > DEFAULT_RESIDUAL_TOL * max(1.0, scale):
         raise NumericalError(
             f"eigensolve: residual {residual:.3e} exceeds tolerance"
@@ -288,6 +291,60 @@ def _image_eigendata(base: BaseMatrix, idx: int, irrep: Irrep) -> IrrepEigenData
     )
 
 
+def _merge_spectra(
+    spectra: list[np.ndarray], tags: list[tuple[int, int, int]], match_tol: float
+) -> tuple[SpectrumEntry, ...]:
+    """Merge real image spectra into entries, working on one sorted array.
+
+    ``spectra[i]`` is a real eigenvalue array whose values each count
+    ``tags[i][2]`` times and carry the provenance tag ``tags[i]``.  One
+    stable sort orders all values (their imaginary parts are zero), so ties
+    keep irrep-then-eigenvalue order.  The smallest unmerged value anchors an
+    entry, which takes every later value ``x`` with
+    ``abs(x - anchor) <= match_tol``; the first value outside opens the next
+    entry.  The rule is not transitive: values spaced closer than
+    ``match_tol`` can still fall into different entries.  An entry's count is
+    the sum of its values' counts and its provenance the sorted distinct tags.
+    """
+    values = np.concatenate(spectra)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    owner = np.repeat(np.arange(len(spectra)), [s.size for s in spectra])[order]
+    points = ordered.tolist()
+    # A rounded difference never shrinks as the earlier value falls, so a
+    # value further than match_tol from its left neighbour is further from
+    # every earlier anchor and opens an entry.  Only the values within reach
+    # of their neighbour are tested against the running anchor, in order.
+    near = (np.abs(ordered[1:] - ordered[:-1]) <= match_tol).nonzero()[0].tolist()
+    merged = []
+    anchor = previous = -1
+    for left in near:
+        if left != previous:
+            anchor = left
+        pos = left + 1
+        if abs(points[pos] - points[anchor]) <= match_tol:
+            merged.append(pos)
+        else:
+            anchor = pos
+        previous = pos
+    is_anchor = np.ones(len(points), dtype=bool)
+    is_anchor[merged] = False
+    anchors = is_anchor.nonzero()[0]
+
+    weights = np.array([tag[2] for tag in tags])
+    counts = np.add.reduceat(weights[owner], anchors).tolist()
+    single = [(tag,) for tag in tags]
+    provenance = [single[o] for o in owner[anchors].tolist()]
+    if merged:
+        owners = owner.tolist()
+        bounds = anchors.tolist() + [len(points)]
+        for e in set(np.searchsorted(anchors, merged, side="right").tolist()):
+            distinct = sorted(set(owners[bounds[e - 1] : bounds[e]]))
+            provenance[e - 1] = tuple(tags[o] for o in distinct)
+    firsts = ordered[anchors].astype(complex).tolist()
+    return tuple(map(SpectrumEntry, firsts, counts, provenance))
+
+
 def lift_spectrum(
     base: BaseMatrix,
     irrep_set: IrrepSet,
@@ -302,38 +359,28 @@ def lift_spectrum(
     mean over ``H`` (Frobenius reciprocity) as in :func:`lift_eigenvectors`.
     The dimension-weighted ranks must add up to the coset count, and every
     image of nonzero rank must be Hermitian; a violation raises
-    :class:`NumericalError` naming its stage.  Eigenvalues closer than
-    ``match_tol`` merge into a single entry with combined multiplicity.
+    :class:`NumericalError` naming its stage.  The images' real eigenvalue
+    arrays are merged as one sorted array (:func:`_merge_spectra`): each
+    entry is anchored at its smallest value and takes every value within
+    ``match_tol`` of that anchor, with the combined multiplicity.  The
+    multiplicities must add up to ``kn``, or a ``spectrum merge`` error is
+    raised.
     """
     ranks = _lift_ranks(base, irrep_set, ctx)
-    raw: list[tuple[complex, int, tuple[int, int, int]]] = []
+    spectra = []
+    tags = []
     for idx, (irrep, rank) in enumerate(zip(irrep_set, ranks)):
-        if rank == 0:
-            continue
-        data = _image_eigendata(base, idx, irrep)
-        for value in data.eigenvalues:
-            raw.append((complex(value), rank, (idx, irrep.dim, rank)))
-    raw.sort(key=lambda item: (item[0].real, item[0].imag))
-    entries: list[SpectrumEntry] = []
-    pos = 0
-    while pos < len(raw):
-        anchor, count, tag = raw[pos]
-        tags = {tag}
-        end = pos + 1
-        while end < len(raw) and abs(raw[end][0] - anchor) <= match_tol:
-            count += raw[end][1]
-            tags.add(raw[end][2])
-            end += 1
-        entries.append(
-            SpectrumEntry(value=anchor, count=count, provenance=tuple(sorted(tags)))
-        )
-        pos = end
+        if rank:
+            spectra.append(_image_eigendata(base, idx, irrep).eigenvalues.real)
+            tags.append((idx, irrep.dim, rank))
+    entries = _merge_spectra(spectra, tags, match_tol)
     total = sum(e.count for e in entries)
     if total != base.k * ctx.index_n:
         raise NumericalError(
-            f"spectrum size {total} does not match lift order {base.k * ctx.index_n}"
+            f"spectrum merge: spectrum size {total} does not match lift order "
+            f"{base.k * ctx.index_n}"
         )
-    return SpectrumReport(entries=tuple(entries), total=total)
+    return SpectrumReport(entries=entries, total=total)
 
 
 def _coset_sums(irrep: Irrep, ctx: SubgroupContext) -> np.ndarray:
@@ -428,8 +475,8 @@ def _lift_terms(base: BaseMatrix, ctx: SubgroupContext) -> list:
     if off.size:
         i = off[0]
         raise NumericalError(
-            f"coefficient {complex(table.c[i])} of element {int(table.g[i])} "
-            f"is not an integer within {INTEGER_TOL}"
+            f"lift terms: coefficient {complex(table.c[i])} of element "
+            f"{int(table.g[i])} is not an integer within {INTEGER_TOL}"
         )
     actions: dict[int, np.ndarray] = {}
     terms = []

@@ -228,14 +228,16 @@ class BaseMatrix:
 
         Rows run in entry order: by ``u``, then ``v``, then the insertion
         order of the entry's coefficient dict, which is the order the
-        entrywise loops over :meth:`entry` visit them.  Consumers that sum
-        rows in table order therefore add in the same order as those loops
-        and reproduce their bits.
+        entrywise loops over :meth:`entry` visit them; empty cells have no
+        rows and are skipped.  Consumers that sum rows in table order
+        therefore add in the same order as those loops and reproduce their
+        bits.
         """
         rows = [
             (u, v, g, c)
             for u, row in enumerate(self.entries)
             for v, entry in enumerate(row)
+            if entry.coefficients
             for g, c in entry.coefficients.items()
         ]
         u, v, g, c = zip(*rows) if rows else ((), (), (), ())
@@ -282,24 +284,30 @@ class BaseMatrix:
 def build_base_matrix(graph: VoltageGraph) -> BaseMatrix:
     """Sum arc voltages into the ``k x k`` group-algebra base matrix.
 
-    Each cell is a plain dict filled in arc order with
+    Each occupied cell is a plain dict filled in arc order with
     ``cell.get(g, 0j) + (1 + 0j)`` and wrapped as a group-algebra element
     once at the end.  That is the arithmetic and key order of folding
     ``GroupAlgebraElement.from_element`` terms into ``zero()``, so the
-    coefficients, their bits and their order are the same.
+    coefficients, their bits and their order are the same.  Every empty
+    cell holds one shared ``zero()`` element: no code in the package
+    mutates a coefficient dict in place (products and sums build new
+    dicts), so sharing it is safe and saves ``k^2`` allocations on sparse
+    bases.
     """
     k = graph.k
-    cells: list[list[dict[int, complex]]] = [[{} for _ in range(k)] for _ in range(k)]
+    cells: dict[tuple[int, int], dict[int, complex]] = {}
     for arc in graph.arcs:
-        cell = cells[arc.tail][arc.head]
+        cell = cells.setdefault((arc.tail, arc.head), {})
         g = int(arc.voltage)
         cell[g] = cell.get(g, 0j) + (1 + 0j)
+    empty = GroupAlgebraElement.zero(graph.group)
+    rows = [[empty] * k for _ in range(k)]
+    for (u, v), cell in cells.items():
+        rows[u][v] = GroupAlgebraElement(graph.group, cell)
     return BaseMatrix(
         group=graph.group,
         k=k,
-        entries=tuple(
-            tuple(GroupAlgebraElement(graph.group, cell) for cell in row) for row in cells
-        ),
+        entries=tuple(map(tuple, rows)),
         directed=graph.directed,
     )
 

@@ -177,3 +177,56 @@ def reference_bundle_json(columns, selected_basis, kn):
             for c in columns
         ],
     }
+
+
+def reference_merge(spectra, tags, match_tol):
+    """The tuple merge ``lift_spectrum`` used before its array merge: the bit-for-bit reference.
+
+    One ``(complex value, count, tag)`` tuple per eigenvalue, a stable sort
+    on ``(real, imag)``, then a scan that anchors each entry at its first
+    value and takes every later value within ``match_tol`` of that anchor.
+    """
+    from liftspectra import SpectrumEntry
+
+    raw = []
+    for values, tag in zip(spectra, tags):
+        for value in np.asarray(values, dtype=complex):
+            raw.append((complex(value), tag[2], tag))
+    raw.sort(key=lambda item: (item[0].real, item[0].imag))
+    entries = []
+    pos = 0
+    while pos < len(raw):
+        anchor, count, tag = raw[pos]
+        merged = {tag}
+        end = pos + 1
+        while end < len(raw) and abs(raw[end][0] - anchor) <= match_tol:
+            count += raw[end][1]
+            merged.add(raw[end][2])
+            end += 1
+        entries.append(
+            SpectrumEntry(value=anchor, count=count, provenance=tuple(sorted(merged)))
+        )
+        pos = end
+    return tuple(entries)
+
+
+def reference_spectrum_entries(base, irrep_set, ctx, match_tol):
+    """``lift_spectrum``'s entries as the per-irrep rank loop and the tuple merge gave them."""
+    from liftspectra.irreps import _trace_rank
+    from liftspectra.spectral import _image_eigendata
+
+    spectra = []
+    tags = []
+    for idx, irrep in enumerate(irrep_set):
+        rank = _trace_rank(irrep, ctx, f"irrep {idx}")
+        if rank:
+            spectra.append(_image_eigendata(base, idx, irrep).eigenvalues)
+            tags.append((idx, irrep.dim, rank))
+    return reference_merge(spectra, tags, match_tol)
+
+
+def entry_bits(entries):
+    """Entries as comparable tuples that tell ``-0.0`` from ``0.0``."""
+    return [
+        (e.value.real.hex(), e.value.imag.hex(), e.count, e.provenance) for e in entries
+    ]

@@ -396,3 +396,54 @@ class TestOrthogonalityChecks:
     def test_character_orthogonality_needs_all_irreps(self, sym3, sym3_catalog):
         partial = IrrepSet(group=sym3, irreps=(sym3_catalog[0], sym3_catalog[1]))
         assert not verify_character_orthogonality(partial)
+
+
+def _broken_catalog(sym3, catalog, flaw):
+    """The Sym(3) catalog with one flaw that ``_validate_irrep_set`` must name."""
+    trivial, sign, plane = catalog
+    eye = np.eye(2)
+
+    def plane_from(matrices):
+        return Irrep(sym3, 2, matrices, np.einsum("gii->g", matrices))
+
+    if flaw == "squared dimensions":
+        return IrrepSet(sym3, (trivial, sign))
+    if flaw == "two listed irreps are equivalent":
+        return IrrepSet(sym3, (trivial, trivial, plane))
+    matrices = plane.matrices.copy()
+    if flaw == "matrix stack has the wrong shape":
+        matrices = matrices[:-1]
+    elif flaw == "identity element":
+        matrices[sym3.identity] = -eye
+    elif flaw == "not unitary":
+        matrices = 2.0 * matrices
+        matrices[sym3.identity] = eye
+    elif flaw == "not a homomorphism":
+        # Swap the images of a transposition and a 3-cycle.
+        a = int(np.flatnonzero(np.isclose(plane.character, 0.0))[0])
+        b = int(np.flatnonzero(np.isclose(plane.character, -1.0))[0])
+        matrices[[a, b]] = matrices[[b, a]]
+    elif flaw == "character norm":
+        # trivial + sign as one unitary two-dimensional representation.
+        matrices = np.zeros_like(matrices)
+        matrices[:, 0, 0] = 1.0
+        matrices[:, 1, 1] = sign.matrices[:, 0, 0]
+    return IrrepSet(sym3, (trivial, sign, plane_from(matrices)))
+
+
+@pytest.mark.parametrize(
+    "flaw",
+    [
+        "squared dimensions",
+        "matrix stack has the wrong shape",
+        "identity element",
+        "not unitary",
+        "not a homomorphism",
+        "character norm",
+        "two listed irreps are equivalent",
+    ],
+)
+def test_irrep_check_messages_name_the_stage(sym3, sym3_catalog, flaw):
+    broken = _broken_catalog(sym3, sym3_catalog, flaw)
+    with pytest.raises(NumericalError, match=f"^irrep check: .*{flaw}"):
+        irreps_module._validate_irrep_set(broken)

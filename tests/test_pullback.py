@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftspectra import (
+    BaseMatrix,
+    GroupAlgebraElement,
     Irrep,
     IrrepSet,
     NumericalError,
@@ -258,6 +260,13 @@ class TestErrorMessages:
             NumericalError, match="^image eigensolve: irrep 2, image is not Hermitian"
         ):
             route(dumbbell_base, irreps, point_stabilizer_ctx)
+
+    def test_non_integer_coefficient(self, sym3, sym3_catalog, point_stabilizer_ctx):
+        half = GroupAlgebraElement(sym3, {sym3.identity: 0.5 + 0j})
+        base = BaseMatrix(group=sym3, k=1, entries=((half,),), directed=False)
+        message = r"^lift terms: coefficient \(0\.5\+0j\) of element \d+ is not an integer"
+        with pytest.raises(NumericalError, match=message):
+            lift_eigenvectors(base, sym3_catalog, point_stabilizer_ctx)
 
     def test_residual_bound(self, dumbbell_base, sym3_catalog, point_stabilizer_ctx):
         message = r"^residual: irrep \d+, column j=\d+ w=\d+ i=\d+"

@@ -1,4 +1,6 @@
 import functools
+import json
+import math
 
 import numpy as np
 import pytest
@@ -30,7 +32,14 @@ from liftspectra import (
 )
 
 from conftest import DUMBBELL_REGULAR, DUMBBELL_RELATIVE, SQRT3, SQRT7
-from helpers import multiset_distance, reference_base_entries, reference_irrep_image
+from helpers import (
+    entry_bits,
+    multiset_distance,
+    reference_base_entries,
+    reference_irrep_image,
+    reference_merge,
+    reference_spectrum_entries,
+)
 
 ROOT3 = np.sqrt(3.0)
 
@@ -90,7 +99,11 @@ class TestIrrepImage:
 def _catalog(name: str) -> IrrepSet:
     if name == "D6":
         return builtin_irreps("dihedral", 6)
-    degree, gens = {"S4": (4, ("(1 2)", "(1 2 3 4)")), "A5": (5, ("(1 2 3)", "(1 2 3 4 5)"))}[name]
+    degree, gens = {
+        "S4": (4, ("(1 2)", "(1 2 3 4)")),
+        "A5": (5, ("(1 2 3)", "(1 2 3 4 5)")),
+        "D6 computed": (6, ("(1 2 3 4 5 6)", "(2 6)(3 5)")),
+    }[name]
     return compute_irreps(generate_group([parse_permutation(g, degree) for g in gens]), seed=0)
 
 
@@ -235,6 +248,141 @@ class TestLiftSpectrum:
             report = lift_spectrum(build_base_matrix(graph), sym3_catalog, ctx)
             reference = np.linalg.eigvalsh(build_lift(graph, ctx).adjacency.astype(float))
             assert multiset_distance(np.sort(report.expand().real), reference) < 1e-9
+
+    def test_spectrum_size_check_names_the_stage(
+        self, monkeypatch, dumbbell_base, sym3_catalog, point_stabilizer_ctx
+    ):
+        inflated = [2, 0, 2]
+        monkeypatch.setattr(spectral, "subgroup_ranks", lambda irrep_set, ctx: inflated)
+        with pytest.raises(
+            NumericalError, match="^spectrum merge: spectrum size 12 does not match lift order 6"
+        ):
+            lift_spectrum(dumbbell_base, sym3_catalog, point_stabilizer_ctx)
+
+
+def _expand_by_list(report):
+    """``SpectrumReport.expand`` as a list build, one value per multiplicity."""
+    return np.array([e.value for e in report.entries for _ in range(e.count)], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        (),
+        ((-0.0, 2, ()), (1.5, 1, ()), (2.0 - 1e-300j, 3, ())),
+        ((0.0, 4, ()), (1, 2, ())),
+    ],
+    ids=["empty", "complex", "real and int"],
+)
+def test_expand_matches_the_list_build(entries):
+    report = SpectrumReport(
+        entries=tuple(SpectrumEntry(value=v, count=c, provenance=p) for v, c, p in entries),
+        total=sum(c for _, c, _ in entries),
+    )
+    got = report.expand()
+    want = _expand_by_list(report)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+TOL = spectral.DEFAULT_MATCH_TOL
+
+
+def _ulps(x, steps):
+    """``x`` moved by ``steps`` units in the last place (negative: downwards)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+class TestMergeSpectra:
+    """The array merge against the tuple merge it replaced, on hand-placed values."""
+
+    @staticmethod
+    def merge(spectra, tags, tol=TOL):
+        spectra = [np.array(values, dtype=float) for values in spectra]
+        entries = spectral._merge_spectra(spectra, tags, tol)
+        assert entry_bits(entries) == entry_bits(reference_merge(spectra, tags, tol))
+        return entries
+
+    def test_chain_closer_than_the_tolerance_splits_at_each_anchor(self):
+        # Neighbours 0.6 * tol apart: each anchor takes only the next value,
+        # so a neighbour-gap rule (which would merge the whole chain) fails.
+        chain = [i * 0.6 * TOL for i in range(9)]
+        entries = self.merge([chain], [(0, 1, 1)])
+        assert [e.count for e in entries] == [2, 2, 2, 2, 1]
+        entries = self.merge([chain[0::2], chain[1::2]], [(0, 1, 1), (3, 2, 2)])
+        assert [e.count for e in entries] == [3, 3, 3, 3, 1]
+        assert entries[0].provenance == ((0, 1, 1), (3, 2, 2))
+
+    @pytest.mark.parametrize("tol", [TOL, 0.25, 0.0])
+    def test_gap_of_exactly_the_tolerance_merges(self, tol):
+        above = math.nextafter(tol, math.inf)
+        assert [e.count for e in self.merge([[0.0, tol]], [(0, 1, 1)], tol)] == [2]
+        assert [e.count for e in self.merge([[0.0, above]], [(0, 1, 1)], tol)] == [1, 1]
+        chain = [0.0, tol, 2 * tol, 2 * tol + above]
+        self.merge([chain], [(0, 1, 1)], tol)
+
+    @pytest.mark.parametrize("anchor", [1.0, -3.5, 0.1, 17.3, 1234.5])
+    def test_values_next_to_anchor_plus_tolerance(self, anchor):
+        # fl(anchor + tol) and the rule's rounded difference disagree on some
+        # of these, so the merge must apply the rule itself.  The middle value
+        # links the last one to the anchor's entry through its neighbour.
+        edge = anchor + TOL
+        middle = anchor + 0.5 * TOL
+        for steps in range(-3, 4):
+            last = _ulps(edge, steps)
+            self.merge([[anchor, last]], [(0, 1, 1)])
+            self.merge([[anchor, middle, last]], [(0, 1, 1)])
+            self.merge([[anchor, middle], [last]], [(0, 1, 1), (1, 1, 2)])
+
+    def test_ties_across_irreps_keep_irrep_order(self):
+        spectra = [[-1.0, 1.0, 2.0], [1.0, 2.0 + 0.5 * TOL], [-1.0, 1.0]]
+        tags = [(0, 1, 1), (2, 2, 1), (4, 3, 2)]
+        entries = self.merge(spectra, tags)
+        assert [(e.count, e.provenance) for e in entries] == [
+            (3, ((0, 1, 1), (4, 3, 2))),
+            (4, ((0, 1, 1), (2, 2, 1), (4, 3, 2))),
+            (2, ((0, 1, 1), (2, 2, 1))),
+        ]
+
+    @pytest.mark.parametrize("first, second", [(-0.0, 0.0), (0.0, -0.0)])
+    def test_signed_zeros_keep_the_first_irrep_value(self, first, second):
+        entries = self.merge([[first], [second]], [(0, 1, 1), (1, 1, 1)])
+        assert len(entries) == 1
+        assert math.copysign(1.0, entries[0].value.real) == math.copysign(1.0, first)
+        self.merge([[-0.0, 0.0]], [(0, 1, 3)])
+
+    def test_empty_spectrum(self):
+        assert self.merge([[]], [(0, 1, 1)]) == ()
+
+
+@st.composite
+def _spectrum_cases(draw):
+    """A catalog, a random subgroup, a base with k from 1 to 4 (edges optional)."""
+    irrep_set = _catalog(draw(st.sampled_from(["S4", "A5", "D6", "D6 computed"])))
+    group = irrep_set.group
+    element = st.integers(0, group.order - 1)
+    members = subgroup_closure(group, draw(st.lists(element, max_size=2)))
+    k = draw(st.integers(1, 4))
+    vertex = st.integers(0, k - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, element), max_size=2 * k))
+    labelled = [(str(u), str(v), g) for u, v, g in edges]
+    graph = VoltageGraph.build(group, [str(v) for v in range(k)], labelled)
+    match_tol = draw(st.sampled_from([TOL, 1e-3, 0.3, 1.0]))
+    return irrep_set, right_cosets(group, members), build_base_matrix(graph), match_tol
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_spectrum_cases())
+def test_array_merge_matches_the_tuple_merge_bit_for_bit(case):
+    irrep_set, ctx, base, match_tol = case
+    report = lift_spectrum(base, irrep_set, ctx, match_tol=match_tol)
+    expected = reference_spectrum_entries(base, irrep_set, ctx, match_tol)
+    assert entry_bits(report.entries) == entry_bits(expected)
+    old = SpectrumReport(entries=expected, total=report.total)
+    assert json.dumps(report.to_json(), indent=2) == json.dumps(old.to_json(), indent=2)
+    assert report.expand().tobytes() == _expand_by_list(old).tobytes()
 
 
 class TestCosetSumMatrix:
