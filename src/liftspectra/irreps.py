@@ -12,6 +12,7 @@ so the trivial representation always comes first).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -84,6 +85,17 @@ class IrrepSet:
         table = table.reshape(len(self.irreps), self.group.order)
         table.flags.writeable = False
         return table
+
+    @cached_property
+    def pullback_plans(self) -> weakref.WeakKeyDictionary:
+        """Eigenvector pull-back plans of this set, one per subgroup context.
+
+        Filled by :func:`~liftspectra.spectral.lift_eigenvectors`, which
+        builds a plan on its first call for a context and reuses it after.
+        Contexts are held weakly, so a plan goes when its context does, and
+        all of them go with this set.
+        """
+        return weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,7 +338,7 @@ def _decompose_regular(
         norm = float(sizes @ np.abs(class_char) ** 2) / n
         if abs(norm - 1) > CHARACTER_TOL:
             raise NumericalError(
-                f"reducible eigenvalue cluster {idx} ({hi - lo}-dimensional): "
+                f"irrep split: reducible eigenvalue cluster {idx} ({hi - lo}-dimensional): "
                 f"character norm {norm:.6f} departs from 1"
             )
         # An irrep of dimension d spans d clusters; build it from the first.
@@ -337,7 +349,10 @@ def _decompose_regular(
         sub = np.einsum("ai,gab->gib", basis.conj(), shifted)
         residual = np.max(np.abs(shifted - np.einsum("ab,gbj->gaj", basis, sub)))
         if residual > DEFAULT_VERIFY_TOL:
-            raise NumericalError("eigenvalue cluster did not give an invariant subspace")
+            raise NumericalError(
+                f"irrep split: eigenvalue cluster {idx} is not an invariant subspace "
+                f"(residual {residual:.3e})"
+            )
         found.append(sub)
     return found
 
@@ -353,12 +368,13 @@ def compute_irreps(group: FiniteGroup, seed: int = 0) -> IrrepSet:
     whether it is irreducible and which irrep it carries; only the first
     cluster of each irrep is turned into matrices.  The irreps are then
     sorted canonically.  A reducible cluster, which takes an accidental
-    eigenvalue coincidence, fails the attempt like any failed check.
+    eigenvalue coincidence, fails the attempt like any failed check; it and
+    a cluster that is not an invariant subspace are ``irrep split`` errors.
 
     The whole procedure is deterministic given ``(group, seed)``.  Each
     attempt uses a child seed spawned from ``seed``; after ``MAX_RETRIES``
-    failed attempts a :class:`NumericalError` carrying the failure history
-    is raised.  Its time grows as ``|G|^3``, so a group of order above
+    failed attempts an ``irrep retries`` :class:`NumericalError` carrying
+    every attempt's message is raised.  Its time grows as ``|G|^3``, so a group of order above
     ``MAX_COMPUTED_ORDER`` raises :class:`ConsistencyError` before any work.
     """
     if group.order > MAX_COMPUTED_ORDER:
@@ -382,7 +398,7 @@ def compute_irreps(group: FiniteGroup, seed: int = 0) -> IrrepSet:
         except NumericalError as exc:
             failures.append(f"attempt {attempt}: {exc}")
     raise NumericalError(
-        f"irreducible decomposition failed for every seed derived from {seed}: "
+        f"irrep retries: irreducible decomposition failed for every seed derived from {seed}: "
         + "; ".join(failures)
     )
 

@@ -368,10 +368,26 @@ class SubgroupContext:
         order.flags.writeable = False
         return order
 
-    def action_on_cosets(self, elem: int) -> np.ndarray:
-        """Permutation of coset labels induced by right multiplication."""
+    @functools.cached_property
+    def coset_action(self) -> np.ndarray:
+        """The ``(|G|, n)`` table whose row ``g`` sends coset ``J`` to ``J g`` (read-only).
+
+        Row ``g`` is the permutation of coset labels induced by right
+        multiplication with ``g``: entry ``J`` is the label of
+        ``representatives[J] * g``.  It has ``n <= |G|`` columns, so it is
+        never larger than ``mult_table``.
+        """
         reps = np.asarray(self.representatives, dtype=np.int64)
-        return self.coset_of[self.group.mult_table[reps, elem]]
+        table = np.ascontiguousarray(self.coset_of[self.group.mult_table[reps, :]].T)
+        table.flags.writeable = False
+        return table
+
+    def action_on_cosets(self, elem: int) -> np.ndarray:
+        """Permutation of coset labels induced by right multiplication.
+
+        This is row ``elem`` of :attr:`coset_action`, a read-only view.
+        """
+        return self.coset_action[elem]
 
 
 def right_cosets(group: FiniteGroup, subgroup_elements) -> SubgroupContext:

@@ -257,8 +257,8 @@ def eig_dense(
     return eigenvalues, eigenvectors
 
 
-def _lift_ranks(base: BaseMatrix, irrep_set: IrrepSet, ctx: SubgroupContext) -> list[int]:
-    """Check the inputs of both lift routes and return each irrep's subgroup rank."""
+def _check_lift_inputs(base: BaseMatrix, irrep_set: IrrepSet, ctx: SubgroupContext) -> None:
+    """Refuse inputs that neither lift route accepts."""
     if base.group is not irrep_set.group or base.group is not ctx.group:
         raise ConsistencyError("base matrix, irreps, and context must share one group")
     if base.directed:
@@ -266,7 +266,6 @@ def _lift_ranks(base: BaseMatrix, irrep_set: IrrepSet, ctx: SubgroupContext) -> 
             "spectral lift routines need an undirected base; "
             "use the character route for digraph regular lifts"
         )
-    return subgroup_ranks(irrep_set, ctx)
 
 
 def _image_eigendata(base: BaseMatrix, idx: int, irrep: Irrep) -> IrrepEigenData:
@@ -366,7 +365,8 @@ def lift_spectrum(
     multiplicities must add up to ``kn``, or a ``spectrum merge`` error is
     raised.
     """
-    ranks = _lift_ranks(base, irrep_set, ctx)
+    _check_lift_inputs(base, irrep_set, ctx)
+    ranks = subgroup_ranks(irrep_set, ctx)
     spectra = []
     tags = []
     for idx, (irrep, rank) in enumerate(zip(irrep_set, ranks)):
@@ -449,6 +449,43 @@ def _select_rows(idx: int, sums: np.ndarray, projector: np.ndarray, rank: int) -
     return picked
 
 
+@dataclass(frozen=True, eq=False)
+class _PullbackPlan:
+    """What :func:`lift_eigenvectors` needs from an irrep set and a subgroup, whatever the graph.
+
+    Per irrep, in set order: the read-only ``n x d x d`` coset sums
+    (:func:`_coset_sums`) and the rows picked by :func:`_select_rows`, as
+    many as the irrep's projector rank.
+    """
+
+    sums: tuple[np.ndarray, ...]
+    picked: tuple[tuple[int, ...], ...]
+
+
+def _pullback_plan(irrep_set: IrrepSet, ctx: SubgroupContext) -> _PullbackPlan:
+    """The pull-back plan of ``(irrep_set, ctx)``, built on first use and then reused.
+
+    It lives in ``irrep_set.pullback_plans`` under a weak key on ``ctx`` and
+    holds no reference to either object.  A plan is stored only once every
+    check in it has passed, so a failing one raises on every call.
+    """
+    plans = irrep_set.pullback_plans
+    plan = plans.get(ctx)
+    if plan is None:
+        ranks = subgroup_ranks(irrep_set, ctx)
+        sums = []
+        picked = []
+        for idx, (irrep, rank) in enumerate(zip(irrep_set, ranks)):
+            coset_sums = _coset_sums(irrep, ctx)
+            projector = coset_sums[0] / len(ctx.subgroup_elements)
+            picked.append(tuple(_select_rows(idx, coset_sums, projector, rank)))
+            coset_sums.flags.writeable = False
+            sums.append(coset_sums)
+        plan = _PullbackPlan(sums=tuple(sums), picked=tuple(picked))
+        plans[ctx] = plan
+    return plan
+
+
 def _pull_back(sums: np.ndarray, eigenvectors: np.ndarray, k: int) -> np.ndarray:
     """Pulled-back columns of one irrep as a ``(k, n, d, dk)`` array.
 
@@ -467,7 +504,8 @@ def _lift_terms(base: BaseMatrix, ctx: SubgroupContext) -> list:
 
     Coefficients are read from the voltage table, must be integers within
     ``INTEGER_TOL`` (else :class:`NumericalError` names the first one off)
-    and are dropped when they round to zero.
+    and are dropped when they round to zero.  Each coset action is a row of
+    :attr:`SubgroupContext.coset_action`.
     """
     table = base.voltage_table
     nearest = np.round(table.c.real)
@@ -478,43 +516,46 @@ def _lift_terms(base: BaseMatrix, ctx: SubgroupContext) -> list:
             f"lift terms: coefficient {complex(table.c[i])} of element "
             f"{int(table.g[i])} is not an integer within {INTEGER_TOL}"
         )
-    actions: dict[int, np.ndarray] = {}
-    terms = []
+    actions = ctx.coset_action
     keep = np.flatnonzero(nearest)
-    for u, v, g, c in zip(*(col[keep].tolist() for col in (table.u, table.v, table.g, nearest))):
-        if g not in actions:
-            actions[g] = ctx.action_on_cosets(g)
-        terms.append((u, v, int(c), actions[g]))
-    return terms
+    columns = (col[keep].tolist() for col in (table.u, table.v, table.g, nearest))
+    return [(u, v, int(c), actions[g]) for u, v, g, c in zip(*columns)]
 
 
-def _apply_lift(terms: list, vectors: np.ndarray) -> np.ndarray:
-    """Lift adjacency times ``vectors`` of shape ``(k, n, m)``, never formed densely.
-
-    An arc ``u -> v`` with voltage ``a`` joins ``(u, J)`` to ``(v, J a)``, so
-    row ``(u, J)`` of the product gathers row ``(v, J a)`` of ``vectors``.
-    """
-    out = np.zeros_like(vectors)
-    for u, v, c, action in terms:
-        out[u] += c * vectors[v, action]
-    return out
+def _column_norms(matrix: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of a complex matrix, summed over real and imaginary parts."""
+    re = matrix.real
+    im = matrix.imag
+    return np.sqrt(np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im))
 
 
 def _check_residuals(
-    idx: int, terms: list, chosen: np.ndarray, values: np.ndarray, rows: list[int], tol: float
+    idx: int, terms: list, pulled: np.ndarray, values: np.ndarray, picked: tuple, tol: float
 ) -> None:
-    """Residual-check the selected ``(k, n, r, dk)`` columns of one irrep."""
-    k, n, r, dk = chosen.shape
-    vectors = chosen.reshape(k, n, r * dk)
-    residual = _apply_lift(terms, vectors) - vectors * np.tile(values, r)
-    residuals = np.linalg.norm(residual.reshape(k * n, -1), axis=0)
-    bounds = tol * np.maximum(1.0, np.linalg.norm(vectors.reshape(k * n, -1), axis=0))
+    """Residual-check the columns of the picked rows in one irrep's ``(k, n, d, dk)`` block.
+
+    Each checked column ``v`` is read as returned: ``A v - lambda v`` starts
+    from ``-lambda v`` and adds ``A v`` arc by arc, never forming ``A``.  An
+    arc ``u -> v`` with voltage ``a`` joins ``(u, J)`` to ``(v, J a)``, so
+    row ``(u, J)`` gathers row ``(v, J a)`` of the columns.  A column fails
+    when its residual's norm exceeds ``tol * max(1, |v|)``.
+    """
+    k, n, d, dk = pulled.shape
+    chosen = pulled if len(picked) == d else pulled.take(picked, axis=2)
+    vectors = chosen.reshape(k, n, -1)
+    residual = vectors * -np.tile(values, len(picked))
+    for u, v, c, action in terms:
+        gathered = vectors[v].take(action, axis=0)
+        if c != 1:
+            gathered *= c
+        residual[u] += gathered
+    residuals = _column_norms(residual.reshape(k * n, -1))
+    bounds = tol * np.maximum(1.0, _column_norms(vectors.reshape(k * n, -1)))
     failed = np.flatnonzero(residuals > bounds)
     if failed.size:
         j, c = divmod(int(failed[0]), dk)
-        d = dk // k
         raise NumericalError(
-            f"residual: irrep {idx}, column j={rows[j]} w={c // d} i={c % d} "
+            f"residual: irrep {idx}, column j={picked[j]} w={c // d} i={c % d} "
             f"fails the eigenvector residual bound ({residuals[failed[0]]:.3e})"
         )
 
@@ -547,23 +588,29 @@ def lift_eigenvectors(
     form a basis.  Each selected column is residual-checked against the lift
     adjacency applied by gathering over the base arcs.  Any failed check
     raises :class:`NumericalError` naming its stage and irrep.
+
+    The ranks, coset sums and picked rows depend on the irrep set and the
+    subgroup only, never on the base graph.  They form a plan that the first
+    call for an ``(irrep_set, ctx)`` pair builds and checks, before any
+    image is solved, and that later calls over the same pair reuse; it is
+    kept in :attr:`IrrepSet.pullback_plans` for as long as ``ctx`` lives.  A
+    plan whose checks fail is not kept, so its error comes back on every
+    call.  The image eigensolves, the pull-back, the zero flags and the
+    residual checks run on every call.
     """
-    ranks = _lift_ranks(base, irrep_set, ctx)
+    _check_lift_inputs(base, irrep_set, ctx)
+    plan = _pullback_plan(irrep_set, ctx)
     k = base.k
     kn = k * ctx.index_n
-    sums = [_coset_sums(irrep, ctx) for irrep in irrep_set]
-    projectors = [s[0] / len(ctx.subgroup_elements) for s in sums]
     terms = _lift_terms(base, ctx)
 
     parts = []
     for idx, irrep in enumerate(irrep_set):
         data = _image_eigendata(base, idx, irrep)
-        pulled = _pull_back(sums[idx], data.eigenvectors, k)
-        picked = _select_rows(idx, sums[idx], projectors[idx], ranks[idx])
+        pulled = _pull_back(plan.sums[idx], data.eigenvectors, k)
+        picked = plan.picked[idx]
         if picked:
-            _check_residuals(
-                idx, terms, pulled[:, :, picked, :], data.eigenvalues, picked, residual_tol
-            )
+            _check_residuals(idx, terms, pulled, data.eigenvalues, picked, residual_tol)
         pulled = pulled.reshape(kn, -1)
         parts.append((data, pulled, picked, np.max(np.abs(pulled), axis=0, initial=0.0)))
     global_peak = max((float(peak.max(initial=0.0)) for *_, peak in parts), default=0.0)
@@ -576,7 +623,7 @@ def lift_eigenvectors(
             dim=data.irrep.dim,
             pulled=pulled,
             eigenvalues=data.eigenvalues,
-            picked=tuple(picked),
+            picked=picked,
             zero=peak <= ZERO_TOL * global_peak,
         )
         flags = block.selected

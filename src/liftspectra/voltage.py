@@ -377,9 +377,9 @@ def build_lift(graph: VoltageGraph, ctx: SubgroupContext) -> LiftGraph:
     k = graph.k
     adjacency = np.zeros((k * n, k * n), dtype=np.int64)
     coset_rows = np.arange(n)
+    actions = ctx.coset_action
     for arc in graph.arcs:
-        action = ctx.action_on_cosets(arc.voltage)
-        np.add.at(adjacency, (arc.tail * n + coset_rows, arc.head * n + action), 1)
+        np.add.at(adjacency, (arc.tail * n + coset_rows, arc.head * n + actions[arc.voltage]), 1)
     labels = tuple(
         (label, coset) for label in graph.vertices for coset in range(n)
     )

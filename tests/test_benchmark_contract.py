@@ -87,3 +87,23 @@ def test_tracing_sees_the_spectrum_layers(tracing, dumbbell, sym3_catalog, point
     assert names[1] == "spectral.lift_spectrum"
     children = {name for name, _, _, parent, _ in rec.spans if parent == 1}
     assert children == {"spectral.irrep_image", "spectral.eig_dense"}
+
+
+def test_tracing_sees_the_eigenvector_layers(tracing, dumbbell_base, sym3, sym3_catalog):
+    # perfbench reports spectral.lift_eigenvectors_self_s as lift_eigenvectors'
+    # time minus its irrep_image and eig_dense children.  The first call on a
+    # fresh context builds the pull-back plan and the second reuses it; both
+    # must still call those two layers through their public names.
+    ctx = liftspectra.right_cosets(sym3, liftspectra.stabilizer(sym3, 1))
+    rec = tracing.Recorder()
+    undo = tracing.install(rec)
+    try:
+        for _ in range(2):
+            liftspectra.lift_eigenvectors(dumbbell_base, sym3_catalog, ctx)
+    finally:
+        undo()
+    roots = [idx for idx, span in enumerate(rec.spans) if span[3] == -1]
+    assert [rec.spans[idx][0] for idx in roots] == ["spectral.lift_eigenvectors"] * 2
+    for root in roots:
+        children = {name for name, _, _, parent, _ in rec.spans if parent == root}
+        assert children == {"spectral.irrep_image", "spectral.eig_dense"}

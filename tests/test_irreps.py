@@ -276,7 +276,7 @@ class TestComputedIrreps:
         assert len(calls) == irreps_module.MAX_RETRIES
         message = str(exc.value)
         for attempt in range(irreps_module.MAX_RETRIES):
-            assert f"attempt {attempt}: reducible eigenvalue cluster 0 " in message
+            assert f"attempt {attempt}: irrep split: reducible eigenvalue cluster 0 " in message
 
     @pytest.mark.parametrize("seed", [0, 13])
     def test_many_clusters_split_on_the_first_attempt(self, monkeypatch, seed):
@@ -302,6 +302,39 @@ class TestComputedIrreps:
         assert "compute_irreps" in message
         assert str(group.order) in message
         assert str(irreps_module.MAX_COMPUTED_ORDER) in message
+
+
+class TestComputeIrrepsStageNames:
+    """Each of ``compute_irreps``' own failures names its stage."""
+
+    @staticmethod
+    def _split(group):
+        rng = np.random.default_rng(3)
+        return irreps_module._decompose_regular(group, conjugacy_classes(group), rng)
+
+    def test_reducible_cluster(self, monkeypatch):
+        _merge_first_two_spans(monkeypatch, lambda n: True)
+        with pytest.raises(NumericalError, match=r"^irrep split: reducible eigenvalue cluster 0 "):
+            self._split(_sym4())
+
+    def test_non_invariant_subspace(self, monkeypatch):
+        # No residual is below a negative tolerance, so the first cluster fails.
+        monkeypatch.setattr(irreps_module, "DEFAULT_VERIFY_TOL", -1.0)
+        message = r"^irrep split: eigenvalue cluster 0 is not an invariant subspace \(residual "
+        with pytest.raises(NumericalError, match=message):
+            self._split(_sym4())
+
+    def test_retry_history(self, monkeypatch):
+        monkeypatch.setattr(irreps_module, "DEFAULT_VERIFY_TOL", -1.0)
+        with pytest.raises(NumericalError) as exc:
+            compute_irreps(_sym4(), seed=5)
+        message = str(exc.value)
+        prefix = "irrep retries: irreducible decomposition failed for every seed derived from 5: "
+        assert message.startswith(prefix)
+        attempts = message[len(prefix) :].split("; ")
+        assert len(attempts) == irreps_module.MAX_RETRIES
+        for attempt, text in enumerate(attempts):
+            assert text.startswith(f"attempt {attempt}: irrep split: eigenvalue cluster 0 ")
 
 
 class TestSubgroupSums:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftspectra import (
     ConsistencyError,
@@ -246,6 +248,28 @@ class TestSubgroupsAndCosets:
             assert sorted(action) == list(range(ctx.index_n))
             for j, rep in enumerate(ctx.representatives):
                 assert ctx.coset_of[sym3.mul(rep, g)] == action[j]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        data=st.data(),
+        spec=st.sampled_from([(4, "(1 2 3 4)", "(1 2)"), (5, "(1 2 3)", "(3 4 5)")]),
+    )
+    def test_coset_action_table_rows(self, data, spec):
+        # Sym(4) and Alt(5), each over random subgroups of up to three generators.
+        degree, *gens = spec
+        group = generate_group([parse_permutation(g, degree) for g in gens])
+        element = st.integers(0, group.order - 1)
+        members = subgroup_closure(group, data.draw(st.lists(element, max_size=3)))
+        ctx = right_cosets(group, members)
+        table = ctx.coset_action
+        assert table.shape == (group.order, ctx.index_n)
+        assert not table.flags.writeable
+        assert ctx.coset_action is table
+        reps = np.asarray(ctx.representatives, dtype=np.int64)
+        for g in range(group.order):
+            expected = ctx.coset_of[group.mult_table[reps, g]]
+            assert np.array_equal(table[g], expected)
+            assert np.array_equal(ctx.action_on_cosets(g), expected)
 
     def test_cosets_partition_random_groups(self):
         rng = np.random.default_rng(14)

@@ -9,13 +9,16 @@ projector kills.
 
 import dataclasses
 import functools
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import liftspectra.spectral as spectral
 from liftspectra import (
     BaseMatrix,
     GroupAlgebraElement,
@@ -32,6 +35,7 @@ from liftspectra import (
     lift_spectrum,
     parse_permutation,
     right_cosets,
+    stabilizer,
     subgroup_closure,
 )
 
@@ -274,3 +278,104 @@ class TestErrorMessages:
             lift_eigenvectors(
                 dumbbell_base, sym3_catalog, point_stabilizer_ctx, residual_tol=1e-300
             )
+
+
+def _loop_graph(sym3):
+    """Vertex ``a`` with a ``(2 3)`` loop and an isolated vertex ``b``.
+
+    Every image is block diagonal with an exactly zero block for ``b``, so
+    some image eigenvalues are exactly 0 while ``a``'s lift rows have arcs.
+    """
+    t = sym3.index_of(parse_permutation("(2 3)", 3))
+    return VoltageGraph.build(sym3, ["a", "b"], [("a", "a", t)])
+
+
+def _corrupt_one_column(monkeypatch, irrep, j, c):
+    """Make ``_pull_back`` add 1e-6 to row 0 of column ``(j, c)`` of one irrep's block."""
+    original = spectral._pull_back
+    calls = []
+
+    def corrupted(sums, eigenvectors, k):
+        out = original(sums, eigenvectors, k)
+        if len(calls) == irrep:
+            out[0, 0, j, c] += 1e-6
+        calls.append(irrep)
+        return out
+
+    monkeypatch.setattr(spectral, "_pull_back", corrupted)
+
+
+@pytest.mark.parametrize(
+    "graph, context, irrep, j, c",
+    [
+        ("dumbbell", "trivial", 2, 1, 3),
+        ("dumbbell", "stabilizer", 2, 1, 2),
+        # Column c = 0 of the trivial irrep has eigenvalue exactly 0, so the
+        # check must read the column itself, not only lambda times it.
+        ("loop", "trivial", 0, 0, 0),
+    ],
+)
+def test_residual_check_catches_a_corrupted_column(
+    monkeypatch, dumbbell, sym3, sym3_catalog, graph, context, irrep, j, c
+):
+    graph = dumbbell if graph == "dumbbell" else _loop_graph(sym3)
+    members = frozenset({sym3.identity}) if context == "trivial" else stabilizer(sym3, 1)
+    ctx = right_cosets(sym3, members)
+    base = build_base_matrix(graph)
+    block = lift_eigenvectors(base, sym3_catalog, ctx).blocks[irrep]
+    assert j in block.picked
+    if graph is not dumbbell:
+        assert block.eigenvalues[c] == 0.0
+
+    _corrupt_one_column(monkeypatch, irrep, j, c)
+    d = block.dim
+    message = rf"^residual: irrep {irrep}, column j={j} w={c // d} i={c % d} fails"
+    with pytest.raises(NumericalError, match=message):
+        lift_eigenvectors(base, sym3_catalog, ctx)
+
+
+def test_interleaved_calls_reuse_plans_and_match_the_reference(dumbbell, sym3, sym3_catalog):
+    # A second irrep set of the same group, in another basis, so that a plan
+    # filed under the wrong irrep set or context gives wrong columns.
+    computed = compute_irreps(sym3, seed=0)
+    assert not np.allclose(computed[2].matrices, sym3_catalog[2].matrices)
+    contexts = [right_cosets(sym3, stabilizer(sym3, 1)), right_cosets(sym3, frozenset({0}))]
+    graphs = [dumbbell, _loop_graph(sym3)]
+    plans = {}
+    for graph in graphs * 2:
+        for ctx in contexts:
+            for irrep_set in (sym3_catalog, computed):
+                assert_bundle_matches_reference(irrep_set, ctx, graph)
+                plan = irrep_set.pullback_plans[ctx]
+                assert plans.setdefault((id(irrep_set), id(ctx)), plan) is plan
+                assert not any(sums.flags.writeable for sums in plan.sums)
+    assert len({id(plan) for plan in plans.values()}) == 4
+
+
+def test_failed_basis_selection_raises_on_every_call(
+    monkeypatch, dumbbell_base, sym3, sym3_catalog
+):
+    ctx = right_cosets(sym3, stabilizer(sym3, 1))
+    # No singular value ratio passes a full-rank tolerance of 1.
+    monkeypatch.setattr(spectral, "FULL_RANK_TOL", 1.0)
+    message = r"^basis selection: irrep 0, coset sums of rows \[0\] do not reach rank 1"
+    for _ in range(3):
+        with pytest.raises(NumericalError, match=message):
+            lift_eigenvectors(dumbbell_base, sym3_catalog, ctx)
+        assert ctx not in sym3_catalog.pullback_plans
+    monkeypatch.undo()
+    lift_eigenvectors(dumbbell_base, sym3_catalog, ctx)
+    assert ctx in sym3_catalog.pullback_plans
+
+
+def test_plan_goes_with_its_context(dumbbell_base, sym3, sym3_catalog):
+    plans = sym3_catalog.pullback_plans
+    ctx = right_cosets(sym3, stabilizer(sym3, 1))
+    before = len(plans)
+    lift_eigenvectors(dumbbell_base, sym3_catalog, ctx)
+    assert len(plans) == before + 1
+    plan = weakref.ref(plans[ctx])
+    del ctx
+    gc.collect()
+    assert plan() is None
+    assert len(plans) == before
