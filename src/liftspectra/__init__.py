@@ -44,7 +44,6 @@ from .voltage import (
     base_matrix_power,
     build_base_matrix,
     build_lift,
-    build_regular_lift,
     local_group_is_transitive,
     randomize_voltages,
 )
@@ -57,7 +56,6 @@ from .spectral import (
     OracleReport,
     SpectrumEntry,
     SpectrumReport,
-    build_coset_sum_matrix,
     eig_dense,
     irrep_image,
     lift_eigenvectors,
@@ -104,9 +102,7 @@ __all__ = [
     "apply_character",
     "base_matrix_power",
     "build_base_matrix",
-    "build_coset_sum_matrix",
     "build_lift",
-    "build_regular_lift",
     "builtin_irreps",
     "coefficient_of_identity",
     "compute_irreps",

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConsistencyError, NumericalError, ParseError
-from .irreps import IrrepSet, builtin_irreps, compute_irreps
+from .irreps import MAX_COMPUTED_ORDER, IrrepSet, builtin_irreps, compute_irreps
 from .characters import regular_spectrum_via_characters
 from .permgroup import (
     DEFAULT_ORDER_CAP,
@@ -134,7 +134,19 @@ def _load_group(spec, options: Options) -> tuple[FiniteGroup, IrrepSet]:
             if not isinstance(text, str):
                 raise ParseError("group.generators must be cycle strings")
             gens.append(parse_permutation(text, degree))
-        group = generate_group(gens, order_cap=options.order_cap, degree=degree)
+        # compute_irreps refuses groups above MAX_COMPUTED_ORDER, so close no
+        # further.  With every generator parsed at one degree, the cap is the
+        # only ConsistencyError generate_group can raise here.
+        cap = min(options.order_cap, MAX_COMPUTED_ORDER)
+        try:
+            group = generate_group(gens, order_cap=cap, degree=degree)
+        except ConsistencyError:
+            if cap == options.order_cap:
+                raise
+            raise ConsistencyError(
+                f"group closure exceeded MAX_COMPUTED_ORDER = {MAX_COMPUTED_ORDER}, "
+                "the largest order whose irreps are computed"
+            ) from None
         irrep_set = compute_irreps(group, seed=options.seed)
         return group, irrep_set
     if kind == "named":

@@ -345,7 +345,7 @@ def _decompose_regular(
         if np.any(np.max(np.abs(kept - class_char), axis=1) <= CHARACTER_TOL):
             continue
         kept = np.vstack([kept, class_char])
-        shifted = np.stack([basis[table[:, g], :] for g in range(n)])
+        shifted = basis[table.T]
         sub = np.einsum("ai,gab->gib", basis.conj(), shifted)
         residual = np.max(np.abs(shifted - np.einsum("ab,gbj->gaj", basis, sub)))
         if residual > DEFAULT_VERIFY_TOL:

@@ -318,15 +318,18 @@ def stabilizer(group: FiniteGroup, point: int) -> frozenset[int]:
     )
 
 
-def _check_subgroup(group: FiniteGroup, members: frozenset[int]) -> None:
-    if group.identity not in members:
+def _check_subgroup(group: FiniteGroup, members: np.ndarray) -> None:
+    """Refuse a sorted index array that is not a subgroup of ``group``."""
+    if members.size and not 0 <= members[0] <= members[-1] < group.order:
+        raise ConsistencyError(f"subgroup elements must be indices 0..{group.order - 1}")
+    inside = np.zeros(group.order, dtype=bool)
+    inside[members] = True
+    if not inside[group.identity]:
         raise ConsistencyError("subgroup must contain the identity")
-    for a in members:
-        if group.inv(a) not in members:
-            raise ConsistencyError("subgroup is not closed under inverses")
-        for b in members:
-            if group.mul(a, b) not in members:
-                raise ConsistencyError("subgroup is not closed under products")
+    if not inside[group.inverse_table[members]].all():
+        raise ConsistencyError("subgroup is not closed under inverses")
+    if not inside[group.mult_table[np.ix_(members, members)]].all():
+        raise ConsistencyError("subgroup is not closed under products")
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,13 +385,6 @@ class SubgroupContext:
         table.flags.writeable = False
         return table
 
-    def action_on_cosets(self, elem: int) -> np.ndarray:
-        """Permutation of coset labels induced by right multiplication.
-
-        This is row ``elem`` of :attr:`coset_action`, a read-only view.
-        """
-        return self.coset_action[elem]
-
 
 def right_cosets(group: FiniteGroup, subgroup_elements) -> SubgroupContext:
     """Partition the group into right cosets of a subgroup.
@@ -397,47 +393,38 @@ def right_cosets(group: FiniteGroup, subgroup_elements) -> SubgroupContext:
     ------
     ConsistencyError
         If ``subgroup_elements`` is not a subgroup (identity missing, or not
-        closed under products and inverses).
+        closed under products and inverses), or if the group's generators
+        leave a coset unreached.
     """
     members = frozenset(int(x) for x in subgroup_elements)
-    _check_subgroup(group, members)
+    sorted_members = np.array(sorted(members), dtype=np.int64)
+    _check_subgroup(group, sorted_members)
 
-    n_elements = group.order
-    coset_of = np.full(n_elements, -1, dtype=np.int64)
-    cosets: list[frozenset[int]] = []
-
-    def _add(coset: frozenset[int]) -> int:
-        label = len(cosets)
-        cosets.append(coset)
-        for x in coset:
-            coset_of[x] = label
-        return label
-
-    _add(members)
+    # Column x of the table over H's rows is the right coset H x.  Each coset
+    # is named by its smallest element; since (H x) g = H (x g), step[x] names
+    # the cosets that H x moves to under the generators, in generator order.
+    smallest = group.mult_table[sorted_members, :].min(axis=0)
+    step = smallest[group.mult_table[:, list(group.generators)]].tolist()
+    label = [-1] * group.order
+    label[group.identity] = 0
+    representatives = [group.identity]
     pos = 0
-    while pos < len(cosets):
-        current = cosets[pos]
-        for g in group.generators:
-            shifted = frozenset(group.mul(x, g) for x in current)
-            probe = next(iter(shifted))
-            if coset_of[probe] < 0:
-                _add(shifted)
+    while pos < len(representatives):
+        for nxt in step[representatives[pos]]:
+            if label[nxt] < 0:
+                label[nxt] = len(representatives)
+                representatives.append(nxt)
         pos += 1
-    # Generators reach every coset when they generate the group; sweep any
-    # stragglers in canonical element order so the labelling stays total.
-    for x in range(n_elements):
-        if coset_of[x] < 0:
-            _add(frozenset(group.mul(h, x) for h in members))
-
-    if sum(len(c) for c in cosets) != n_elements:
-        raise ConsistencyError("cosets do not partition the group")
-    representatives = tuple(min(c) for c in cosets)
+    coset_of = np.array(label, dtype=np.int64)[smallest]
+    if np.any(coset_of < 0):
+        raise ConsistencyError("group generators do not reach every coset")
+    by_coset = np.argsort(coset_of, kind="stable").reshape(len(representatives), -1)
     return SubgroupContext(
         group=group,
         subgroup_elements=members,
-        cosets=tuple(cosets),
+        cosets=tuple(frozenset(coset) for coset in by_coset.tolist()),
         coset_of=coset_of,
-        representatives=representatives,
+        representatives=tuple(representatives),
     )
 
 
@@ -458,23 +445,20 @@ def conjugacy_classes(group: FiniteGroup) -> list[ConjugacyClass]:
     ``size * |centralizer(rep)| == |G|``.
     """
     n = group.order
-    seen = [False] * n
+    table = group.mult_table
+    everyone = np.arange(n)
+    unseen = np.ones(n, dtype=bool)
     classes = []
-    for x in range(n):
-        if seen[x]:
-            continue
-        members = set()
-        for a in range(n):
-            y = group.mul(group.mul(group.inv(a), x), a)
-            members.add(y)
-        for y in members:
-            seen[y] = True
-        centralizer = sum(
-            1 for a in range(n) if group.mul(a, x) == group.mul(x, a)
-        )
+    while unseen.any():
+        x = int(np.argmax(unseen))
+        # Entry a is a^-1 x a.
+        conjugates = table[table[group.inverse_table, x], everyone]
+        unseen[conjugates] = False
+        members = frozenset(conjugates.tolist())
+        centralizer = np.count_nonzero(table[:, x] == table[x, :])
         if len(members) * centralizer != n:
             raise ConsistencyError("class equation violated; group tables corrupt")
-        classes.append(ConjugacyClass(representative=x, members=frozenset(members)))
+        classes.append(ConjugacyClass(representative=x, members=members))
     return classes
 
 
@@ -491,12 +475,7 @@ def is_regular_action(group: FiniteGroup) -> bool:
 
 def is_normal(ctx: SubgroupContext) -> bool:
     """Whether the context's subgroup is normal in its group."""
-    group = ctx.group
-    members = ctx.subgroup_elements
-    for g in range(group.order):
-        conjugated = {
-            group.mul(group.mul(g, h), group.inv(g)) for h in members
-        }
-        if conjugated != members:
-            return False
-    return True
+    table = ctx.group.mult_table
+    # Entry (g, h) is g h g^-1; conjugation is a bijection, so gHg^-1 = H iff gHg^-1 <= H.
+    conjugates = table[table[:, ctx.sorted_members], ctx.group.inverse_table[:, None]]
+    return bool(np.all(ctx.coset_of[conjugates] == 0))

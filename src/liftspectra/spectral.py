@@ -394,31 +394,6 @@ def _coset_sums(irrep: Irrep, ctx: SubgroupContext) -> np.ndarray:
     return irrep.matrices[ctx.coset_order].reshape(ctx.index_n, size, d, d).sum(axis=1)
 
 
-def build_coset_sum_matrix(
-    irrep_set: IrrepSet, ctx: SubgroupContext, k: int
-) -> np.ndarray:
-    """Stack the coset-summed irrep rows that pull eigenvectors back.
-
-    For each irrep of dimension ``d`` and each row index ``j``, the ``n x d``
-    block holds in row ``J`` the ``j``-th row of the irrep summed over coset
-    ``J``; that block is repeated down the diagonal once per base vertex.
-    Blocks are concatenated over ``j`` and then over irreps, giving a
-    ``kn x k|G|`` matrix whose rank is exactly ``kn``.  :func:`lift_eigenvectors`
-    never forms it; it applies the same coset sums one irrep at a time.
-    """
-    if irrep_set.group is not ctx.group:
-        raise ConsistencyError("irreps and subgroup context belong to different groups")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    blocks = []
-    eye_k = np.eye(k)
-    for irrep in irrep_set:
-        sums = _coset_sums(irrep, ctx)
-        for j in range(irrep.dim):
-            blocks.append(np.kron(eye_k, sums[:, j, :]))
-    return np.hstack(blocks)
-
-
 def _select_rows(idx: int, sums: np.ndarray, projector: np.ndarray, rank: int) -> list[int]:
     """``rank`` rows of ``P`` whose coset sums have full rank ``rank * d``.
 

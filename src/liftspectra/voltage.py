@@ -20,7 +20,6 @@ from .errors import ConsistencyError, NumericalError
 from .permgroup import (
     FiniteGroup,
     SubgroupContext,
-    right_cosets,
     subgroup_closure,
 )
 
@@ -384,12 +383,6 @@ def build_lift(graph: VoltageGraph, ctx: SubgroupContext) -> LiftGraph:
         (label, coset) for label in graph.vertices for coset in range(n)
     )
     return LiftGraph(vertex_labels=labels, adjacency=adjacency)
-
-
-def build_regular_lift(graph: VoltageGraph) -> LiftGraph:
-    """Lift over the trivial subgroup: one vertex per (vertex, group element)."""
-    ctx = right_cosets(graph.group, frozenset({graph.group.identity}))
-    return build_lift(graph, ctx)
 
 
 def local_group_is_transitive(graph: VoltageGraph, group: FiniteGroup) -> bool:

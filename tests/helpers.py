@@ -230,3 +230,102 @@ def entry_bits(entries):
     return [
         (e.value.real.hex(), e.value.imag.hex(), e.count, e.provenance) for e in entries
     ]
+
+
+# The per-element loops that computed the coset and class facts before the
+# table expressions in ``liftspectra.permgroup``: the references they must
+# agree with, kept verbatim apart from their names.
+
+
+def reference_check_subgroup(group, members):
+    from liftspectra import ConsistencyError
+
+    if group.identity not in members:
+        raise ConsistencyError("subgroup must contain the identity")
+    for a in members:
+        if group.inv(a) not in members:
+            raise ConsistencyError("subgroup is not closed under inverses")
+        for b in members:
+            if group.mul(a, b) not in members:
+                raise ConsistencyError("subgroup is not closed under products")
+
+
+def reference_right_cosets(group, subgroup_elements):
+    from liftspectra import ConsistencyError, SubgroupContext
+
+    members = frozenset(int(x) for x in subgroup_elements)
+    reference_check_subgroup(group, members)
+
+    n_elements = group.order
+    coset_of = np.full(n_elements, -1, dtype=np.int64)
+    cosets = []
+
+    def _add(coset):
+        label = len(cosets)
+        cosets.append(coset)
+        for x in coset:
+            coset_of[x] = label
+        return label
+
+    _add(members)
+    pos = 0
+    while pos < len(cosets):
+        current = cosets[pos]
+        for g in group.generators:
+            shifted = frozenset(group.mul(x, g) for x in current)
+            probe = next(iter(shifted))
+            if coset_of[probe] < 0:
+                _add(shifted)
+        pos += 1
+    # Generators reach every coset when they generate the group; sweep any
+    # stragglers in canonical element order so the labelling stays total.
+    for x in range(n_elements):
+        if coset_of[x] < 0:
+            _add(frozenset(group.mul(h, x) for h in members))
+
+    if sum(len(c) for c in cosets) != n_elements:
+        raise ConsistencyError("cosets do not partition the group")
+    representatives = tuple(min(c) for c in cosets)
+    return SubgroupContext(
+        group=group,
+        subgroup_elements=members,
+        cosets=tuple(cosets),
+        coset_of=coset_of,
+        representatives=representatives,
+    )
+
+
+def reference_conjugacy_classes(group):
+    from liftspectra import ConjugacyClass, ConsistencyError
+
+    n = group.order
+    seen = [False] * n
+    classes = []
+    for x in range(n):
+        if seen[x]:
+            continue
+        members = set()
+        for a in range(n):
+            y = group.mul(group.mul(group.inv(a), x), a)
+            members.add(y)
+        for y in members:
+            seen[y] = True
+        centralizer = sum(
+            1 for a in range(n) if group.mul(a, x) == group.mul(x, a)
+        )
+        if len(members) * centralizer != n:
+            raise ConsistencyError("class equation violated; group tables corrupt")
+        classes.append(ConjugacyClass(representative=x, members=frozenset(members)))
+    return classes
+
+
+def reference_is_normal(ctx):
+    group = ctx.group
+    members = ctx.subgroup_elements
+    for g in range(group.order):
+        conjugated = {
+            group.mul(group.mul(g, h), group.inv(g)) for h in members
+        }
+        if conjugated != members:
+            return False
+    return True

@@ -7,6 +7,7 @@ that would silently break the benchmark fails this test instead.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def _load(name):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the class body runs.
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -107,3 +110,21 @@ def test_tracing_sees_the_eigenvector_layers(tracing, dumbbell_base, sym3, sym3_
     for root in roots:
         children = {name for name, _, _, parent, _ in rec.spans if parent == root}
         assert children == {"spectral.irrep_image", "spectral.eig_dense"}
+
+
+def test_tracing_sees_the_setup_layers(tracing):
+    # perfbench reports permgroup.right_cosets_s and
+    # permgroup.conjugacy_classes_s from these spans, so setup must still
+    # reach both functions through their public names.
+    instances = _load("instances")
+    composition = [instances.Case("S4", subgroup, 2) for subgroup in ("trivial", "stab", "full")]
+    rec = tracing.Recorder()
+    undo = tracing.install(rec)
+    try:
+        catalogs, contexts = instances.setup(composition, irreps_seed=0)
+    finally:
+        undo()
+    assert len(catalogs) == 1 and len(contexts) == 3
+    names = [span[0] for span in rec.spans]
+    assert names.count("permgroup.right_cosets") == 3
+    assert "permgroup.conjugacy_classes" in names

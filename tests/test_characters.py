@@ -11,7 +11,7 @@ from liftspectra import (
     apply_character,
     base_matrix_power,
     build_base_matrix,
-    build_regular_lift,
+    build_lift,
     builtin_irreps,
     coefficient_of_identity,
     lift_spectrum,
@@ -180,7 +180,7 @@ class TestRegularSpectrumViaCharacters:
         )
         base = build_base_matrix(graph)
         result = regular_spectrum_via_characters(base, irr)
-        lift = build_regular_lift(graph)
+        lift = build_lift(graph, right_cosets(group, frozenset({group.identity})))
         reference = np.linalg.eigvals(lift.adjacency.astype(float))
         assert result.total == 9
         assert multiset_distance(result.spectrum, reference) < 1e-6
@@ -248,7 +248,7 @@ class TestCoefficientOfIdentity:
         value = coefficient_of_identity(dumbbell_base, sym3_catalog, 0, 1)
         assert value == pytest.approx(0.0)
 
-    def test_matches_regular_lift_walk_count(self, sym3, sym3_catalog):
+    def test_matches_regular_lift_walk_count(self, sym3, sym3_catalog, trivial_ctx):
         rng = np.random.default_rng(46)
         labels = ["a", "b"]
         for _ in range(6):
@@ -258,7 +258,7 @@ class TestCoefficientOfIdentity:
                     edges.append((*pair, int(rng.integers(6))))
             graph = VoltageGraph.build(sym3, labels, edges)
             base = build_base_matrix(graph)
-            lift = build_regular_lift(graph)
+            lift = build_lift(graph, trivial_ctx)
             powers = {
                 2: np.linalg.matrix_power(lift.adjacency, 2),
                 3: np.linalg.matrix_power(lift.adjacency, 3),

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +403,37 @@ class TestExitCodes:
         code, _, err = _run(capsys, ["spectrum", _write_instance(tmp_path, doc)])
         assert code == 3
         assert "order_cap" in err
+
+    @pytest.mark.parametrize(
+        "options, named, unnamed",
+        [
+            ({}, "MAX_COMPUTED_ORDER", "order_cap"),
+            ({"order_cap": 2000}, "MAX_COMPUTED_ORDER", "order_cap"),
+            ({"order_cap": 500}, "order_cap", "MAX_COMPUTED_ORDER"),
+        ],
+    )
+    def test_oversize_group_refused_during_closure(
+        self, tmp_path, capsys, options, named, unnamed
+    ):
+        # S7 has order 5040, above compute_irreps' limit of 1000; its
+        # multiplication table alone would take 203 MB.
+        doc = _dumbbell_doc()
+        doc["group"] = {
+            "kind": "generators",
+            "degree": 7,
+            "generators": ["(1 2)", "(1 2 3 4 5 6 7)"],
+        }
+        doc["options"] = options
+        path = _write_instance(tmp_path, doc)
+        tracemalloc.start()
+        try:
+            code, out, err = _run(capsys, ["spectrum", path])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert named in err and unnamed not in err
+        assert peak < 50 * 2**20
 
     def test_numerical_error_maps_to_four(self, tmp_path, capsys, monkeypatch):
         import liftspectra.cli as cli_module

@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from liftspectra import (
     ConsistencyError,
     ParseError,
     Permutation,
+    builtin_irreps,
     conjugacy_classes,
     generate_group,
     is_normal,
@@ -16,6 +20,12 @@ from liftspectra import (
     right_cosets,
     stabilizer,
     subgroup_closure,
+)
+
+from helpers import (
+    reference_conjugacy_classes,
+    reference_is_normal,
+    reference_right_cosets,
 )
 
 
@@ -239,12 +249,26 @@ class TestSubgroupsAndCosets:
         with pytest.raises(ConsistencyError):
             right_cosets(sym3, frozenset({rot}))
 
+    @pytest.mark.parametrize("outside", [-1, 6])
+    def test_rejects_indices_outside_the_group(self, sym3, outside):
+        # -1 would otherwise index the last element, a reflection in Sym(3).
+        with pytest.raises(ConsistencyError, match="indices 0..5"):
+            right_cosets(sym3, frozenset({sym3.identity, outside}))
+
+    def test_unreached_coset_refused(self, sym3):
+        # generate_group's generators always generate the group; one that
+        # reaches only part of it must not leave elements without a label.
+        rot = sym3.index_of(parse_permutation("(1 2 3)", 3))
+        partial = dataclasses.replace(sym3, generators=(rot,))
+        with pytest.raises(ConsistencyError, match="do not reach every coset"):
+            right_cosets(partial, frozenset({partial.identity}))
+
     def test_action_on_cosets(self, sym3, point_stabilizer_ctx):
         ctx = point_stabilizer_ctx
         # Right multiplication by a generator permutes coset labels; the
         # action must be a genuine permutation and respect coset membership.
         for g in range(sym3.order):
-            action = ctx.action_on_cosets(g)
+            action = ctx.coset_action[g]
             assert sorted(action) == list(range(ctx.index_n))
             for j, rep in enumerate(ctx.representatives):
                 assert ctx.coset_of[sym3.mul(rep, g)] == action[j]
@@ -269,7 +293,6 @@ class TestSubgroupsAndCosets:
         for g in range(group.order):
             expected = ctx.coset_of[group.mult_table[reps, g]]
             assert np.array_equal(table[g], expected)
-            assert np.array_equal(ctx.action_on_cosets(g), expected)
 
     def test_cosets_partition_random_groups(self):
         rng = np.random.default_rng(14)
@@ -324,3 +347,56 @@ class TestPredicates:
         rot = sym3.index_of(parse_permutation("(1 2 3)", 3))
         alt = right_cosets(sym3, subgroup_closure(sym3, [rot]))
         assert is_normal(alt)
+
+
+REFERENCE_GROUPS = {
+    "S4": (4, "(1 2)", "(1 2 3 4)"),
+    "A5": (5, "(1 2 3)", "(1 2 3 4 5)"),
+    "S5": (5, "(1 2)", "(1 2 3 4 5)"),
+    "S5xC2": (7, "(1 2)", "(1 2 3 4 5)", "(6 7)"),
+    "D10": None,
+}
+
+
+@functools.cache
+def _reference_group(name):
+    spec = REFERENCE_GROUPS[name]
+    if spec is None:
+        return builtin_irreps("dihedral", 10).group
+    degree, *gens = spec
+    return generate_group([parse_permutation(g, degree) for g in gens])
+
+
+def _outcome(build, group, members):
+    try:
+        return build(group, members)
+    except ConsistencyError:
+        return ConsistencyError
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), closed=st.booleans())
+def test_table_expressions_match_the_loops(name, data, closed):
+    # Random subgroups, and random sets that are mostly not subgroups, against
+    # the per-element loops the table expressions replaced.
+    group = _reference_group(name)
+    elements = st.lists(st.integers(0, group.order - 1), max_size=4 if closed else 6)
+    drawn = data.draw(elements)
+    if closed:
+        members = subgroup_closure(group, drawn)
+    else:
+        members = frozenset(drawn) | data.draw(st.sampled_from([frozenset(), frozenset({0})]))
+    ctx = _outcome(right_cosets, group, members)
+    expected = _outcome(reference_right_cosets, group, members)
+    if expected is ConsistencyError:
+        assert ctx is ConsistencyError
+    else:
+        assert ctx is not ConsistencyError
+        assert np.array_equal(ctx.coset_of, expected.coset_of)
+        assert ctx.cosets == expected.cosets
+        assert ctx.representatives == expected.representatives
+        assert ctx.subgroup_elements == expected.subgroup_elements
+        assert is_normal(ctx) is reference_is_normal(expected)
+    classes = [(c.representative, c.members) for c in conjugacy_classes(group)]
+    assert classes == [(c.representative, c.members) for c in reference_conjugacy_classes(group)]

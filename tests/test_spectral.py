@@ -16,7 +16,6 @@ from liftspectra import (
     SpectrumReport,
     VoltageGraph,
     build_base_matrix,
-    build_coset_sum_matrix,
     build_lift,
     builtin_irreps,
     compute_irreps,
@@ -383,36 +382,6 @@ def test_array_merge_matches_the_tuple_merge_bit_for_bit(case):
     old = SpectrumReport(entries=expected, total=report.total)
     assert json.dumps(report.to_json(), indent=2) == json.dumps(old.to_json(), indent=2)
     assert report.expand().tobytes() == _expand_by_list(old).tobytes()
-
-
-class TestCosetSumMatrix:
-    def test_shape_and_rank(self, sym3, sym3_catalog, point_stabilizer_ctx):
-        s = build_coset_sum_matrix(sym3_catalog, point_stabilizer_ctx, k=2)
-        assert s.shape == (6, 12)
-        assert np.linalg.matrix_rank(s, tol=1e-9) == 6
-
-    def test_trivial_irrep_columns(self, sym3_catalog, point_stabilizer_ctx):
-        s = build_coset_sum_matrix(sym3_catalog, point_stabilizer_ctx, k=2)
-        # The trivial irrep's coset sums are all |H| = 2; its two columns are
-        # the indicator of each vertex block scaled by 2.
-        assert np.allclose(s[:, 0], [2, 2, 2, 0, 0, 0])
-        assert np.allclose(s[:, 1], [0, 0, 0, 2, 2, 2])
-
-    def test_sign_irrep_columns_vanish(self, sym3_catalog, point_stabilizer_ctx):
-        s = build_coset_sum_matrix(sym3_catalog, point_stabilizer_ctx, k=2)
-        # Columns 2 and 3 belong to the sign irrep, whose subgroup sum is 0.
-        assert np.max(np.abs(s[:, 2:4])) < 1e-12
-
-    def test_full_rank_across_contexts(self, sym3, sym3_catalog):
-        rng = np.random.default_rng(33)
-        for _ in range(6):
-            members = subgroup_closure(sym3, [int(rng.integers(6))])
-            ctx = right_cosets(sym3, members)
-            for k in (1, 2, 3):
-                s = build_coset_sum_matrix(sym3_catalog, ctx, k)
-                kn = k * ctx.index_n
-                assert s.shape[0] == kn
-                assert np.linalg.matrix_rank(s, tol=1e-9) == kn
 
 
 class TestLiftEigenvectors:

@@ -9,7 +9,6 @@ from liftspectra import (
     base_matrix_power,
     build_base_matrix,
     build_lift,
-    build_regular_lift,
     builtin_irreps,
     generate_group,
     irrep_image,
@@ -252,8 +251,8 @@ class TestLifts:
         assert np.all(lift.adjacency.sum(axis=1) == 3)
         assert np.array_equal(lift.adjacency, lift.adjacency.T)
 
-    def test_regular_lift_size_and_degree(self, dumbbell, sym3):
-        lift = build_regular_lift(dumbbell)
+    def test_regular_lift_size_and_degree(self, dumbbell, sym3, trivial_ctx):
+        lift = build_lift(dumbbell, trivial_ctx)
         assert lift.size == 2 * sym3.order
         assert np.all(lift.adjacency.sum(axis=1) == 3)
 
@@ -265,7 +264,7 @@ class TestLifts:
         irr = builtin_irreps("cyclic", 2)
         group = irr.group
         graph = VoltageGraph.build(group, ["a"], [("a", "a", 1)])
-        lift = build_regular_lift(graph)
+        lift = build_lift(graph, right_cosets(group, frozenset({group.identity})))
         assert np.array_equal(lift.adjacency, np.array([[0, 2], [2, 0]]))
 
     def test_trivial_voltages_give_disjoint_copies(self, sym3):
