@@ -346,3 +346,58 @@ def reference_is_normal(ctx):
         if conjugated != members:
             return False
     return True
+
+
+def reference_decompose_regular(group, classes, rng):
+    """``irreps._decompose_regular`` with the whole-matrix average and the
+    ``einsum`` invariance residual: the bit-for-bit reference, verbatim apart
+    from its name and imports."""
+    from liftspectra.errors import NumericalError
+    from liftspectra.irreps import (
+        CHARACTER_TOL,
+        DEFAULT_VERIFY_TOL,
+        _cluster_spans,
+        _random_hermitian,
+    )
+
+    n = group.order
+    table = group.mult_table
+    seed_matrix = _random_hermitian(rng, n)
+    averaged = np.zeros((n, n), dtype=complex)
+    # Conjugating by the regular representation permutes rows and columns by
+    # right multiplication, so the average is a gather, not a matrix product.
+    for g in range(n):
+        col = table[:, g]
+        averaged += seed_matrix[np.ix_(col, col)]
+    averaged /= n
+    eigenvalues, eigenvectors = np.linalg.eigh(averaged)
+    # One eigenspace's eigenvalues agree to ~1e-14 up to |G| = 720, while
+    # distinct ones come within ~1e-6; merging two costs a whole retry.
+    spans = _cluster_spans(eigenvalues, 1e-10 * n)
+    class_cols = table[:, [c.representative for c in classes]].T
+    sizes = np.array([c.size for c in classes])
+    found = []
+    kept = np.zeros((0, len(classes)), dtype=complex)
+    for idx, (lo, hi) in enumerate(spans):
+        basis = eigenvectors[:, lo:hi]
+        class_char = np.einsum("ai,cai->c", basis.conj(), basis[class_cols])
+        norm = float(sizes @ np.abs(class_char) ** 2) / n
+        if abs(norm - 1) > CHARACTER_TOL:
+            raise NumericalError(
+                f"irrep split: reducible eigenvalue cluster {idx} ({hi - lo}-dimensional): "
+                f"character norm {norm:.6f} departs from 1"
+            )
+        # An irrep of dimension d spans d clusters; build it from the first.
+        if np.any(np.max(np.abs(kept - class_char), axis=1) <= CHARACTER_TOL):
+            continue
+        kept = np.vstack([kept, class_char])
+        shifted = basis[table.T]
+        sub = np.einsum("ai,gab->gib", basis.conj(), shifted)
+        residual = np.max(np.abs(shifted - np.einsum("ab,gbj->gaj", basis, sub)))
+        if residual > DEFAULT_VERIFY_TOL:
+            raise NumericalError(
+                f"irrep split: eigenvalue cluster {idx} is not an invariant subspace "
+                f"(residual {residual:.3e})"
+            )
+        found.append(sub)
+    return found

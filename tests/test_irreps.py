@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from helpers import reference_decompose_regular
 
 import liftspectra.irreps as irreps_module
 from liftspectra import (
@@ -65,6 +68,24 @@ PINNED_TABLES = {
         ],
     ),
 }
+
+
+# Groups given by generators, for the bit-for-bit check against the
+# reference decomposition.  Orders 6, 8, 24, 60 and 120 are not multiples of
+# the 32-row averaging block, so its short last block runs too.
+REFERENCE_GROUPS = {
+    "S3": (3, ["(1 2)", "(1 2 3)"]),
+    "S4": (4, ["(1 2 3 4)", "(1 2)"]),
+    "S4 swapped": (4, ["(1 2)", "(1 2 3 4)"]),
+    "A5": (5, ["(1 2 3 4 5)", "(1 2 3)"]),
+    "S5": (5, ["(1 2)", "(1 2 3 4 5)"]),
+    "C6": (6, ["(1 2 3 4 5 6)"]),
+    "D4": (4, ["(1 2 3 4)", "(2 4)"]),
+}
+# The tracemalloc peak of one compute_irreps call on S5: 4,979,904 B with the
+# whole-matrix average and the einsum residual, plus 5 %.  A further
+# 120 x 120 x 6 complex array (1.38 MB) would exceed it.
+S5_PEAK_BOUND = 5_230_000
 
 
 def _sym4():
@@ -302,6 +323,36 @@ class TestComputedIrreps:
         assert "compute_irreps" in message
         assert str(group.order) in message
         assert str(irreps_module.MAX_COMPUTED_ORDER) in message
+
+
+class TestComputeIrrepsBits:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
+    def test_catalog_bytes_match_reference_decomposition(self, monkeypatch, name):
+        degree, gens = REFERENCE_GROUPS[name]
+        group = generate_group([parse_permutation(g, degree) for g in gens])
+        seeds = range(4)
+        got = [compute_irreps(group, seed) for seed in seeds]
+        monkeypatch.setattr(irreps_module, "_decompose_regular", reference_decompose_regular)
+        for seed, irr in zip(seeds, got):
+            want = compute_irreps(group, seed)
+            assert irr.dims == want.dims
+            for a, b in zip(irr, want):
+                assert a.matrices.tobytes() == b.matrices.tobytes()
+                assert a.character.tobytes() == b.character.tobytes()
+
+    def test_s5_peak_memory(self):
+        degree, gens = REFERENCE_GROUPS["S5"]
+        perms = [parse_permutation(g, degree) for g in gens]
+        # A first call pays the process's one-time allocations.
+        compute_irreps(generate_group(perms), seed=0)
+        group = generate_group(perms)
+        tracemalloc.start()
+        try:
+            compute_irreps(group, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < S5_PEAK_BOUND
 
 
 class TestComputeIrrepsStageNames:
