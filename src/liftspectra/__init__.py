@@ -51,7 +51,6 @@ from .spectral import (
     EigenvectorBundle,
     EigenvectorColumn,
     IrrepColumns,
-    IrrepEigenData,
     IrrepImage,
     OracleReport,
     SpectrumEntry,
@@ -66,7 +65,6 @@ from .characters import (
     CharacterSpectrum,
     PowerSumProfile,
     apply_character,
-    coefficient_of_identity,
     power_sums_to_roots,
     regular_spectrum_via_characters,
 )
@@ -85,7 +83,6 @@ __all__ = [
     "GroupAlgebraElement",
     "Irrep",
     "IrrepColumns",
-    "IrrepEigenData",
     "IrrepImage",
     "IrrepSet",
     "LiftGraph",
@@ -104,7 +101,6 @@ __all__ = [
     "build_base_matrix",
     "build_lift",
     "builtin_irreps",
-    "coefficient_of_identity",
     "compute_irreps",
     "conjugacy_classes",
     "eig_dense",

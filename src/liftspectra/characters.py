@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConsistencyError, NumericalError
 from .irreps import IrrepSet
 from .spectral import eig_dense, irrep_image, is_hermitian
-from .voltage import BaseMatrix, GroupAlgebraElement, base_matrix_power
+from .voltage import BaseMatrix, GroupAlgebraElement
 
 MAX_NEWTON_DEGREE = 32
 ROUNDTRIP_TOL = 1e-8
@@ -45,8 +45,8 @@ def _kahan_sum(values) -> complex:
     return total
 
 
-def power_sums_to_roots(sums, degree: int | None = None) -> np.ndarray:
-    """Recover a root multiset from its first ``degree`` power sums.
+def power_sums_to_roots(sums) -> np.ndarray:
+    """Recover a root multiset of size ``degree = len(sums)`` from its power sums.
 
     Newton's identities (with compensated summation) turn the power sums into
     elementary symmetric polynomials, hence into a monic polynomial whose
@@ -57,8 +57,7 @@ def power_sums_to_roots(sums, degree: int | None = None) -> np.ndarray:
     and the blockwise spectral route should be used instead.
     """
     sums = [complex(s) for s in sums]
-    if degree is None:
-        degree = len(sums)
+    degree = len(sums)
     if degree < 1:
         raise ValueError(f"degree must be at least 1, got {degree}")
     if degree > MAX_NEWTON_DEGREE:
@@ -66,8 +65,6 @@ def power_sums_to_roots(sums, degree: int | None = None) -> np.ndarray:
             f"degree {degree} exceeds {MAX_NEWTON_DEGREE}; use the blockwise "
             "spectral route for large blocks"
         )
-    if len(sums) < degree:
-        raise ValueError(f"need {degree} power sums, got {len(sums)}")
 
     elementary = [1.0 + 0j]
     for i in range(1, degree + 1):
@@ -145,11 +142,20 @@ def regular_spectrum_via_characters(
     Every irrep of dimension ``d`` contributes the ``d * k`` roots recovered
     from its transformed trace power sums, repeated ``d`` times.  For
     one-dimensional irreps the roots are computed directly as eigenvalues of
-    the base-matrix image, which is both cheaper and better conditioned.
+    the base-matrix image, which is both cheaper and better conditioned.  An
+    irrep of higher dimension with ``d * k > MAX_NEWTON_DEGREE`` raises
+    :class:`ConsistencyError` before any base-matrix power is formed.
     """
     if base.group is not irrep_set.group:
         raise ConsistencyError("base matrix and irreps belong to different groups")
     k = base.k
+    for idx, irrep in enumerate(irrep_set):
+        if irrep.dim > 1 and irrep.dim * k > MAX_NEWTON_DEGREE:
+            raise ConsistencyError(
+                f"character spectrum: irrep {idx} ({irrep.dim}-dimensional) needs "
+                f"dim*k = {irrep.dim * k} power sums, above MAX_NEWTON_DEGREE = "
+                f"{MAX_NEWTON_DEGREE}; use the blockwise spectral route"
+            )
     max_power = k * max(r.dim for r in irrep_set)
     traces: list[GroupAlgebraElement] = []
     power = base
@@ -170,7 +176,7 @@ def regular_spectrum_via_characters(
             values, _ = eig_dense(image, hermitian_hint=is_hermitian(image))
             roots = np.asarray(values, dtype=complex)
         else:
-            roots = power_sums_to_roots(sums, m)
+            roots = power_sums_to_roots(sums)
         roots_by_irrep.append(roots)
         for _ in range(irrep.dim):
             assembled.extend(roots)
@@ -189,24 +195,3 @@ def regular_spectrum_via_characters(
         spectrum=spectrum,
         total=total,
     )
-
-
-def coefficient_of_identity(
-    base: BaseMatrix, irrep_set: IrrepSet, vertex: int, power: int
-) -> complex:
-    """Identity coefficient of ``(B^power)[vertex, vertex]`` via characters.
-
-    Equals ``(1/|G|) * sum_r dim_r * chi_r`` applied to the diagonal entry,
-    by column orthogonality at the identity; it counts the closed walks at
-    any lift of ``vertex`` in the regular lift whose voltage word is trivial.
-    """
-    if base.group is not irrep_set.group:
-        raise ConsistencyError("base matrix and irreps belong to different groups")
-    if not 0 <= vertex < base.k:
-        raise ValueError(f"vertex {vertex} outside 0..{base.k - 1}")
-    diagonal = base_matrix_power(base, power).entry(vertex, vertex)
-    order = irrep_set.group.order
-    total = sum(
-        r.dim * apply_character(r.character, diagonal) for r in irrep_set
-    )
-    return complex(total) / order

@@ -67,7 +67,6 @@ class InstanceDocument:
     irrep_set: IrrepSet
     ctx: SubgroupContext
     graph: VoltageGraph
-    subgroup_kind: str
     options: Options
 
 
@@ -161,17 +160,17 @@ def _load_group(spec, options: Options) -> tuple[FiniteGroup, IrrepSet]:
     raise ParseError(f"unknown group.kind {kind!r}")
 
 
-def _load_subgroup(spec, group: FiniteGroup) -> tuple[str, frozenset[int]]:
+def _load_subgroup(spec, group: FiniteGroup) -> frozenset[int]:
     kind = _expect(spec, "kind", str, "subgroup")
     if kind == "trivial":
-        return kind, frozenset({group.identity})
+        return frozenset({group.identity})
     if kind == "full":
-        return kind, frozenset(range(group.order))
+        return frozenset(range(group.order))
     if kind == "stabilizer":
         point = _expect(spec, "point", int, "subgroup")
         if isinstance(point, bool):
             raise ParseError("subgroup.point must be an integer")
-        return kind, stabilizer(group, point)
+        return stabilizer(group, point)
     if kind == "generators":
         raw_gens = _expect(spec, "generators", list, "subgroup")
         indices = []
@@ -179,7 +178,7 @@ def _load_subgroup(spec, group: FiniteGroup) -> tuple[str, frozenset[int]]:
             if not isinstance(text, str):
                 raise ParseError("subgroup.generators must be cycle strings")
             indices.append(group.index_of(parse_permutation(text, group.degree)))
-        return kind, subgroup_closure(group, indices)
+        return subgroup_closure(group, indices)
     raise ParseError(f"unknown subgroup.kind {kind!r}")
 
 
@@ -214,9 +213,7 @@ def load_instance(path: str, overrides: dict | None = None) -> InstanceDocument:
         raise ParseError("instance document must be a JSON object")
     options = _load_options(raw.get("options"), overrides or {})
     group, irrep_set = _load_group(_expect(raw, "group", dict, "instance"), options)
-    subgroup_kind, members = _load_subgroup(
-        _expect(raw, "subgroup", dict, "instance"), group
-    )
+    members = _load_subgroup(_expect(raw, "subgroup", dict, "instance"), group)
     ctx = right_cosets(group, members)
     graph = _load_graph(_expect(raw, "graph", dict, "instance"), group)
     return InstanceDocument(
@@ -224,7 +221,6 @@ def load_instance(path: str, overrides: dict | None = None) -> InstanceDocument:
         irrep_set=irrep_set,
         ctx=ctx,
         graph=graph,
-        subgroup_kind=subgroup_kind,
         options=options,
     )
 

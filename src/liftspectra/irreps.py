@@ -160,40 +160,35 @@ def _validate_irrep_set(irrep_set: IrrepSet) -> None:
                 f"irrep check: character norm {norm:.6f} departs from 1; "
                 "representation reducible"
             )
-    for i, a in enumerate(irrep_set):
-        for b in irrep_set.irreps[i + 1 :]:
-            inner = np.vdot(a.character, b.character) / n
-            if abs(inner) > CHARACTER_TOL:
-                raise NumericalError("irrep check: two listed irreps are equivalent")
+    table = irrep_set.character_table
+    gram = table.conj() @ table.T / n
+    if np.any(np.abs(np.triu(gram, 1)) > CHARACTER_TOL):
+        raise NumericalError("irrep check: two listed irreps are equivalent")
 
 
-def _bfs_parents(group: FiniteGroup):
-    """BFS order over the group from the identity along right generator steps."""
+def _extend_from_generators(group: FiniteGroup, gen_images: np.ndarray) -> np.ndarray:
+    """Extend stacked generator images to the whole group in one breadth-first walk.
+
+    ``gen_images[i, slot]`` is irrep ``i``'s image of ``group.generators[slot]``,
+    so the stack is ``(r, s, d, d)``.  The walk starts at the identity and
+    takes right generator steps; each new element ``y = x * gen`` gets
+    ``mats[:, y] = mats[:, x] @ gen_images[:, slot]``.  Returns the
+    ``(r, |G|, d, d)`` stack of all images.
+    """
+    r, _, d, _ = gen_images.shape
+    mats = np.zeros((r, group.order, d, d), dtype=complex)
+    mats[:, group.identity] = np.eye(d)
+    seen = {group.identity}
     order = [group.identity]
-    parent = {group.identity: None}
-    pos = 0
-    while pos < len(order):
-        x = order[pos]
+    for x in order:
         for slot, gen in enumerate(group.generators):
             y = group.mul(x, gen)
-            if y not in parent:
-                parent[y] = (x, slot)
+            if y not in seen:
+                seen.add(y)
                 order.append(y)
-        pos += 1
+                mats[:, y] = mats[:, x] @ gen_images[:, slot]
     if len(order) != group.order:
         raise ConsistencyError("stored generators do not generate the group")
-    return order, parent
-
-
-def _extend_from_generators(group: FiniteGroup, gen_images: list[np.ndarray]) -> np.ndarray:
-    """Extend generator images to the whole group along BFS words."""
-    dim = gen_images[0].shape[0] if gen_images else 1
-    mats = np.zeros((group.order, dim, dim), dtype=complex)
-    mats[group.identity] = np.eye(dim)
-    order, parent = _bfs_parents(group)
-    for y in order[1:]:
-        x, slot = parent[y]
-        mats[y] = mats[x] @ gen_images[slot]
     return mats
 
 
@@ -225,14 +220,13 @@ def _dihedral_generators(m: int) -> tuple[Permutation, Permutation]:
 def _builtin_dihedral(m: int) -> IrrepSet:
     rotation, flip = _dihedral_generators(m)
     group = generate_group([rotation, flip])
-    one = np.eye(1, dtype=complex)
-    mats_list = []
     signs = [(1.0, 1.0), (1.0, -1.0)]
     if m % 2 == 0:
         signs += [(-1.0, 1.0), (-1.0, -1.0)]
-    for sr, sf in signs:
-        mats_list.append(_extend_from_generators(group, [sr * one, sf * one]))
+    sign_images = np.array(signs, dtype=complex).reshape(len(signs), 2, 1, 1)
+    mats_list = list(_extend_from_generators(group, sign_images))
     reflect = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    planes = []
     for j in range(1, (m + 1) // 2):
         theta = 2.0 * np.pi * j / m
         rot = np.array(
@@ -242,7 +236,9 @@ def _builtin_dihedral(m: int) -> IrrepSet:
             ],
             dtype=complex,
         )
-        mats_list.append(_extend_from_generators(group, [rot, reflect]))
+        planes.append([rot, reflect])
+    if planes:
+        mats_list.extend(_extend_from_generators(group, np.array(planes)))
     classes = conjugacy_classes(group)
     return IrrepSet(group=group, irreps=_sort_irreps(group, mats_list, classes))
 
@@ -419,24 +415,26 @@ def compute_irreps(group: FiniteGroup, seed: int = 0) -> IrrepSet:
     )
 
 
-def _trace_rank(irrep: Irrep, ctx: SubgroupContext, label: str) -> int:
-    """Rank of the projector ``P = (1/|H|) sum_{h in H} rho(h)``, which is its trace.
+def _projector_ranks(characters: np.ndarray, ctx: SubgroupContext, label: str) -> list[int]:
+    """Ranks of the projectors ``P = (1/|H|) sum_{h in H} rho(h)``, which are their traces.
 
-    ``P`` is an orthogonal projector, so ``rank P = tr P = (1/|H|) sum_{h in H}
-    chi(h)``, the multiplicity of the irrep in the coset module (Frobenius
-    reciprocity).  A trace further than ``RANK_TRACE_TOL`` from an integer
-    raises :class:`NumericalError`, since no unitary irrep gives one.
+    ``characters`` holds one character per row.  ``P`` is an orthogonal
+    projector, so ``rank P = tr P = (1/|H|) sum_{h in H} chi(h)``, the
+    multiplicity of the irrep in the coset module (Frobenius reciprocity).
+    A trace further than ``RANK_TRACE_TOL`` from an integer raises
+    :class:`NumericalError` naming the first row that is off through
+    ``label.format(row)``, since no unitary irrep gives one.
     """
-    if irrep.group is not ctx.group:
-        raise ConsistencyError("irrep and subgroup context belong to different groups")
-    trace = complex(np.mean(irrep.character[ctx.sorted_members]))
-    rank = round(trace.real)
-    if abs(trace - rank) > RANK_TRACE_TOL:
+    traces = characters[:, ctx.sorted_members].mean(axis=1)
+    nearest = np.round(traces.real)
+    off = np.flatnonzero(np.abs(traces - nearest) > RANK_TRACE_TOL)
+    if off.size:
+        idx = int(off[0])
         raise NumericalError(
-            f"rank identity: {label}, tr P = {trace.real:.12g}{trace.imag:+.3g}j "
-            f"is not within {RANK_TRACE_TOL:g} of an integer"
+            f"rank identity: {label.format(idx)}, tr P = {traces[idx].real:.12g}"
+            f"{traces[idx].imag:+.3g}j is not within {RANK_TRACE_TOL:g} of an integer"
         )
-    return rank
+    return nearest.astype(int).tolist()
 
 
 def subgroup_ranks(irrep_set: IrrepSet, ctx: SubgroupContext) -> list[int]:
@@ -444,24 +442,15 @@ def subgroup_ranks(irrep_set: IrrepSet, ctx: SubgroupContext) -> list[int]:
 
     Rank ``i`` is ``tr P``, the mean of row ``i`` of the set's
     :attr:`~IrrepSet.character_table` over the subgroup (see
-    :func:`_trace_rank`), taken for all irreps in one expression.  A trace
-    further than ``RANK_TRACE_TOL`` from an integer raises
+    :func:`_projector_ranks`), taken for all irreps in one expression.  A
+    trace further than ``RANK_TRACE_TOL`` from an integer raises
     :class:`NumericalError` naming the first irrep that is off.  A violated
     identity means the irrep list is incomplete or duplicated and raises
     :class:`NumericalError` naming the rank-identity stage.
     """
     if irrep_set.group is not ctx.group:
         raise ConsistencyError("irrep and subgroup context belong to different groups")
-    traces = irrep_set.character_table[:, ctx.sorted_members].mean(axis=1)
-    nearest = np.round(traces.real)
-    off = np.flatnonzero(np.abs(traces - nearest) > RANK_TRACE_TOL)
-    if off.size:
-        idx = int(off[0])
-        raise NumericalError(
-            f"rank identity: irrep {idx}, tr P = {traces[idx].real:.12g}"
-            f"{traces[idx].imag:+.3g}j is not within {RANK_TRACE_TOL:g} of an integer"
-        )
-    ranks = nearest.astype(int).tolist()
+    ranks = _projector_ranks(irrep_set.character_table, ctx, "irrep {}")
     weighted = sum(r.dim * rank for r, rank in zip(irrep_set, ranks))
     if weighted != ctx.index_n:
         raise NumericalError(
@@ -475,11 +464,13 @@ def subgroup_sum(irrep: Irrep, ctx: SubgroupContext) -> SubgroupSumImage:
     """Sum the irrep over the context's subgroup, with the rank of that sum.
 
     The sum is ``|H|`` times the projector ``P``, and its rank is the exact
-    integer ``tr P`` read off the character (see :func:`_trace_rank`).  For
-    the trivial subgroup the sum is the identity (rank equal to the irrep
+    integer ``tr P`` read off the character (see :func:`_projector_ranks`).
+    For the trivial subgroup the sum is the identity (rank equal to the irrep
     dimension); for the full group it is zero unless the irrep is trivial.
     """
-    rank = _trace_rank(irrep, ctx, f"{irrep.dim}-dimensional irrep")
+    if irrep.group is not ctx.group:
+        raise ConsistencyError("irrep and subgroup context belong to different groups")
+    (rank,) = _projector_ranks(irrep.character[None], ctx, f"{irrep.dim}-dimensional irrep")
     matrix = irrep.matrices[ctx.sorted_members].sum(axis=0)
     return SubgroupSumImage(irrep=irrep, matrix=matrix, rank=rank)
 
@@ -513,11 +504,7 @@ def verify_great_orthogonality(irrep_set: IrrepSet, tol: float = DEFAULT_VERIFY_
     return float(np.max(np.abs(gram - np.eye(w.shape[1])))) <= tol
 
 
-def verify_character_orthogonality(
-    irrep_set: IrrepSet,
-    classes: list[ConjugacyClass] | None = None,
-    tol: float = DEFAULT_VERIFY_TOL,
-) -> bool:
+def verify_character_orthogonality(irrep_set: IrrepSet, tol: float = DEFAULT_VERIFY_TOL) -> bool:
     """Check both character orthogonality relations on the class table.
 
     Rows: ``sum_g chi_a(g) conj(chi_b(g)) = |G| delta_ab``.  Columns: for
@@ -526,11 +513,10 @@ def verify_character_orthogonality(
     """
     group = irrep_set.group
     n = group.order
-    if classes is None:
-        classes = conjugacy_classes(group)
+    classes = conjugacy_classes(group)
     reps = [c.representative for c in classes]
     sizes = np.array([c.size for c in classes], dtype=float)
-    table = np.array([[r.character[g] for g in reps] for r in irrep_set])
+    table = irrep_set.character_table[:, reps]
     scale = tol * max(1.0, float(n))
     rows = table @ np.diag(sizes) @ table.conj().T
     if np.max(np.abs(rows - n * np.eye(len(table)))) > scale:

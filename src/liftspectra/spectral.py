@@ -38,16 +38,6 @@ class IrrepImage:
     matrix: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class IrrepEigenData:
-    """Eigendecomposition of one Hermitian irrep image, eigenvalues sorted ascending."""
-
-    irrep: Irrep
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 @dataclass(frozen=True)
 class SpectrumEntry:
     """One merged eigenvalue with its total multiplicity in the lift.
@@ -268,8 +258,10 @@ def _check_lift_inputs(base: BaseMatrix, irrep_set: IrrepSet, ctx: SubgroupConte
         )
 
 
-def _image_eigendata(base: BaseMatrix, idx: int, irrep: Irrep) -> IrrepEigenData:
-    """Eigendecompose one irrep image, which must be Hermitian.
+def _image_eigendata(
+    base: BaseMatrix, idx: int, irrep: Irrep
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending, complex) and eigenvectors of one irrep image.
 
     A unitary irrep on an undirected base always gives a Hermitian image, so
     a failed test means the irrep is out of contract; both lift routes refuse
@@ -282,12 +274,7 @@ def _image_eigendata(base: BaseMatrix, idx: int, irrep: Irrep) -> IrrepEigenData
             "irreps must be unitary"
         )
     eigenvalues, eigenvectors = eig_dense(image, hermitian_hint=True)
-    return IrrepEigenData(
-        irrep=irrep,
-        matrix=image,
-        eigenvalues=np.asarray(eigenvalues, dtype=complex),
-        eigenvectors=eigenvectors,
-    )
+    return np.asarray(eigenvalues, dtype=complex), eigenvectors
 
 
 def _merge_spectra(
@@ -371,7 +358,7 @@ def lift_spectrum(
     tags = []
     for idx, (irrep, rank) in enumerate(zip(irrep_set, ranks)):
         if rank:
-            spectra.append(_image_eigendata(base, idx, irrep).eigenvalues.real)
+            spectra.append(_image_eigendata(base, idx, irrep)[0].real)
             tags.append((idx, irrep.dim, rank))
     entries = _merge_spectra(spectra, tags, match_tol)
     total = sum(e.count for e in entries)
@@ -606,30 +593,31 @@ def lift_eigenvectors(
 
     parts = []
     for idx, irrep in enumerate(irrep_set):
-        data = _image_eigendata(base, idx, irrep)
-        pulled = _pull_back(plan.sums[idx], data.eigenvectors, k)
+        eigenvalues, eigenvectors = _image_eigendata(base, idx, irrep)
+        pulled = _pull_back(plan.sums[idx], eigenvectors, k)
         picked = plan.picked[idx]
         if picked:
-            _check_residuals(idx, terms, pulled, data.eigenvalues, picked, residual_tol)
+            _check_residuals(idx, terms, pulled, eigenvalues, picked, residual_tol)
         pulled = pulled.reshape(kn, -1)
-        parts.append((data, pulled, picked, np.max(np.abs(pulled), axis=0, initial=0.0)))
+        peak = np.max(np.abs(pulled), axis=0, initial=0.0)
+        parts.append((irrep.dim, eigenvalues, pulled, picked, peak))
     global_peak = max((float(peak.max(initial=0.0)) for *_, peak in parts), default=0.0)
 
     blocks: list[IrrepColumns] = []
     selected: list[int] = []
     offset = 0
-    for idx, (data, pulled, picked, peak) in enumerate(parts):
+    for idx, (dim, eigenvalues, pulled, picked, peak) in enumerate(parts):
         block = IrrepColumns(
-            dim=data.irrep.dim,
+            dim=dim,
             pulled=pulled,
-            eigenvalues=data.eigenvalues,
+            eigenvalues=eigenvalues,
             picked=picked,
             zero=peak <= ZERO_TOL * global_peak,
         )
         flags = block.selected
         vanishing = np.flatnonzero(flags & block.zero)
         if vanishing.size:
-            j = int(vanishing[0]) // data.eigenvalues.size
+            j = int(vanishing[0]) // eigenvalues.size
             raise NumericalError(
                 f"basis selection: irrep {idx}, picked row j={j} pulls back to zero columns"
             )

@@ -169,12 +169,6 @@ class VoltageGraph:
     def k(self) -> int:
         return len(self.vertices)
 
-    def vertex_index(self, label: str) -> int:
-        try:
-            return self.vertices.index(label)
-        except ValueError:
-            raise ConsistencyError(f"unknown vertex label {label!r}") from None
-
     def edge_triples(self):
         """One ``(tail_label, head_label, voltage)`` triple per input edge."""
         if self.directed:

@@ -138,18 +138,17 @@ def reference_bundle_columns(base, irrep_set, ctx):
     for idx, irrep in enumerate(irrep_set):
         sums = _coset_sums(irrep, ctx)
         projector = sums[0] / len(ctx.subgroup_elements)
-        data = _image_eigendata(base, idx, irrep)
-        pulled = reference_pull_back(sums, data.eigenvectors, k)
+        eigenvalues, eigenvectors = _image_eigendata(base, idx, irrep)
+        pulled = reference_pull_back(sums, eigenvectors, k)
         picked = _select_rows(idx, sums, projector, ranks[idx])
-        blocks.append((data, pulled.reshape(kn, -1), picked))
+        blocks.append((irrep.dim, eigenvalues, pulled.reshape(kn, -1), picked))
 
-    peaks = [np.max(np.abs(b), axis=0, initial=0.0) for _, b, _ in blocks]
+    peaks = [np.max(np.abs(b), axis=0, initial=0.0) for _, _, b, _ in blocks]
     global_peak = max((float(p.max(initial=0.0)) for p in peaks), default=0.0)
 
     columns = []
     selected = []
-    for idx, ((data, pulled, picked), peak) in enumerate(zip(blocks, peaks)):
-        d = data.irrep.dim
+    for idx, ((d, eigenvalues, pulled, picked), peak) in enumerate(zip(blocks, peaks)):
         zero = peak <= ZERO_TOL * global_peak
         for col in range(pulled.shape[1]):
             j, c = divmod(col, d * k)
@@ -163,7 +162,7 @@ def reference_bundle_columns(base, irrep_set, ctx):
             columns.append(
                 EigenvectorColumn(
                     vector=pulled[:, col],
-                    eigenvalue=complex(data.eigenvalues[c]),
+                    eigenvalue=complex(eigenvalues[c]),
                     irrep=idx,
                     j=j,
                     w=c // d,
@@ -227,17 +226,39 @@ def reference_merge(spectra, tags, match_tol):
     return tuple(entries)
 
 
+def reference_trace_rank(irrep, ctx, label):
+    """Rank of the projector ``P = (1/|H|) sum_{h in H} rho(h)``, which is its trace.
+
+    ``P`` is an orthogonal projector, so ``rank P = tr P = (1/|H|) sum_{h in H}
+    chi(h)``, the multiplicity of the irrep in the coset module (Frobenius
+    reciprocity).  A trace further than ``RANK_TRACE_TOL`` from an integer
+    raises :class:`NumericalError`, since no unitary irrep gives one.
+    """
+    from liftspectra.errors import ConsistencyError, NumericalError
+    from liftspectra.irreps import RANK_TRACE_TOL
+
+    if irrep.group is not ctx.group:
+        raise ConsistencyError("irrep and subgroup context belong to different groups")
+    trace = complex(np.mean(irrep.character[ctx.sorted_members]))
+    rank = round(trace.real)
+    if abs(trace - rank) > RANK_TRACE_TOL:
+        raise NumericalError(
+            f"rank identity: {label}, tr P = {trace.real:.12g}{trace.imag:+.3g}j "
+            f"is not within {RANK_TRACE_TOL:g} of an integer"
+        )
+    return rank
+
+
 def reference_spectrum_entries(base, irrep_set, ctx, match_tol):
     """``lift_spectrum``'s entries as the per-irrep rank loop and the tuple merge gave them."""
-    from liftspectra.irreps import _trace_rank
     from liftspectra.spectral import _image_eigendata
 
     spectra = []
     tags = []
     for idx, irrep in enumerate(irrep_set):
-        rank = _trace_rank(irrep, ctx, f"irrep {idx}")
+        rank = reference_trace_rank(irrep, ctx, f"irrep {idx}")
         if rank:
-            spectra.append(_image_eigendata(base, idx, irrep).eigenvalues)
+            spectra.append(_image_eigendata(base, idx, irrep)[0])
             tags.append((idx, irrep.dim, rank))
     return reference_merge(spectra, tags, match_tol)
 
@@ -401,3 +422,68 @@ def reference_decompose_regular(group, classes, rng):
             )
         found.append(sub)
     return found
+
+
+# The per-irrep generator walk that built the dihedral catalog before the
+# stacked walk in ``liftspectra.irreps``: the bit-for-bit reference, kept
+# verbatim apart from its names and imports.
+
+
+def reference_bfs_parents(group):
+    """BFS order over the group from the identity along right generator steps."""
+    from liftspectra.errors import ConsistencyError
+
+    order = [group.identity]
+    parent = {group.identity: None}
+    pos = 0
+    while pos < len(order):
+        x = order[pos]
+        for slot, gen in enumerate(group.generators):
+            y = group.mul(x, gen)
+            if y not in parent:
+                parent[y] = (x, slot)
+                order.append(y)
+        pos += 1
+    if len(order) != group.order:
+        raise ConsistencyError("stored generators do not generate the group")
+    return order, parent
+
+
+def reference_extend_from_generators(group, gen_images):
+    """Extend generator images to the whole group along BFS words."""
+    dim = gen_images[0].shape[0] if gen_images else 1
+    mats = np.zeros((group.order, dim, dim), dtype=complex)
+    mats[group.identity] = np.eye(dim)
+    order, parent = reference_bfs_parents(group)
+    for y in order[1:]:
+        x, slot = parent[y]
+        mats[y] = mats[x] @ gen_images[slot]
+    return mats
+
+
+def reference_builtin_dihedral(m):
+    from liftspectra import IrrepSet, conjugacy_classes, generate_group
+    from liftspectra.irreps import _dihedral_generators, _sort_irreps
+
+    rotation, flip = _dihedral_generators(m)
+    group = generate_group([rotation, flip])
+    one = np.eye(1, dtype=complex)
+    mats_list = []
+    signs = [(1.0, 1.0), (1.0, -1.0)]
+    if m % 2 == 0:
+        signs += [(-1.0, 1.0), (-1.0, -1.0)]
+    for sr, sf in signs:
+        mats_list.append(reference_extend_from_generators(group, [sr * one, sf * one]))
+    reflect = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    for j in range(1, (m + 1) // 2):
+        theta = 2.0 * np.pi * j / m
+        rot = np.array(
+            [
+                [np.cos(theta), -np.sin(theta)],
+                [np.sin(theta), np.cos(theta)],
+            ],
+            dtype=complex,
+        )
+        mats_list.append(reference_extend_from_generators(group, [rot, reflect]))
+    classes = conjugacy_classes(group)
+    return IrrepSet(group=group, irreps=_sort_irreps(group, mats_list, classes))

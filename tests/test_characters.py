@@ -3,6 +3,7 @@ import pytest
 
 from liftspectra import characters
 from liftspectra import (
+    BaseMatrix,
     ConsistencyError,
     GroupAlgebraElement,
     IrrepSet,
@@ -13,7 +14,6 @@ from liftspectra import (
     build_base_matrix,
     build_lift,
     builtin_irreps,
-    coefficient_of_identity,
     lift_spectrum,
     parse_permutation,
     power_sums_to_roots,
@@ -94,10 +94,6 @@ class TestPowerSumsToRoots:
     def test_degree_cap(self):
         with pytest.raises(ValueError):
             power_sums_to_roots([0.0] * 33)
-
-    def test_not_enough_sums(self):
-        with pytest.raises(ValueError):
-            power_sums_to_roots([1.0, 2.0], degree=3)
 
     def test_failed_roundtrip_names_the_stage(self, monkeypatch):
         # Roots that do not reproduce the power sums must be refused.
@@ -193,6 +189,35 @@ class TestRegularSpectrumViaCharacters:
         result = regular_spectrum_via_characters(base, irr)
         assert multiset_distance(result.spectrum, [-1.0, 1.0]) < 1e-9
 
+    def test_degree_above_the_newton_cap_is_refused_before_any_power(
+        self, monkeypatch, dumbbell_base, sym3_catalog
+    ):
+        products = []
+        matmul = BaseMatrix.__matmul__
+
+        def spy(left, right):
+            products.append(1)
+            return matmul(left, right)
+
+        monkeypatch.setattr(BaseMatrix, "__matmul__", spy)
+        regular_spectrum_via_characters(dumbbell_base, sym3_catalog)
+        assert products
+        products.clear()
+        # The plane irrep of D3 on a 17-vertex path needs 34 power sums.
+        irrep_set = builtin_irreps("dihedral", 3)
+        group = irrep_set.group
+        labels = [str(v) for v in range(17)]
+        edges = [(a, b, group.identity) for a, b in zip(labels, labels[1:])]
+        edges.append(("0", "0", _elem(group, "(1 2 3)")))
+        base = build_base_matrix(VoltageGraph.build(group, labels, edges))
+        with pytest.raises(
+            ConsistencyError,
+            match=r"^character spectrum: irrep 2 \(2-dimensional\) needs dim\*k = 34 power "
+            r"sums, above MAX_NEWTON_DEGREE = 32",
+        ):
+            regular_spectrum_via_characters(base, irrep_set)
+        assert products == []
+
     def test_group_mismatch(self, dumbbell_base):
         other = builtin_irreps("cyclic", 2)
         with pytest.raises(ConsistencyError):
@@ -235,17 +260,29 @@ class TestTraceIdentities:
                     assert abs(block - via_char) < 1e-8 * max(1.0, abs(block))
 
 
+def identity_coefficient(base, irrep_set, vertex, power):
+    """Identity coefficient of ``(B^power)[vertex, vertex]`` through the characters.
+
+    Column orthogonality at the identity gives ``(1/|G|) sum_r dim_r chi_r``
+    applied to the diagonal entry: the number of closed walks at a lift of
+    ``vertex`` in the regular lift whose voltage word is trivial.
+    """
+    diagonal = base_matrix_power(base, power).entry(vertex, vertex)
+    total = sum(r.dim * apply_character(r.character, diagonal) for r in irrep_set)
+    return complex(total) / irrep_set.group.order
+
+
 class TestCoefficientOfIdentity:
     def test_dumbbell_closed_walks(self, dumbbell_base, sym3_catalog):
         # (B^2)[u, u] has identity coefficient 5: the five length-2 closed
         # walks at u whose voltage word collapses to the identity.
-        value = coefficient_of_identity(dumbbell_base, sym3_catalog, 0, 2)
+        value = identity_coefficient(dumbbell_base, sym3_catalog, 0, 2)
         assert value == pytest.approx(5.0)
 
     def test_length_one_no_trivial_loop(self, dumbbell_base, sym3_catalog):
         # The loop at u carries a non-identity voltage, so no length-1 walk
         # closes up in the regular lift.
-        value = coefficient_of_identity(dumbbell_base, sym3_catalog, 0, 1)
+        value = identity_coefficient(dumbbell_base, sym3_catalog, 0, 1)
         assert value == pytest.approx(0.0)
 
     def test_matches_regular_lift_walk_count(self, sym3, sym3_catalog, trivial_ctx):
@@ -268,9 +305,5 @@ class TestCoefficientOfIdentity:
                     # Vertex (v, identity coset) sits at row v * |G|.
                     row = vertex * sym3.order
                     expected = float(matrix[row, row])
-                    got = coefficient_of_identity(base, sym3_catalog, vertex, power)
+                    got = identity_coefficient(base, sym3_catalog, vertex, power)
                     assert got == pytest.approx(expected)
-
-    def test_bad_vertex(self, dumbbell_base, sym3_catalog):
-        with pytest.raises(ValueError):
-            coefficient_of_identity(dumbbell_base, sym3_catalog, 5, 2)

@@ -80,7 +80,6 @@ class TestLoadInstance:
         assert doc.group.order == 6
         assert doc.ctx.index_n == 3
         assert doc.graph.k == 2
-        assert doc.subgroup_kind == "stabilizer"
 
     def test_generators_group_instance(self):
         doc = load_instance(DUMBBELL_GENERATORS)
@@ -260,6 +259,24 @@ class TestCharactersCommand:
         code, out, _ = _run(capsys, ["characters", path])
         assert code == 0
         assert json.loads(out)["total"] == 6
+
+    def test_degree_above_the_newton_cap_is_refused(self, tmp_path, capsys):
+        # The dihedral plane irrep on a 17-vertex path needs 34 power sums.
+        vertices = [f"v{i}" for i in range(17)]
+        edges = [{"from": a, "to": b, "voltage": "()"} for a, b in zip(vertices, vertices[1:])]
+        edges.append({"from": "v0", "to": "v0", "voltage": "(1 2 3)"})
+        doc = {
+            "group": {"kind": "named", "family": "dihedral", "param": 3},
+            "subgroup": {"kind": "trivial"},
+            "graph": {"vertices": vertices, "edges": edges},
+        }
+        code, out, err = _run(capsys, ["characters", _write_instance(tmp_path, doc)])
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: character spectrum: irrep 2 (2-dimensional) needs dim*k = 34 power "
+            "sums, above MAX_NEWTON_DEGREE = 32; use the blockwise spectral route\n"
+        )
 
 
 class TestIrrepsCommand:

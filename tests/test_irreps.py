@@ -1,8 +1,12 @@
+import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import reference_decompose_regular
+from helpers import reference_builtin_dihedral, reference_decompose_regular, reference_trace_rank
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liftspectra.irreps as irreps_module
 from liftspectra import (
@@ -16,6 +20,7 @@ from liftspectra import (
     generate_group,
     parse_permutation,
     right_cosets,
+    stabilizer,
     subgroup_closure,
     subgroup_sum,
     verify_character_orthogonality,
@@ -204,6 +209,22 @@ class TestBuiltinFamilies:
     def test_unknown_family(self):
         with pytest.raises(ConsistencyError):
             builtin_irreps("quaternion", 2)
+
+    def test_dihedral_bytes_match_the_per_irrep_walk(self):
+        for m in range(1, 41):
+            got = builtin_irreps("dihedral", m)
+            want = reference_builtin_dihedral(m)
+            assert got.dims == want.dims
+            for a, b in zip(got, want):
+                assert a.matrices.tobytes() == b.matrices.tobytes()
+                assert a.character.tobytes() == b.character.tobytes()
+
+    def test_generators_that_miss_the_group_are_refused(self):
+        group = builtin_irreps("dihedral", 5).group
+        rotations = dataclasses.replace(group, generators=group.generators[:1])
+        images = np.ones((1, 1, 1, 1), dtype=complex)
+        with pytest.raises(ConsistencyError, match="^stored generators do not generate the group$"):
+            irreps_module._extend_from_generators(rotations, images)
 
     @pytest.mark.parametrize(
         "name,param",
@@ -430,6 +451,21 @@ class TestSubgroupSums:
         with pytest.raises(ConsistencyError):
             subgroup_sum(other[0], point_stabilizer_ctx)
 
+    def test_fractional_trace_names_the_irrep(self, sym3, sym3_catalog, point_stabilizer_ctx):
+        plane = sym3_catalog[2]
+        shrunk = Irrep(
+            group=sym3, dim=2, matrices=0.5 * plane.matrices, character=0.5 * plane.character
+        )
+        message = (
+            "rank identity: 2-dimensional irrep, tr P = 0.5+0j is not within 1e-08 of an integer"
+        )
+        with pytest.raises(NumericalError) as exc:
+            subgroup_sum(shrunk, point_stabilizer_ctx)
+        assert str(exc.value) == message
+        with pytest.raises(NumericalError) as exc:
+            reference_trace_rank(shrunk, point_stabilizer_ctx, "2-dimensional irrep")
+        assert str(exc.value) == message
+
 
 class TestRankIdentity:
     def test_sym3_point_stabilizer(self, sym3_catalog, point_stabilizer_ctx):
@@ -460,6 +496,39 @@ class TestRankIdentity:
             gens = [int(rng.integers(group.order)) for _ in range(2)]
             ctx = right_cosets(group, subgroup_closure(group, gens))
             assert verify_rank_identity(irr, ctx)
+
+
+RANK_GROUPS = {
+    "S4": (4, ["(1 2 3 4)", "(1 2)"]),
+    "A5": (5, ["(1 2 3 4 5)", "(1 2 3)"]),
+    "S5": (5, ["(1 2)", "(1 2 3 4 5)"]),
+}
+
+
+@functools.cache
+def _rank_catalog(name):
+    if name == "D6":
+        return builtin_irreps("dihedral", 6)
+    degree, gens = RANK_GROUPS[name]
+    return compute_irreps(generate_group([parse_permutation(g, degree) for g in gens]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(["D6", *RANK_GROUPS]), data=st.data())
+def test_ranks_match_the_per_irrep_trace_rule(name, data):
+    irrep_set = _rank_catalog(name)
+    group = irrep_set.group
+    kind = data.draw(st.sampled_from(["trivial", "stabilizer", "cyclic"]))
+    if kind == "trivial":
+        members = frozenset({group.identity})
+    elif kind == "stabilizer":
+        members = stabilizer(group, data.draw(st.integers(1, group.degree)))
+    else:
+        members = subgroup_closure(group, [data.draw(st.integers(0, group.order - 1))])
+    ctx = right_cosets(group, members)
+    want = [reference_trace_rank(r, ctx, f"irrep {i}") for i, r in enumerate(irrep_set)]
+    assert irreps_module.subgroup_ranks(irrep_set, ctx) == want
+    assert [subgroup_sum(r, ctx).rank for r in irrep_set] == want
 
 
 class TestOrthogonalityChecks:
