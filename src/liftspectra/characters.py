@@ -52,6 +52,8 @@ def power_sums_to_roots(sums) -> np.ndarray:
     elementary symmetric polynomials, hence into a monic polynomial whose
     companion matrix is eigendecomposed.  The recovered roots are verified by
     reproducing every power sum within ``ROUNDTRIP_TOL * max(1, |p_l|)``.
+    They come back sorted ascending by (real, imaginary), as
+    :func:`eig_dense` returns them.
 
     Degrees above 32 are refused: the identities become too ill-conditioned,
     and the blockwise spectral route should be used instead.
@@ -74,6 +76,7 @@ def power_sums_to_roots(sums) -> np.ndarray:
         elementary.append(_kahan_sum(terms) / i)
 
     if degree == 1:
+        # A 1 x 1 companion holds -(-e1): a real e1 would gain imaginary part -0.0.
         roots = np.array([elementary[1]])
     else:
         # Monic coefficients: x^m - e1 x^(m-1) + e2 x^(m-2) - ...
@@ -94,8 +97,7 @@ def power_sums_to_roots(sums) -> np.ndarray:
                 f"power-sum roundtrip: failed at l={ell}: "
                 f"{reproduced} vs {sums[ell - 1]}"
             )
-    order = np.lexsort((roots.imag, roots.real))
-    return np.asarray(roots)[order]
+    return roots
 
 
 @dataclass(frozen=True)

@@ -155,6 +155,13 @@ def _load_group(spec, options: Options) -> tuple[FiniteGroup, IrrepSet]:
         param = spec.get("param", 1)
         if isinstance(param, bool) or not isinstance(param, int) or param < 1:
             raise ParseError("group.param must be a positive integer")
+        # Checked before any table is built, as closure does for generated groups.
+        order = {"cyclic": param, "dihedral": 2 * param, "sym3": 6}[family]
+        if order > options.order_cap:
+            raise ConsistencyError(
+                f"named group {family} {param} has order {order}, "
+                f"above order_cap={options.order_cap}"
+            )
         irrep_set = builtin_irreps(family, param)
         return irrep_set.group, irrep_set
     raise ParseError(f"unknown group.kind {kind!r}")
@@ -237,7 +244,7 @@ def _emit(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def cmd_spectrum(doc: InstanceDocument) -> int:
+def cmd_spectrum(doc: InstanceDocument, args: argparse.Namespace) -> int:
     _require_undirected(doc, "spectrum")
     base = build_base_matrix(doc.graph)
     report = lift_spectrum(
@@ -247,7 +254,7 @@ def cmd_spectrum(doc: InstanceDocument) -> int:
     return 0
 
 
-def cmd_eigvecs(doc: InstanceDocument) -> int:
+def cmd_eigvecs(doc: InstanceDocument, args: argparse.Namespace) -> int:
     _require_undirected(doc, "eigvecs")
     base = build_base_matrix(doc.graph)
     bundle = lift_eigenvectors(
@@ -257,10 +264,10 @@ def cmd_eigvecs(doc: InstanceDocument) -> int:
     return 0
 
 
-def cmd_lift(doc: InstanceDocument, emit_adjacency: bool) -> int:
+def cmd_lift(doc: InstanceDocument, args: argparse.Namespace) -> int:
     _require_undirected(doc, "lift")
     lift = build_lift(doc.graph, doc.ctx)
-    if emit_adjacency:
+    if args.emit_adjacency:
         _emit(lift.to_json())
     else:
         for line in lift.edge_lines():
@@ -268,12 +275,12 @@ def cmd_lift(doc: InstanceDocument, emit_adjacency: bool) -> int:
     return 0
 
 
-def cmd_verify(doc: InstanceDocument, trials: int) -> int:
+def cmd_verify(doc: InstanceDocument, args: argparse.Namespace) -> int:
     _require_undirected(doc, "verify")
-    if trials < 0:
+    if args.trials < 0:
         raise ParseError("--trials must be non-negative")
     labelled = [("instance", doc.graph)]
-    for i in range(trials):
+    for i in range(args.trials):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=doc.options.seed, spawn_key=(7, i))
         )
@@ -295,8 +302,8 @@ def cmd_verify(doc: InstanceDocument, trials: int) -> int:
     return 0 if passed else 1
 
 
-def cmd_characters(doc: InstanceDocument) -> int:
-    if len(doc.ctx.subgroup_elements) != 1:
+def cmd_characters(doc: InstanceDocument, args: argparse.Namespace) -> int:
+    if doc.ctx.sorted_members.size != 1:
         raise ConsistencyError(
             "the character route computes regular-lift spectra; "
             "the subgroup must be trivial"
@@ -307,10 +314,10 @@ def cmd_characters(doc: InstanceDocument) -> int:
     return 0
 
 
-def cmd_irreps(doc: InstanceDocument, dump: bool) -> int:
+def cmd_irreps(doc: InstanceDocument, args: argparse.Namespace) -> int:
     group = doc.group
     payload: dict = {"group_order": group.order}
-    if dump:
+    if args.dump:
         payload["irreps"] = [
             {
                 "dim": r.dim,
@@ -336,24 +343,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    # The ``cmd_*`` names are read each time the parser is built, so a
+    # rebound name is the one that runs.
+    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("file", help="instance JSON document")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tol-residual", dest="tol_residual", type=float, default=None)
         p.add_argument("--tol-match", dest="tol_match", type=float, default=None)
         return p
 
-    add("spectrum", "full lift spectrum with multiplicities and provenance")
-    add("eigvecs", "tagged eigenvector columns and a selected basis")
-    lift_p = add("lift", "explicit lift as an edge list (or adjacency JSON)")
+    add("spectrum", cmd_spectrum, "full lift spectrum with multiplicities and provenance")
+    add("eigvecs", cmd_eigvecs, "tagged eigenvector columns and a selected basis")
+    lift_p = add("lift", cmd_lift, "explicit lift as an edge list (or adjacency JSON)")
     lift_p.add_argument("--emit-adjacency", action="store_true")
-    verify_p = add("verify", "cross-check against explicitly built lifts")
+    verify_p = add("verify", cmd_verify, "cross-check against explicitly built lifts")
     verify_p.add_argument("--trials", type=int, default=1)
-    add("characters", "regular-lift spectrum via characters and traces")
-    irreps_p = add("irreps", "irrep dimensions (optionally full matrices)")
+    add("characters", cmd_characters, "regular-lift spectrum via characters and traces")
+    irreps_p = add("irreps", cmd_irreps, "irrep dimensions (optionally full matrices)")
     irreps_p.add_argument("--dump", action="store_true")
     return parser
+
+
+EXIT_CODES = {ParseError: 2, ConsistencyError: 3, NumericalError: 4}
 
 
 def main(argv=None) -> int:
@@ -364,29 +377,10 @@ def main(argv=None) -> int:
         "tol_match": args.tol_match,
     }
     try:
-        doc = load_instance(args.file, overrides)
-        if args.command == "spectrum":
-            return cmd_spectrum(doc)
-        if args.command == "eigvecs":
-            return cmd_eigvecs(doc)
-        if args.command == "lift":
-            return cmd_lift(doc, args.emit_adjacency)
-        if args.command == "verify":
-            return cmd_verify(doc, args.trials)
-        if args.command == "characters":
-            return cmd_characters(doc)
-        if args.command == "irreps":
-            return cmd_irreps(doc, args.dump)
-        raise ParseError(f"unknown command {args.command!r}")
-    except ParseError as exc:
+        return args.handler(load_instance(args.file, overrides), args)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return EXIT_CODES[type(exc)]
 
 
 def entry() -> None:

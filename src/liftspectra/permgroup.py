@@ -338,38 +338,34 @@ class SubgroupContext:
 
     Coset 0 is the subgroup itself.  The remaining cosets are discovered
     breadth-first from it by right-multiplying with the group generators in
-    generator order, so the labelling is reproducible.  ``coset_of[x]`` maps
-    an element index to its coset label and ``representatives[j]`` is the
-    canonically smallest member of coset ``j``.
+    generator order, so the labelling is reproducible.  All arrays are
+    read-only.  ``sorted_members`` lists the subgroup's element indices in
+    ascending order and ``coset_of[x]`` is the coset label of element ``x``.
+    ``coset_order`` is the stable ``argsort(coset_of)``: coset ``J`` fills
+    positions ``J * |H|`` to ``(J + 1) * |H|``, ascending.
+    ``representatives[j]`` is the canonically smallest member of coset ``j``.
     """
 
     group: FiniteGroup
-    subgroup_elements: frozenset[int]
-    cosets: tuple[frozenset[int], ...]
+    sorted_members: np.ndarray
     coset_of: np.ndarray
+    coset_order: np.ndarray
     representatives: tuple[int, ...]
 
     @property
     def index_n(self) -> int:
-        return len(self.cosets)
+        return len(self.representatives)
 
     @functools.cached_property
-    def sorted_members(self) -> np.ndarray:
-        """The subgroup's element indices in ascending order (read-only)."""
-        members = np.array(sorted(self.subgroup_elements), dtype=np.int64)
-        members.flags.writeable = False
-        return members
+    def subgroup_elements(self) -> frozenset[int]:
+        """The subgroup's element indices, built on first read."""
+        return frozenset(self.sorted_members.tolist())
 
     @functools.cached_property
-    def coset_order(self) -> np.ndarray:
-        """Element indices grouped by coset label, ascending within each coset (read-only).
-
-        This is ``argsort(coset_of)`` with a stable sort, so coset ``J``
-        occupies positions ``J * |H|`` to ``(J + 1) * |H|``.
-        """
-        order = np.argsort(self.coset_of, kind="stable")
-        order.flags.writeable = False
-        return order
+    def cosets(self) -> tuple[frozenset[int], ...]:
+        """The member sets of the cosets in label order, built on first read."""
+        by_coset = self.coset_order.reshape(self.index_n, -1).tolist()
+        return tuple(frozenset(coset) for coset in by_coset)
 
     @functools.cached_property
     def coset_action(self) -> np.ndarray:
@@ -396,8 +392,7 @@ def right_cosets(group: FiniteGroup, subgroup_elements) -> SubgroupContext:
         closed under products and inverses), or if the group's generators
         leave a coset unreached.
     """
-    members = frozenset(int(x) for x in subgroup_elements)
-    sorted_members = np.array(sorted(members), dtype=np.int64)
+    sorted_members = np.array(sorted({int(x) for x in subgroup_elements}), dtype=np.int64)
     _check_subgroup(group, sorted_members)
 
     # Column x of the table over H's rows is the right coset H x.  Each coset
@@ -418,12 +413,14 @@ def right_cosets(group: FiniteGroup, subgroup_elements) -> SubgroupContext:
     coset_of = np.array(label, dtype=np.int64)[smallest]
     if np.any(coset_of < 0):
         raise ConsistencyError("group generators do not reach every coset")
-    by_coset = np.argsort(coset_of, kind="stable").reshape(len(representatives), -1)
+    coset_order = np.argsort(coset_of, kind="stable")
+    for array in (sorted_members, coset_of, coset_order):
+        array.flags.writeable = False
     return SubgroupContext(
         group=group,
-        subgroup_elements=members,
-        cosets=tuple(frozenset(coset) for coset in by_coset.tolist()),
+        sorted_members=sorted_members,
         coset_of=coset_of,
+        coset_order=coset_order,
         representatives=tuple(representatives),
     )
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConsistencyError, NumericalError
 from .irreps import Irrep, IrrepSet, subgroup_ranks
 from .permgroup import SubgroupContext
-from .voltage import INTEGER_TOL, BaseMatrix, VoltageGraph, build_base_matrix, build_lift
+from .voltage import BaseMatrix, VoltageGraph, _lift_terms, build_base_matrix, build_lift
 
 DEFAULT_MATCH_TOL = 1e-7
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -376,7 +376,7 @@ def _coset_sums(irrep: Irrep, ctx: SubgroupContext) -> np.ndarray:
     Coset 0 is the subgroup itself, so slice 0 is ``|H|`` times the
     projector ``P = (1/|H|) sum_{h in H} rho(h)``.
     """
-    size = len(ctx.subgroup_elements)
+    size = ctx.sorted_members.size
     d = irrep.dim
     return irrep.matrices[ctx.coset_order].reshape(ctx.index_n, size, d, d).sum(axis=1)
 
@@ -440,7 +440,7 @@ def _pullback_plan(irrep_set: IrrepSet, ctx: SubgroupContext) -> _PullbackPlan:
         picked = []
         for idx, (irrep, rank) in enumerate(zip(irrep_set, ranks)):
             coset_sums = _coset_sums(irrep, ctx)
-            projector = coset_sums[0] / len(ctx.subgroup_elements)
+            projector = coset_sums[0] / ctx.sorted_members.size
             picked.append(tuple(_select_rows(idx, coset_sums, projector, rank)))
             laid_out = coset_sums.transpose(2, 0, 1).reshape(irrep.dim, -1)
             laid_out.flags.writeable = False
@@ -474,29 +474,6 @@ def _pull_back(sums: np.ndarray, eigenvectors: np.ndarray, k: int) -> np.ndarray
     product = np.dot(rows, sums).reshape(k, dk, n, d).transpose(0, 2, 3, 1)
     np.add(product, 0.0, out=out)
     return out
-
-
-def _lift_terms(base: BaseMatrix, ctx: SubgroupContext) -> list:
-    """``(u, v, multiplicity, coset action)`` for every voltage in the base matrix.
-
-    Coefficients are read from the voltage table, must be integers within
-    ``INTEGER_TOL`` (else :class:`NumericalError` names the first one off)
-    and are dropped when they round to zero.  Each coset action is a row of
-    :attr:`SubgroupContext.coset_action`.
-    """
-    table = base.voltage_table
-    nearest = np.round(table.c.real)
-    off = np.flatnonzero(np.abs(table.c - nearest) > INTEGER_TOL)
-    if off.size:
-        i = off[0]
-        raise NumericalError(
-            f"lift terms: coefficient {complex(table.c[i])} of element "
-            f"{int(table.g[i])} is not an integer within {INTEGER_TOL}"
-        )
-    actions = ctx.coset_action
-    keep = np.flatnonzero(nearest)
-    columns = (col[keep].tolist() for col in (table.u, table.v, table.g, nearest))
-    return [(u, v, int(c), actions[g]) for u, v, g, c in zip(*columns)]
 
 
 def _column_norms(matrix: np.ndarray) -> np.ndarray:

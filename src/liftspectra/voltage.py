@@ -26,6 +26,24 @@ from .permgroup import (
 INTEGER_TOL = 1e-9
 
 
+def _integer_counts(values, elements, stage: str) -> np.ndarray:
+    """The nearest integers to complex ``values``, as floats, each within ``INTEGER_TOL``.
+
+    Otherwise :class:`NumericalError`, prefixed by ``stage``, names the first
+    value off and its entry in the parallel sequence of group ``elements``.
+    """
+    values = np.asarray(values, dtype=complex)
+    nearest = np.round(values.real)
+    off = np.flatnonzero(np.abs(values - nearest) > INTEGER_TOL)
+    if off.size:
+        i = off[0]
+        raise NumericalError(
+            f"{stage}: coefficient {complex(values[i])} of element "
+            f"{int(elements[i])} is not an integer within {INTEGER_TOL}"
+        )
+    return nearest
+
+
 @dataclass(frozen=True, eq=False)
 class GroupAlgebraElement:
     """A finite formal sum of group elements with complex coefficients.
@@ -75,26 +93,18 @@ class GroupAlgebraElement:
             self.group, {i: factor * c for i, c in self.coefficients.items()}
         )
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.coefficients.values())
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coefficients.values())
 
-    def isclose(self, other: "GroupAlgebraElement", tol: float = 1e-9) -> bool:
+    def isclose(self, other: "GroupAlgebraElement") -> bool:
         keys = set(self.coefficients) | set(other.coefficients)
-        return all(abs(self.coefficient(k) - other.coefficient(k)) <= tol for k in keys)
+        return all(abs(self.coefficient(k) - other.coefficient(k)) <= 1e-9 for k in keys)
 
-    def integer_coefficients(self, tol: float = INTEGER_TOL) -> dict[int, int]:
-        """Coefficients rounded to integers, or :class:`NumericalError` if far."""
-        out = {}
-        for idx, c in self.coefficients.items():
-            nearest = round(c.real)
-            if abs(c - nearest) > tol:
-                raise NumericalError(
-                    f"walk counts: coefficient {c} of element {idx} "
-                    f"is not an integer within {tol}"
-                )
-            if nearest != 0:
-                out[idx] = int(nearest)
-        return out
+    def integer_coefficients(self) -> dict[int, int]:
+        """Nonzero coefficients as integers, by :func:`_integer_counts` (stage ``walk counts``)."""
+        elements = list(self.coefficients)
+        counts = _integer_counts(list(self.coefficients.values()), elements, "walk counts")
+        return {g: int(c) for g, c in zip(elements, counts.tolist()) if c}
 
     def __repr__(self) -> str:
         if not self.coefficients:
@@ -356,23 +366,39 @@ class LiftGraph:
         }
 
 
+def _lift_terms(base: BaseMatrix, ctx: SubgroupContext) -> list:
+    """The lift's arcs as ``(u, v, count, coset action)`` rows, one per base-matrix voltage.
+
+    The ``count`` arcs ``u -> v`` with voltage ``g`` join ``(u, J)`` to
+    ``(v, J g)`` for every coset ``J``, and ``J g`` is entry ``J`` of row
+    ``g`` of :attr:`SubgroupContext.coset_action`.  Counts come from the
+    voltage table by :func:`_integer_counts`; rows with count 0 are dropped.
+    """
+    table = base.voltage_table
+    counts = _integer_counts(table.c, table.g, "lift terms")
+    actions = ctx.coset_action
+    keep = np.flatnonzero(counts)
+    columns = (col[keep].tolist() for col in (table.u, table.v, table.g, counts))
+    return [(u, v, int(c), actions[g]) for u, v, g, c in zip(*columns)]
+
+
 def build_lift(graph: VoltageGraph, ctx: SubgroupContext) -> LiftGraph:
     """Construct the lift adjacency over the context's coset space.
 
     Every arc ``u -> v`` with voltage ``g`` contributes one edge from
-    ``(u, J)`` to ``(v, Jg)`` for each coset ``J``.  Undirected base graphs
-    therefore produce symmetric adjacency matrices, and each row sums to the
-    out-degree of its base vertex.
+    ``(u, J)`` to ``(v, Jg)`` for each coset ``J`` (:func:`_lift_terms`).
+    Undirected base graphs therefore produce symmetric adjacency matrices,
+    and each row sums to the out-degree of its base vertex.
     """
     if graph.group is not ctx.group:
         raise ConsistencyError("graph and subgroup context belong to different groups")
     n = ctx.index_n
     k = graph.k
     adjacency = np.zeros((k * n, k * n), dtype=np.int64)
-    coset_rows = np.arange(n)
-    actions = ctx.coset_action
-    for arc in graph.arcs:
-        np.add.at(adjacency, (arc.tail * n + coset_rows, arc.head * n + actions[arc.voltage]), 1)
+    cosets = np.arange(n)
+    # An action is a permutation of the cosets, so no row repeats an index.
+    for u, v, count, action in _lift_terms(build_base_matrix(graph), ctx):
+        adjacency[u * n + cosets, v * n + action] += count
     labels = tuple(
         (label, coset) for label in graph.vertices for coset in range(n)
     )

@@ -289,7 +289,9 @@ def reference_check_subgroup(group, members):
 
 
 def reference_right_cosets(group, subgroup_elements):
-    from liftspectra import ConsistencyError, SubgroupContext
+    from types import SimpleNamespace
+
+    from liftspectra import ConsistencyError
 
     members = frozenset(int(x) for x in subgroup_elements)
     reference_check_subgroup(group, members)
@@ -324,7 +326,7 @@ def reference_right_cosets(group, subgroup_elements):
     if sum(len(c) for c in cosets) != n_elements:
         raise ConsistencyError("cosets do not partition the group")
     representatives = tuple(min(c) for c in cosets)
-    return SubgroupContext(
+    return SimpleNamespace(
         group=group,
         subgroup_elements=members,
         cosets=tuple(cosets),
@@ -487,3 +489,76 @@ def reference_builtin_dihedral(m):
         mats_list.append(reference_extend_from_generators(group, [rot, reflect]))
     classes = conjugacy_classes(group)
     return IrrepSet(group=group, irreps=_sort_irreps(group, mats_list, classes))
+
+
+# ``build_lift`` with one ``np.add.at`` per arc, from before the lift was
+# filled from ``voltage._lift_terms``: the bit-for-bit reference, kept
+# verbatim apart from its name and imports.
+
+
+def reference_build_lift(graph, ctx):
+    from liftspectra import ConsistencyError, LiftGraph
+
+    if graph.group is not ctx.group:
+        raise ConsistencyError("graph and subgroup context belong to different groups")
+    n = ctx.index_n
+    k = graph.k
+    adjacency = np.zeros((k * n, k * n), dtype=np.int64)
+    coset_rows = np.arange(n)
+    actions = ctx.coset_action
+    for arc in graph.arcs:
+        np.add.at(adjacency, (arc.tail * n + coset_rows, arc.head * n + actions[arc.voltage]), 1)
+    labels = tuple(
+        (label, coset) for label in graph.vertices for coset in range(n)
+    )
+    return LiftGraph(vertex_labels=labels, adjacency=adjacency)
+
+
+# ``power_sums_to_roots`` with its final re-sort of the roots: the
+# bit-for-bit reference, kept verbatim apart from its name and imports.
+
+
+def reference_power_sums_to_roots(sums):
+    from liftspectra import NumericalError, eig_dense
+    from liftspectra.characters import MAX_NEWTON_DEGREE, ROUNDTRIP_TOL, _kahan_sum
+
+    sums = [complex(s) for s in sums]
+    degree = len(sums)
+    if degree < 1:
+        raise ValueError(f"degree must be at least 1, got {degree}")
+    if degree > MAX_NEWTON_DEGREE:
+        raise ValueError(
+            f"degree {degree} exceeds {MAX_NEWTON_DEGREE}; use the blockwise "
+            "spectral route for large blocks"
+        )
+
+    elementary = [1.0 + 0j]
+    for i in range(1, degree + 1):
+        terms = (
+            ((-1) ** (j - 1)) * elementary[i - j] * sums[j - 1] for j in range(1, i + 1)
+        )
+        elementary.append(_kahan_sum(terms) / i)
+
+    if degree == 1:
+        roots = np.array([elementary[1]])
+    else:
+        # Monic coefficients: x^m - e1 x^(m-1) + e2 x^(m-2) - ...
+        coeffs = np.array(
+            [((-1) ** (degree - i)) * elementary[degree - i] for i in range(degree)]
+        )
+        companion = np.zeros((degree, degree), dtype=complex)
+        companion[1:, :-1] = np.eye(degree - 1)
+        companion[:, -1] = -coeffs
+        roots, _ = eig_dense(companion)
+
+    for ell in range(1, degree + 1):
+        reproduced = _kahan_sum(r**ell for r in roots)
+        if abs(reproduced - sums[ell - 1]) > ROUNDTRIP_TOL * max(
+            1.0, abs(sums[ell - 1])
+        ):
+            raise NumericalError(
+                f"power-sum roundtrip: failed at l={ell}: "
+                f"{reproduced} vs {sums[ell - 1]}"
+            )
+    order = np.lexsort((roots.imag, roots.real))
+    return np.asarray(roots)[order]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftspectra import characters
 from liftspectra import (
@@ -22,7 +24,7 @@ from liftspectra import (
 )
 
 from conftest import DUMBBELL_REGULAR
-from helpers import multiset_distance
+from helpers import multiset_distance, reference_power_sums_to_roots
 
 
 def _elem(group, text):
@@ -95,6 +97,10 @@ class TestPowerSumsToRoots:
         with pytest.raises(ValueError):
             power_sums_to_roots([0.0] * 33)
 
+    def test_no_power_sums(self):
+        with pytest.raises(ValueError, match="^degree must be at least 1, got 0$"):
+            power_sums_to_roots([])
+
     def test_failed_roundtrip_names_the_stage(self, monkeypatch):
         # Roots that do not reproduce the power sums must be refused.
         wrong = np.array([10.0, 20.0], dtype=complex)
@@ -110,6 +116,33 @@ class TestPowerSumsToRoots:
             sums = [complex(np.sum(true**l)) for l in range(1, m + 1)]
             roots = power_sums_to_roots(sums)
             assert multiset_distance(roots, true) < 1e-6
+
+
+def _roots_outcome(sums):
+    try:
+        return power_sums_to_roots(sums).tobytes()
+    except NumericalError as exc:
+        return str(exc)
+
+
+def _reference_roots_outcome(sums):
+    try:
+        return reference_power_sums_to_roots(sums).tobytes()
+    except NumericalError as exc:
+        return str(exc)
+
+
+# Real, complex and repeated parts, so that zero signs and ties in the
+# sort order are exercised.
+PARTS = st.one_of(st.just(0.0), st.integers(-3, 3).map(float), st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(roots=st.lists(st.tuples(PARTS, PARTS), min_size=1, max_size=8))
+def test_roots_match_the_resorting_reference_bit_for_bit(roots):
+    values = [complex(re, im) for re, im in roots]
+    sums = [sum(r**ell for r in values) for ell in range(1, len(values) + 1)]
+    assert _roots_outcome(sums) == _reference_roots_outcome(sums)
 
 
 class TestRegularSpectrumViaCharacters:

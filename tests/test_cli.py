@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import liftspectra
-from liftspectra import NumericalError
+from liftspectra import NumericalError, build_lift
 from liftspectra.cli import load_instance, main
 
 from conftest import DUMBBELL_REGULAR, DUMBBELL_RELATIVE
@@ -452,10 +452,39 @@ class TestExitCodes:
         assert named in err and unnamed not in err
         assert peak < 50 * 2**20
 
+    @pytest.mark.parametrize("order_cap, code", [(150, 3), (200, 0)])
+    def test_named_group_above_order_cap_refused_before_its_tables(
+        self, tmp_path, capsys, order_cap, code
+    ):
+        # dihedral 100 has order 200.  Refused, it builds neither its group
+        # table nor its catalog.
+        doc = {
+            "group": {"kind": "named", "family": "dihedral", "param": 100},
+            "subgroup": {"kind": "trivial"},
+            "graph": {"vertices": ["u"], "edges": [{"from": "u", "to": "u", "voltage": "()"}]},
+            "options": {"order_cap": order_cap},
+        }
+        path = _write_instance(tmp_path, doc)
+        tracemalloc.start()
+        try:
+            got, out, err = _run(capsys, ["irreps", path])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == code
+        if code:
+            assert out == ""
+            assert err == (
+                "error: named group dihedral 100 has order 200, above order_cap=150\n"
+            )
+            assert peak < 2**20
+        else:
+            assert json.loads(out)["group_order"] == 200
+
     def test_numerical_error_maps_to_four(self, tmp_path, capsys, monkeypatch):
         import liftspectra.cli as cli_module
 
-        def boom(doc):
+        def boom(doc, args):
             raise NumericalError("synthetic numerical failure")
 
         monkeypatch.setattr(cli_module, "cmd_spectrum", boom)
@@ -481,6 +510,78 @@ class TestExitCodes:
         code, out, _ = _run(capsys, ["verify", DUMBBELL, "--trials", "0"])
         assert code == 1
         assert json.loads(out)["passed"] is False
+
+
+def _dumbbell_with(path, value):
+    """The dumbbell document with the entry at ``path``, a tuple of keys, replaced."""
+    if not path:
+        return value
+    doc = _dumbbell_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# (where, value, exit code, text the message must contain) for document
+# paths that no other CLI test loads.
+MALFORMED_DOCUMENTS = [
+    ((), [1, 2], 2, "instance document must be a JSON object"),
+    (("options",), [0], 2, "options must be a JSON object"),
+    (("options",), {"seed": "0"}, 2, "options.seed must be a number"),
+    (("group",), {"kind": "generators", "degree": True, "generators": []}, 2, "group.degree"),
+    (("group",), {"kind": "generators", "degree": 0, "generators": []}, 2, "group.degree"),
+    (("group",), {"kind": "generators", "degree": 3, "generators": [12]}, 2, "group.generators"),
+    (("group",), {"kind": "named", "family": "cyclic", "param": 0}, 2, "group.param"),
+    (("group",), {"kind": "named", "family": "cyclic", "param": "3"}, 2, "group.param"),
+    (("group",), {"kind": "named", "family": "cyclic", "param": True}, 2, "group.param"),
+    (("graph", "directed"), "yes", 2, "graph.directed"),
+    (("graph", "vertices"), ["u", 2], 2, "graph.vertices"),
+    (("subgroup",), {"kind": "coset"}, 2, "subgroup.kind"),
+    (("subgroup",), {"kind": "generators", "generators": [3]}, 2, "subgroup.generators"),
+]
+
+
+@pytest.mark.parametrize(
+    "where, value, code, text",
+    MALFORMED_DOCUMENTS,
+    ids=[f"{'.'.join(w) or 'document'}-{i}" for i, (w, *_) in enumerate(MALFORMED_DOCUMENTS)],
+)
+def test_malformed_document_names_its_key(tmp_path, capsys, where, value, code, text):
+    path = _write_instance(tmp_path, _dumbbell_with(where, value))
+    got, out, err = _run(capsys, ["spectrum", path])
+    assert (got, out) == (code, "")
+    assert text in err
+
+
+def test_subgroup_generator_outside_the_group(tmp_path, capsys):
+    doc = _dumbbell_doc()
+    doc["group"] = {"kind": "named", "family": "cyclic", "param": 3}
+    doc["subgroup"] = {"kind": "generators", "generators": ["(1 2)"]}
+    code, out, err = _run(capsys, ["spectrum", _write_instance(tmp_path, doc)])
+    assert (code, out) == (3, "")
+    assert err == "error: (1 2) is not an element of the group\n"
+
+
+@pytest.mark.parametrize(
+    "subgroup, index",
+    [({"kind": "full"}, 1), ({"kind": "generators", "generators": ["(1 2 3)"]}, 2)],
+    ids=["full", "generators"],
+)
+def test_spectrum_over_full_and_generated_subgroups(tmp_path, capsys, subgroup, index):
+    doc = _dumbbell_doc()
+    doc["subgroup"] = subgroup
+    path = _write_instance(tmp_path, doc)
+    code, out, _ = _run(capsys, ["spectrum", path])
+    assert code == 0
+    payload = json.loads(out)
+    values = [e["value"][0] for e in payload["eigenvalues"] for _ in range(e["count"])]
+    loaded = load_instance(path)
+    assert loaded.ctx.index_n == index
+    lift = build_lift(loaded.graph, loaded.ctx).adjacency.astype(float)
+    assert payload["kn"] == 2 * index
+    assert multiset_distance(values, np.linalg.eigvalsh(lift)) < 1e-9
 
 
 class TestImports:

@@ -1,4 +1,6 @@
-"""The package's public names, pinned so that any export change shows in review."""
+"""The package's public names and signatures, pinned so that any change shows in review."""
+
+import inspect
 
 import liftspectra
 
@@ -65,3 +67,96 @@ def test_exports_match_the_pinned_list():
 def test_every_export_resolves():
     for name in liftspectra.__all__:
         assert getattr(liftspectra, name) is not None
+
+
+# Parameter names and defaults of every exported function, and of every
+# public method defined on an exported class, as ``_parameters`` writes them.
+PUBLIC_SIGNATURES = {
+    "BaseMatrix.entry": "self, u, v",
+    "BaseMatrix.trace": "self",
+    "CharacterSpectrum.to_json": "self",
+    "EigenvectorBundle.matrix": "self",
+    "EigenvectorBundle.to_json": "self",
+    "FiniteGroup.index_of": "self, perm",
+    "FiniteGroup.inv": "self, a",
+    "FiniteGroup.mul": "self, a, b",
+    "GroupAlgebraElement.coefficient": "self, index",
+    "GroupAlgebraElement.from_element": "cls, group, index, coefficient=1.0",
+    "GroupAlgebraElement.integer_coefficients": "self",
+    "GroupAlgebraElement.is_zero": "self",
+    "GroupAlgebraElement.isclose": "self, other",
+    "GroupAlgebraElement.scaled": "self, factor",
+    "GroupAlgebraElement.zero": "cls, group",
+    "LiftGraph.edge_lines": "self",
+    "LiftGraph.label_strings": "self",
+    "LiftGraph.to_json": "self",
+    "OracleReport.to_json": "self",
+    "Permutation.apply": "self, point",
+    "Permutation.cycle_string": "self",
+    "Permutation.cycles": "self",
+    "Permutation.identity": "cls, degree",
+    "Permutation.inverse": "self",
+    "Permutation.is_identity": "self",
+    "Permutation.sign": "self",
+    "SpectrumReport.expand": "self",
+    "SpectrumReport.to_json": "self",
+    "VoltageGraph.build": "cls, group, vertices, edges, directed=False",
+    "VoltageGraph.edge_triples": "self",
+    "apply_character": "character, element",
+    "base_matrix_power": "base, power",
+    "build_base_matrix": "graph",
+    "build_lift": "graph, ctx",
+    "builtin_irreps": "name, param=1",
+    "compute_irreps": "group, seed=0",
+    "conjugacy_classes": "group",
+    "eig_dense": "matrix, hermitian_hint=False",
+    "generate_group": "generators, order_cap=10080, degree=None",
+    "irrep_image": "base, irrep",
+    "is_normal": "ctx",
+    "is_regular_action": "group",
+    "is_transitive": "group",
+    "lift_eigenvectors": "base, irrep_set, ctx, residual_tol=1e-08",
+    "lift_spectrum": "base, irrep_set, ctx, match_tol=1e-07",
+    "local_group_is_transitive": "graph, group",
+    "parse_permutation": "text, degree",
+    "power_sums_to_roots": "sums",
+    "randomize_voltages": "graph, rng",
+    "regular_spectrum_via_characters": "base, irrep_set",
+    "right_cosets": "group, subgroup_elements",
+    "stabilizer": "group, point",
+    "subgroup_closure": "group, gen_indices",
+    "subgroup_sum": "irrep, ctx",
+    "verify_against_oracle": "graph, irrep_set, ctx, match_tol=1e-07, residual_tol=1e-08",
+    "verify_character_orthogonality": "irrep_set, tol=1e-08",
+    "verify_great_orthogonality": "irrep_set, tol=1e-08",
+    "verify_rank_identity": "irrep_set, ctx",
+}
+
+
+def _parameters(fn) -> str:
+    parts = []
+    for p in inspect.signature(fn).parameters.values():
+        text = {p.VAR_POSITIONAL: "*", p.VAR_KEYWORD: "**"}.get(p.kind, "") + p.name
+        if p.default is not p.empty:
+            text += f"={p.default!r}"
+        parts.append(text)
+    return ", ".join(parts)
+
+
+def _public_signatures() -> dict[str, str]:
+    found = {}
+    for name in liftspectra.__all__:
+        obj = getattr(liftspectra, name)
+        if inspect.isfunction(obj):
+            found[name] = _parameters(obj)
+        elif inspect.isclass(obj):
+            for attr, value in vars(obj).items():
+                if isinstance(value, (classmethod, staticmethod)):
+                    value = value.__func__
+                if not attr.startswith("_") and inspect.isfunction(value):
+                    found[f"{name}.{attr}"] = _parameters(value)
+    return found
+
+
+def test_signatures_match_the_pinned_map():
+    assert _public_signatures() == PUBLIC_SIGNATURES

@@ -364,9 +364,26 @@ class TestErrorMessages:
     def test_non_integer_coefficient(self, sym3, sym3_catalog, point_stabilizer_ctx):
         half = GroupAlgebraElement(sym3, {sym3.identity: 0.5 + 0j})
         base = BaseMatrix(group=sym3, k=1, entries=((half,),), directed=False)
-        message = r"^lift terms: coefficient \(0\.5\+0j\) of element \d+ is not an integer"
+        message = r"^lift terms: coefficient \(0\.5\+0j\) of element 0 is not an integer within 1e-09$"
         with pytest.raises(NumericalError, match=message):
             lift_eigenvectors(base, sym3_catalog, point_stabilizer_ctx)
+
+    def test_picked_row_that_pulls_back_to_zero(
+        self, monkeypatch, dumbbell_base, sym3, sym3_catalog
+    ):
+        # Over the stabilizer of 1 every coset sum of the sign irrep is zero,
+        # so a row picked there pulls back to zero columns.
+        select_rows = spectral._select_rows
+
+        def pick_a_killed_row(idx, sums, projector, rank):
+            return [0] if idx == 1 else select_rows(idx, sums, projector, rank)
+
+        monkeypatch.setattr(spectral, "_select_rows", pick_a_killed_row)
+        # A fresh context, so that no stored plan bypasses the patched selection.
+        ctx = right_cosets(sym3, stabilizer(sym3, 1))
+        message = r"^basis selection: irrep 1, picked row j=0 pulls back to zero columns$"
+        with pytest.raises(NumericalError, match=message):
+            lift_eigenvectors(dumbbell_base, sym3_catalog, ctx)
 
     def test_residual_bound(self, dumbbell_base, sym3_catalog, point_stabilizer_ctx):
         message = r"^residual: irrep \d+, column j=\d+ w=\d+ i=\d+"

@@ -164,6 +164,11 @@ class TestEigDense:
         assert values.shape == (0,)
         assert vectors.shape == (0, 0)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2)])
+    def test_non_square_refused(self, shape):
+        with pytest.raises(ValueError, match="^eig_dense needs a square matrix$"):
+            eig_dense(np.zeros(shape))
+
     def test_non_finite_entries_name_the_stage(self):
         with pytest.raises(NumericalError, match="^eigensolve: matrix has non-finite entries"):
             eig_dense(np.array([[1.0, np.nan], [np.nan, 1.0]]), hermitian_hint=True)

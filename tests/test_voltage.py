@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftspectra import (
     ConsistencyError,
@@ -16,7 +20,11 @@ from liftspectra import (
     parse_permutation,
     randomize_voltages,
     right_cosets,
+    stabilizer,
+    subgroup_closure,
 )
+
+from helpers import reference_build_lift
 
 
 def _elem(group, text):
@@ -59,7 +67,8 @@ class TestGroupAlgebra:
 
     def test_non_integer_coefficient_names_the_stage(self, sym3):
         half = GroupAlgebraElement.from_element(sym3, sym3.identity, 0.5)
-        with pytest.raises(NumericalError, match="^walk counts: coefficient"):
+        message = r"^walk counts: coefficient \(0\.5\+0j\) of element 0 is not an integer within 1e-09$"
+        with pytest.raises(NumericalError, match=message):
             half.integer_coefficients()
 
     def test_group_mismatch(self, sym3):
@@ -294,6 +303,52 @@ class TestLifts:
         assert doc["adjacency"][0][0] == 2
 
 
+LIFT_GROUPS = {
+    "S4": (4, "(1 2)", "(1 2 3 4)"),
+    "A5": (5, "(1 2 3)", "(1 2 3 4 5)"),
+    "D6": None,
+}
+
+
+@functools.cache
+def _lift_group(name):
+    spec = LIFT_GROUPS[name]
+    if spec is None:
+        return builtin_irreps("dihedral", 6).group
+    degree, *gens = spec
+    return generate_group([parse_permutation(g, degree) for g in gens])
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_GROUPS))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    directed=st.booleans(),
+    subgroup=st.sampled_from(["trivial", "stabilizer", "cyclic"]),
+)
+def test_lift_bytes_match_the_per_arc_reference(name, data, directed, subgroup):
+    group = _lift_group(name)
+    if subgroup == "trivial":
+        members = {group.identity}
+    elif subgroup == "stabilizer":
+        members = stabilizer(group, 1)
+    else:
+        members = subgroup_closure(group, [data.draw(st.integers(0, group.order - 1))])
+    ctx = right_cosets(group, members)
+    k = data.draw(st.integers(1, 4))
+    arc = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.integers(0, group.order - 1))
+    edges = data.draw(st.lists(arc, min_size=1, max_size=8))
+    # At least one loop and one pair of parallel edges.
+    edges += [(0, 0, edges[0][2]), edges[0]]
+    graph = VoltageGraph.build(group, range(k), edges, directed=directed)
+    lift = build_lift(graph, ctx)
+    expected = reference_build_lift(graph, ctx)
+    assert lift.vertex_labels == expected.vertex_labels
+    assert lift.adjacency.dtype == expected.adjacency.dtype
+    assert lift.adjacency.shape == expected.adjacency.shape
+    assert lift.adjacency.tobytes() == expected.adjacency.tobytes()
+
+
 class TestLocalGroup:
     def test_dumbbell_transitive(self, dumbbell, sym3):
         assert local_group_is_transitive(dumbbell, sym3)
@@ -318,8 +373,6 @@ class TestLocalGroup:
 
     def test_connectivity_matches_explicit_lift(self, sym3):
         import scipy.sparse.csgraph as csgraph
-
-        from liftspectra import stabilizer
 
         rng = np.random.default_rng(23)
         ctx = right_cosets(sym3, stabilizer(sym3, 1))
