@@ -562,3 +562,62 @@ def reference_power_sums_to_roots(sums):
             )
     order = np.lexsort((roots.imag, roots.real))
     return np.asarray(roots)[order]
+
+
+# ``verify_against_oracle`` with the int64 lift adjacency in each column's
+# product: the bit-for-bit reference, kept verbatim apart from its name and
+# imports.
+
+
+def reference_verify_against_oracle(graph, irrep_set, ctx, match_tol, residual_tol):
+    from liftspectra import (
+        ConsistencyError,
+        NumericalError,
+        OracleReport,
+        build_base_matrix,
+        build_lift,
+        lift_eigenvectors,
+        lift_spectrum,
+    )
+
+    if graph.directed:
+        raise ConsistencyError("oracle verification needs an undirected base")
+    base = build_base_matrix(graph)
+    lift = build_lift(graph, ctx)
+    reference = np.linalg.eigvalsh(lift.adjacency.astype(float))
+
+    report = lift_spectrum(base, irrep_set, ctx, match_tol=match_tol)
+    values = report.expand()
+    if np.max(np.abs(values.imag), initial=0.0) > match_tol:
+        raise NumericalError("oracle check: undirected lift produced non-real eigenvalues")
+    computed = np.sort(values.real)
+    if computed.shape != reference.shape:
+        raise NumericalError(
+            f"oracle check: spectrum sizes differ: "
+            f"{computed.shape[0]} vs {reference.shape[0]}"
+        )
+    spectral_distance = float(np.max(np.abs(computed - reference), initial=0.0))
+
+    bundle = lift_eigenvectors(base, irrep_set, ctx, residual_tol=residual_tol)
+    max_residual = 0.0
+    for block in bundle.blocks:
+        for col in np.flatnonzero(block.selected):
+            vector = block.pulled[:, col]
+            eigenvalue = complex(block.eigenvalues[col % block.eigenvalues.size])
+            residual = np.linalg.norm(
+                lift.adjacency @ vector - eigenvalue * vector
+            ) / max(1.0, np.linalg.norm(vector))
+            max_residual = max(max_residual, float(residual))
+
+    passed = (
+        spectral_distance <= match_tol
+        and max_residual <= residual_tol
+        and len(bundle.selected_basis) == bundle.kn
+    )
+    return OracleReport(
+        passed=passed,
+        spectral_distance=spectral_distance,
+        max_residual=max_residual,
+        kn=bundle.kn,
+        selected_count=len(bundle.selected_basis),
+    )

@@ -75,6 +75,17 @@ PINNED_TABLES = {
 }
 
 
+def _times_six_mod_43():
+    """``x -> 6x mod 43`` in cycle notation, point ``p`` standing for residue ``p - 1``."""
+    cycles, seen = [], {0}
+    for x in range(1, 43):
+        if x not in seen:
+            orbit = [x, 6 * x % 43, 36 * x % 43]
+            seen.update(orbit)
+            cycles.append("(" + " ".join(str(y + 1) for y in orbit) + ")")
+    return "".join(cycles)
+
+
 # Groups given by generators, for the bit-for-bit check against the
 # reference decomposition.  Orders 6, 8, 24, 60 and 120 are not multiples of
 # the 32-row averaging block, so its short last block runs too.
@@ -86,11 +97,20 @@ REFERENCE_GROUPS = {
     "S5": (5, ["(1 2)", "(1 2 3 4 5)"]),
     "C6": (6, ["(1 2 3 4 5 6)"]),
     "D4": (4, ["(1 2 3 4)", "(2 4)"]),
+    # The sub and residual slices hold 32 elements g; orders 33 and 129 leave
+    # one in the last slice, and C43 x| C3 has three-dimensional irreps.
+    "C33": (33, ["(" + " ".join(map(str, range(1, 34))) + ")"]),
+    "C43 x| C3": (43, ["(" + " ".join(map(str, range(1, 44))) + ")", _times_six_mod_43()]),
 }
 # The tracemalloc peak of one compute_irreps call on S5: 4,979,904 B with the
 # whole-matrix average and the einsum residual, plus 5 %.  A further
 # 120 x 120 x 6 complex array (1.38 MB) would exceed it.
 S5_PEAK_BOUND = 5_230_000
+S5XC2 = (7, ["(1 2)", "(1 2 3 4 5)", "(6 7)"])
+# The tracemalloc peak of one compute_irreps call on S5 x C2 (order 240) is
+# 5,994,496 B with the sliced sub and residual, and 19,362,016 B with whole-g
+# ones.  A further 240 x 240 x 6 complex array (5,529,600 B) would exceed it.
+S5XC2_PEAK_BOUND = 8_000_000
 
 
 def _sym4():
@@ -375,6 +395,64 @@ class TestComputeIrrepsBits:
             tracemalloc.stop()
         assert peak < S5_PEAK_BOUND
 
+    def test_s5xc2_catalog_bytes_match_reference_decomposition(self, monkeypatch):
+        # Order 240 leaves 16 elements in the last slice; one seed keeps it fast.
+        degree, gens = S5XC2
+        group = generate_group([parse_permutation(g, degree) for g in gens])
+        got = compute_irreps(group, seed=0)
+        monkeypatch.setattr(irreps_module, "_decompose_regular", reference_decompose_regular)
+        want = compute_irreps(group, seed=0)
+        assert got.dims == want.dims
+        for a, b in zip(got, want):
+            assert a.matrices.tobytes() == b.matrices.tobytes()
+            assert a.character.tobytes() == b.character.tobytes()
+
+    def test_s5xc2_peak_memory(self):
+        degree, gens = S5XC2
+        perms = [parse_permutation(g, degree) for g in gens]
+        compute_irreps(generate_group(perms), seed=0)
+        group = generate_group(perms)
+        tracemalloc.start()
+        try:
+            compute_irreps(group, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < S5XC2_PEAK_BOUND
+
+    @pytest.mark.parametrize("name", ["S3", "S4", "C33", "C43 x| C3"])
+    def test_residual_message_matches_the_whole_g_residual(self, monkeypatch, name):
+        """The sliced residual reports what one pass over every g gives.
+
+        No residual is below a negative tolerance, so the first cluster fails
+        and its message carries the residual of that cluster.
+        """
+        degree, gens = REFERENCE_GROUPS[name]
+        group = generate_group([parse_permutation(g, degree) for g in gens])
+        eigh = np.linalg.eigh
+        seen = []
+
+        def spy(matrix):
+            seen.append(eigh(matrix))
+            return seen[-1]
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        monkeypatch.setattr(irreps_module, "DEFAULT_VERIFY_TOL", -1.0)
+        rng = np.random.default_rng(7)
+        with pytest.raises(NumericalError) as exc:
+            irreps_module._decompose_regular(group, conjugacy_classes(group), rng)
+        ((eigenvalues, eigenvectors),) = seen
+        lo, hi = irreps_module._cluster_spans(eigenvalues, 1e-10 * group.order)[0]
+        basis = eigenvectors[:, lo:hi]
+        shifted = basis[group.mult_table.T]
+        lifted = basis @ np.einsum("ai,gab->gib", basis.conj(), shifted) - shifted
+        residual = np.max(np.abs(lifted))
+        assert residual > 0
+        assert str(exc.value) == (
+            "irrep split: eigenvalue cluster 0 is not an invariant subspace "
+            f"(residual {residual:.3e})"
+        )
+
 
 class TestComputeIrrepsStageNames:
     """Each of ``compute_irreps``' own failures names its stage."""
@@ -393,6 +471,19 @@ class TestComputeIrrepsStageNames:
         # No residual is below a negative tolerance, so the first cluster fails.
         monkeypatch.setattr(irreps_module, "DEFAULT_VERIFY_TOL", -1.0)
         message = r"^irrep split: eigenvalue cluster 0 is not an invariant subspace \(residual "
+        with pytest.raises(NumericalError, match=message):
+            self._split(_sym4())
+
+    def test_nan_residual_fails_closed(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def poisoned(matrix):
+            eigenvalues, eigenvectors = eigh(matrix)
+            eigenvectors[3, 0] = np.nan
+            return eigenvalues, eigenvectors
+
+        monkeypatch.setattr(np.linalg, "eigh", poisoned)
+        message = r"^irrep split: eigenvalue cluster 0 is not an invariant subspace \(residual nan\)"
         with pytest.raises(NumericalError, match=message):
             self._split(_sym4())
 
@@ -576,6 +667,9 @@ def _broken_catalog(sym3, catalog, flaw):
         a = int(np.flatnonzero(np.isclose(plane.character, 0.0))[0])
         b = int(np.flatnonzero(np.isclose(plane.character, -1.0))[0])
         matrices[[a, b]] = matrices[[b, a]]
+    elif flaw == "non-finite entries":
+        # Every comparison with a NaN is false, so only an explicit test sees it.
+        matrices[3, 0, 0] = np.nan
     elif flaw == "character norm":
         # trivial + sign as one unitary two-dimensional representation.
         matrices = np.zeros_like(matrices)
@@ -592,6 +686,7 @@ def _broken_catalog(sym3, catalog, flaw):
         "identity element",
         "not unitary",
         "not a homomorphism",
+        "non-finite entries",
         "character norm",
         "two listed irreps are equivalent",
     ],

@@ -38,6 +38,7 @@ from helpers import (
     reference_irrep_image,
     reference_merge,
     reference_spectrum_entries,
+    reference_verify_against_oracle,
 )
 
 ROOT3 = np.sqrt(3.0)
@@ -506,6 +507,28 @@ class TestOracle:
         graph = VoltageGraph.build(sym3, ["a"], [("a", "a", 3)], directed=True)
         with pytest.raises(ConsistencyError):
             verify_against_oracle(graph, sym3_catalog, trivial_ctx)
+
+    def test_report_bytes_match_the_int64_per_column_products(self):
+        """Casting the adjacency once leaves every reported bit as it was."""
+        group = generate_group([parse_permutation("(1 2 3 4)", 4), parse_permutation("(1 2)", 4)])
+        irr = compute_irreps(group, seed=0)
+        rng = np.random.default_rng(14)
+        subgroups = [[group.identity], [int(rng.integers(group.order))], list(range(group.order))]
+        tols = (spectral.DEFAULT_MATCH_TOL, spectral.DEFAULT_RESIDUAL_TOL)
+        for k in (2, 4, 6):
+            labels = [str(i) for i in range(k)]
+            edges = [
+                (labels[i], labels[(i + step) % k], int(rng.integers(group.order)))
+                for i in range(k)
+                for step in (0, 1)
+            ]
+            graph = VoltageGraph.build(group, labels, edges)
+            for members in subgroups:
+                ctx = right_cosets(group, subgroup_closure(group, members))
+                got = verify_against_oracle(graph, irr, ctx, *tols)
+                want = reference_verify_against_oracle(graph, irr, ctx, *tols)
+                assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+                assert got.max_residual.hex() == want.max_residual.hex()
 
     @pytest.mark.parametrize(
         "value, count, message",

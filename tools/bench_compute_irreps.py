@@ -15,14 +15,16 @@ On each group of the ladder a child times:
   it), from the staged copy of its body below, the fastest of ``reps``.
   Each group runs in ``rounds`` fresh children per tree, alternating which
   tree goes first, and the fastest over the rounds is kept.
-  The averaging and the invariance residual take the tree's form: the
-  whole-matrix gather and the ``einsum`` residual on the parent, the
-  row-blocked gather and the ``matmul`` residual on the change.  Before
-  timing, the child checks that the staged copy gives the same bytes as
-  the tree's own ``_decompose_regular``.
+  The shift, the ``sub`` einsum and the invariance residual take the tree's
+  form: one pass over every group element ``g`` on the parent, slices of 32
+  elements on the change.  Before timing, the child checks that the staged
+  copy gives the same bytes as the tree's own ``_decompose_regular``;
+- the ``tracemalloc`` peak of one more ``compute_irreps`` call.
 
 Two more children per tree close S6, or S5 x C8, and call ``compute_irreps``
-once; each reports the wall time of both steps and its peak RSS.  ``--ab-parent`` and
+once; each reports the wall time of both steps and its peak RSS.  They run
+in ``ONE_CALL_ROUNDS`` alternating rounds, and the file keeps the fastest
+wall time and the largest peak RSS of each.  ``--ab-parent`` and
 ``--ab-change`` take saved outputs of ``perfbench/run.py``; the file gets
 the median and quartiles of every end-to-end metric per workload and side.
 """
@@ -37,6 +39,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,6 +56,7 @@ ONE_CALL = {
     "S6": (6, ["(1 2)", "(1 2 3 4 5 6)"]),
     "S5xC8": (13, ["(1 2)", "(1 2 3 4 5)", "(6 7 8 9 10 11 12 13)"]),
 }
+ONE_CALL_ROUNDS = 2
 STAGES = (
     "seed_matrix",
     "averaging",
@@ -66,53 +70,45 @@ STAGES = (
 )
 
 
-def _average_whole(np, seed_matrix, table):
-    n = len(table)
-    averaged = np.zeros((n, n), dtype=complex)
-    for g in range(n):
-        col = table[:, g]
-        averaged += seed_matrix[np.ix_(col, col)]
-    averaged /= n
-    return averaged
-
-
-def _average_blocked(np, seed_matrix, table):
-    n = len(table)
-    averaged = np.zeros((n, n), dtype=complex)
-    rows = np.empty((32, n), dtype=complex)
-    block = np.empty((32, n), dtype=complex)
-    for lo in range(0, n, 32):
-        acc = averaged[lo : lo + 32]
-        hi = lo + len(acc)
-        picked, term = rows[: len(acc)], block[: len(acc)]
-        for g in range(n):
-            col = table[:, g]
-            np.take(seed_matrix, col[lo:hi], axis=0, out=picked, mode="wrap")
-            np.take(picked, col, axis=1, out=term, mode="wrap")
-            acc += term
-    averaged /= n
-    return averaged
-
-
-def _residual_einsum(np, basis, sub, shifted):
-    return np.max(np.abs(shifted - np.einsum("ab,gbj->gaj", basis, sub)))
-
-
-def _residual_matmul(np, basis, sub, shifted):
+def _sub_whole(np, basis, table, lap):
+    shifted = basis[table.T]
+    lap("shifted_gather")
+    sub = np.einsum("ai,gab->gib", basis.conj(), shifted)
+    lap("sub_einsum")
     lifted = basis @ sub
     lifted -= shifted
-    return np.max(np.abs(lifted))
+    residual = np.max(np.abs(lifted))
+    lap("invariance_residual")
+    return sub, residual
 
 
-FORMS = {
-    "parent": (_average_whole, _residual_einsum),
-    "change": (_average_blocked, _residual_matmul),
-}
+def _sub_sliced(np, basis, table, lap):
+    n, d = basis.shape
+    dual = basis.conj()
+    sub = np.empty((n, d, d), dtype=complex)
+    peaks = []
+    lap("sub_einsum")
+    for g0 in range(0, n, 32):
+        shifted = basis[table.T[g0 : g0 + 32]]
+        lap("shifted_gather")
+        part = sub[g0 : g0 + 32]
+        np.einsum("ai,gab->gib", dual, shifted, out=part)
+        lap("sub_einsum")
+        lifted = basis @ part
+        lifted -= shifted
+        peaks.append(np.max(np.abs(lifted)))
+        lap("invariance_residual")
+    residual = np.max(peaks)
+    lap("invariance_residual")
+    return sub, residual
+
+
+FORMS = {"parent": _sub_whole, "change": _sub_sliced}
 
 
 def _staged(np, irreps, group, classes, rng, form):
     """``_decompose_regular``, sort and validation, with a clock per stage."""
-    average, residual_of = FORMS[form]
+    build = FORMS[form]
     times = dict.fromkeys(STAGES, 0.0)
     mark = time.perf_counter()
 
@@ -126,7 +122,19 @@ def _staged(np, irreps, group, classes, rng, form):
     table = group.mult_table
     seed_matrix = irreps._random_hermitian(rng, n)
     lap("seed_matrix")
-    averaged = average(np, seed_matrix, table)
+    averaged = np.zeros((n, n), dtype=complex)
+    rows = np.empty((32, n), dtype=complex)
+    block = np.empty((32, n), dtype=complex)
+    for lo in range(0, n, 32):
+        acc = averaged[lo : lo + 32]
+        hi = lo + len(acc)
+        picked, term = rows[: len(acc)], block[: len(acc)]
+        for g in range(n):
+            col = table[:, g]
+            np.take(seed_matrix, col[lo:hi], axis=0, out=picked, mode="wrap")
+            np.take(picked, col, axis=1, out=term, mode="wrap")
+            acc += term
+    averaged /= n
     lap("averaging")
     eigenvalues, eigenvectors = np.linalg.eigh(averaged)
     lap("eigh")
@@ -146,13 +154,9 @@ def _staged(np, irreps, group, classes, rng, form):
             continue
         kept = np.vstack([kept, class_char])
         lap("class_characters")
-        shifted = basis[table.T]
-        lap("shifted_gather")
-        sub = np.einsum("ai,gab->gib", basis.conj(), shifted)
-        lap("sub_einsum")
-        if residual_of(np, basis, sub, shifted) > irreps.DEFAULT_VERIFY_TOL:
+        sub, residual = build(np, basis, table, lap)
+        if not residual <= irreps.DEFAULT_VERIFY_TOL:
             raise RuntimeError("non-invariant cluster on attempt 0; pick another seed")
-        lap("invariance_residual")
         found.append(sub)
     irrep_set = irreps.IrrepSet(group=group, irreps=irreps._sort_irreps(group, found, classes))
     lap("sort")
@@ -190,7 +194,16 @@ def _child_ladder(form, name):
     for _ in range(reps):
         _, times = _staged(np, irreps, group, classes, attempt_rng(), form)
         stages = {k: min(stages[k], times[k]) for k in STAGES}
-    return {"order": group.order, "compute_irreps_s": whole, "stages_s": stages}
+    tracemalloc.start()
+    liftspectra.compute_irreps(group, SEED)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {
+        "order": group.order,
+        "compute_irreps_s": whole,
+        "stages_s": stages,
+        "tracemalloc_peak_bytes": peak,
+    }
 
 
 def _ladder(trees):
@@ -219,6 +232,18 @@ def _child_one_call(name):
     wall = time.perf_counter() - start
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {"order": group.order, "wall_s": wall, "peak_rss_mb": peak_kb / 1024}
+
+
+def _one_call(trees):
+    out = {side: {} for side in trees}
+    for r in range(ONE_CALL_ROUNDS):
+        for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
+            for name in ONE_CALL:
+                got = _run_child(trees[side], "one", name)
+                kept = out[side].setdefault(name, dict(got, rounds=ONE_CALL_ROUNDS))
+                kept["wall_s"] = min(kept["wall_s"], got["wall_s"])
+                kept["peak_rss_mb"] = max(kept["peak_rss_mb"], got["peak_rss_mb"])
+    return out
 
 
 def _run_child(tree, *args):
@@ -302,10 +327,7 @@ def main(argv=None):
         "seed": SEED,
         "timing": "in-process wall clock, fastest of reps calls in each of rounds children",
         "ladder": _ladder(trees),
-        "one_call_fresh_process": {
-            side: {name: _run_child(tree, "one", name) for name in ONE_CALL}
-            for side, tree in trees.items()
-        },
+        "one_call_fresh_process": _one_call(trees),
     }
     if args.ab_parent or args.ab_change:
         doc["perfbench_ab"] = {
