@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConsistencyError, NumericalError
 from .irreps import IrrepSet
 from .spectral import eig_dense, irrep_image, is_hermitian
-from .voltage import BaseMatrix, GroupAlgebraElement
+from .voltage import BaseMatrix, GroupAlgebraElement, _powers
 
 MAX_NEWTON_DEGREE = 32
 ROUNDTRIP_TOL = 1e-8
@@ -158,13 +158,7 @@ def regular_spectrum_via_characters(
                 f"dim*k = {irrep.dim * k} power sums, above MAX_NEWTON_DEGREE = "
                 f"{MAX_NEWTON_DEGREE}; use the blockwise spectral route"
             )
-    max_power = k * max(r.dim for r in irrep_set)
-    traces: list[GroupAlgebraElement] = []
-    power = base
-    for ell in range(1, max_power + 1):
-        if ell > 1:
-            power = power @ base
-        traces.append(power.trace())
+    traces = [power.trace() for power in _powers(base, k * max(irrep_set.dims))]
 
     profiles = []
     roots_by_irrep = []

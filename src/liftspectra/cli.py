@@ -30,7 +30,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -61,6 +61,12 @@ class Options:
     order_cap: int = DEFAULT_ORDER_CAP
 
 
+# Each option's type is the type of its default.
+OPTION_TYPES = {f.name: type(f.default) for f in fields(Options)}
+# The options a command-line flag ``--name-with-dashes`` can override.
+FLAG_OPTIONS = ("seed", "tol_residual", "tol_match")
+
+
 @dataclass(frozen=True, eq=False)
 class InstanceDocument:
     group: FiniteGroup
@@ -86,19 +92,13 @@ def _load_options(raw, overrides: dict) -> Options:
     if raw is not None:
         if not isinstance(raw, dict):
             raise ParseError("options must be a JSON object")
-        fields = {
-            "seed": int,
-            "tol_residual": float,
-            "tol_match": float,
-            "order_cap": int,
-        }
-        unknown = sorted(set(raw) - set(fields))
+        unknown = sorted(set(raw) - set(OPTION_TYPES))
         if unknown:
             raise ParseError(
-                f"unknown options keys {unknown}; allowed keys are {sorted(fields)}"
+                f"unknown options keys {unknown}; allowed keys are {sorted(OPTION_TYPES)}"
             )
         updates = {}
-        for key, cast in fields.items():
+        for key, cast in OPTION_TYPES.items():
             if key in raw:
                 value = raw[key]
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -118,6 +118,8 @@ def _load_options(raw, overrides: dict) -> Options:
             raise ParseError(f"{key} must be finite and greater than 0, got {value!r}")
     if options.seed < 0:
         raise ParseError(f"seed must be a non-negative integer, got {options.seed}")
+    if options.order_cap < 1:
+        raise ParseError(f"order_cap must be a positive integer, got {options.order_cap}")
     return options
 
 
@@ -349,9 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("file", help="instance JSON document")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol-residual", dest="tol_residual", type=float, default=None)
-        p.add_argument("--tol-match", dest="tol_match", type=float, default=None)
+        for name in FLAG_OPTIONS:
+            flag = "--" + name.replace("_", "-")
+            p.add_argument(flag, dest=name, type=OPTION_TYPES[name], default=None)
         return p
 
     add("spectrum", cmd_spectrum, "full lift spectrum with multiplicities and provenance")
@@ -371,11 +373,7 @@ EXIT_CODES = {ParseError: 2, ConsistencyError: 3, NumericalError: 4}
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "tol_residual": args.tol_residual,
-        "tol_match": args.tol_match,
-    }
+    overrides = {name: getattr(args, name) for name in FLAG_OPTIONS}
     try:
         return args.handler(load_instance(args.file, overrides), args)
     except tuple(EXIT_CODES) as exc:

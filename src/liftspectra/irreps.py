@@ -103,7 +103,6 @@ class IrrepSet:
 class SubgroupSumImage:
     """The sum of an irrep's matrices over a subgroup, with its rank."""
 
-    irrep: Irrep
     matrix: np.ndarray
     rank: int
 
@@ -337,8 +336,11 @@ def _decompose_regular(
             np.take(seed_matrix, col[lo:hi], axis=0, out=picked, mode="wrap")
             np.take(picked, col, axis=1, out=term, mode="wrap")
             acc += term
+    # Scratch arrays go once read, so the per-irrep loop holds only the eigenvectors.
+    del seed_matrix, rows, block, picked, term, acc
     averaged /= n
     eigenvalues, eigenvectors = np.linalg.eigh(averaged)
+    del averaged
     # One eigenspace's eigenvalues agree to ~1e-14 up to |G| = 720, while
     # distinct ones come within ~1e-6; merging two costs a whole retry.
     spans = _cluster_spans(eigenvalues, 1e-10 * n)
@@ -489,7 +491,7 @@ def subgroup_sum(irrep: Irrep, ctx: SubgroupContext) -> SubgroupSumImage:
         raise ConsistencyError("irrep and subgroup context belong to different groups")
     (rank,) = _projector_ranks(irrep.character[None], ctx, f"{irrep.dim}-dimensional irrep")
     matrix = irrep.matrices[ctx.sorted_members].sum(axis=0)
-    return SubgroupSumImage(irrep=irrep, matrix=matrix, rank=rank)
+    return SubgroupSumImage(matrix=matrix, rank=rank)
 
 
 def verify_rank_identity(irrep_set: IrrepSet, ctx: SubgroupContext) -> bool:

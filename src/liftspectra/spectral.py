@@ -34,7 +34,6 @@ PIVOT_TIE_TOL = 1e-9
 class IrrepImage:
     """A base matrix pushed through one irrep: blocks ``rho(B[u, v])``."""
 
-    irrep: Irrep
     matrix: np.ndarray
 
 
@@ -203,7 +202,7 @@ def irrep_image(base: BaseMatrix, irrep: Irrep) -> IrrepImage:
     table = base.voltage_table
     blocks = np.zeros((k, k, d, d), dtype=complex)
     np.add.at(blocks, (table.u, table.v), table.c[:, None, None] * irrep.matrices[table.g])
-    return IrrepImage(irrep=irrep, matrix=blocks.transpose(0, 2, 1, 3).reshape(d * k, d * k))
+    return IrrepImage(matrix=blocks.transpose(0, 2, 1, 3).reshape(d * k, d * k))
 
 
 def is_hermitian(matrix: np.ndarray) -> bool:

@@ -88,18 +88,6 @@ class GroupAlgebraElement:
                 out[k] = out.get(k, 0j) + ci * cj
         return GroupAlgebraElement(self.group, out)
 
-    def scaled(self, factor: complex) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(
-            self.group, {i: factor * c for i, c in self.coefficients.items()}
-        )
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients.values())
-
-    def isclose(self, other: "GroupAlgebraElement") -> bool:
-        keys = set(self.coefficients) | set(other.coefficients)
-        return all(abs(self.coefficient(k) - other.coefficient(k)) <= 1e-9 for k in keys)
-
     def integer_coefficients(self) -> dict[int, int]:
         """Nonzero coefficients as integers, by :func:`_integer_counts` (stage ``walk counts``)."""
         elements = list(self.coefficients)
@@ -315,6 +303,15 @@ def build_base_matrix(graph: VoltageGraph) -> BaseMatrix:
     )
 
 
+def _powers(base: BaseMatrix, count: int):
+    """Yield ``B, B^2, ..., B^count``, each power the previous one ``@ base``."""
+    power = base
+    for ell in range(1, count + 1):
+        if ell > 1:
+            power = power @ base
+        yield power
+
+
 def base_matrix_power(base: BaseMatrix, power: int) -> BaseMatrix:
     """Repeated base-matrix product, checking coefficients stay integral.
 
@@ -324,9 +321,8 @@ def base_matrix_power(base: BaseMatrix, power: int) -> BaseMatrix:
     """
     if power < 1:
         raise ValueError(f"power must be at least 1, got {power}")
-    out = base
-    for _ in range(power - 1):
-        out = out @ base
+    for out in _powers(base, power):
+        pass
     for row in out.entries:
         for entry in row:
             entry.integer_coefficients()
@@ -410,8 +406,9 @@ def local_group_is_transitive(graph: VoltageGraph, group: FiniteGroup) -> bool:
 
     Spanning-tree voltages are accumulated from vertex 0; every arc then
     contributes ``w(tail) * voltage * w(head)^-1`` to the local group.  The
-    lift over a point stabilizer is connected exactly when that local group
-    acts transitively on the points.
+    cosets of ``Stab(1)`` are the points of the group's orbit of point 1, so
+    the lift over ``Stab(1)`` is connected exactly when the local group's
+    orbit of point 1 is that whole orbit.
 
     Raises
     ------
@@ -449,4 +446,4 @@ def local_group_is_transitive(graph: VoltageGraph, group: FiniteGroup) -> bool:
             local_generators.add(closed)
     local = subgroup_closure(group, local_generators)
     orbit = {group.elements[x].apply(1) for x in local}
-    return len(orbit) == group.degree
+    return orbit == {p.apply(1) for p in group.elements}

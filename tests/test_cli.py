@@ -131,7 +131,7 @@ class TestSpectrumCommand:
         _, out_b, _ = _run(capsys, ["spectrum", DUMBBELL])
         assert out_a == out_b
 
-    @pytest.mark.parametrize("name", sorted(p.name for p in INSTANCES.glob("*.json")))
+    @pytest.mark.parametrize("name", sorted(PINNED_SPECTRA))
     def test_pinned_counts_and_provenance(self, capsys, name):
         code, out, _ = _run(capsys, ["spectrum", str(INSTANCES / name)])
         assert code == 0
@@ -408,6 +408,18 @@ class TestExitCodes:
         assert "seed" in err
         code, out, _ = _run(capsys, ["spectrum", DUMBBELL_GENERATORS, "--seed", "-1"])
         assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("order_cap", [-5, 0])
+    @pytest.mark.parametrize("generators", [[], ["(1 2)"]])
+    def test_order_cap_below_one_refused(self, tmp_path, capsys, order_cap, generators):
+        doc = _dumbbell_doc()
+        doc["group"] = {"kind": "generators", "degree": 3, "generators": generators}
+        doc["subgroup"] = {"kind": "trivial"}
+        doc["graph"]["edges"] = [{"from": "u", "to": "v", "voltage": "()"}]
+        doc["options"] = {"order_cap": order_cap}
+        code, out, err = _run(capsys, ["spectrum", _write_instance(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert err == f"error: order_cap must be a positive integer, got {order_cap}\n"
 
     def test_order_cap_exceeded(self, tmp_path, capsys):
         doc = _dumbbell_doc()

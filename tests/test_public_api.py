@@ -83,9 +83,6 @@ PUBLIC_SIGNATURES = {
     "GroupAlgebraElement.coefficient": "self, index",
     "GroupAlgebraElement.from_element": "cls, group, index, coefficient=1.0",
     "GroupAlgebraElement.integer_coefficients": "self",
-    "GroupAlgebraElement.is_zero": "self",
-    "GroupAlgebraElement.isclose": "self, other",
-    "GroupAlgebraElement.scaled": "self, factor",
     "GroupAlgebraElement.zero": "cls, group",
     "LiftGraph.edge_lines": "self",
     "LiftGraph.label_strings": "self",
