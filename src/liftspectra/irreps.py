@@ -98,6 +98,15 @@ class IrrepSet:
         """
         return weakref.WeakKeyDictionary()
 
+    @cached_property
+    def checked_ranks(self) -> weakref.WeakKeyDictionary:
+        """Projector ranks of this set, one tuple per subgroup context.
+
+        Filled by :func:`subgroup_ranks` once a context's ranks pass their
+        checks; held weakly by context, like :attr:`pullback_plans`.
+        """
+        return weakref.WeakKeyDictionary()
+
 
 @dataclass(frozen=True, eq=False)
 class SubgroupSumImage:
@@ -206,7 +215,10 @@ def _builtin_cyclic(m: int) -> IrrepSet:
     shifts = np.array([p.images[0] - 1 for p in group.elements])
     mats_list = []
     for j in range(m):
-        values = np.exp(2j * np.pi * j * shifts / m)
+        # ``j * s`` reduced mod m in integers: an unreduced phase of size up
+        # to (m - 1)^2 loses ``conj(rho(g)) == rho(g^-1)`` by about
+        # ``j * s * eps``, which broke the Hermitian image test from m ~ 700.
+        values = np.exp(2j * np.pi * (j * shifts % m) / m)
         mats_list.append(values.reshape(m, 1, 1))
     classes = conjugacy_classes(group)
     return IrrepSet(group=group, irreps=_sort_irreps(group, mats_list, classes))
@@ -465,18 +477,23 @@ def subgroup_ranks(irrep_set: IrrepSet, ctx: SubgroupContext) -> list[int]:
     trace further than ``RANK_TRACE_TOL`` from an integer raises
     :class:`NumericalError` naming the first irrep that is off.  A violated
     identity means the irrep list is incomplete or duplicated and raises
-    :class:`NumericalError` naming the rank-identity stage.
+    :class:`NumericalError` naming the rank-identity stage.  Ranks that pass
+    are kept in :attr:`IrrepSet.checked_ranks` and read back on later calls
+    for the same context; a failing pair raises on every call.
     """
     if irrep_set.group is not ctx.group:
         raise ConsistencyError("irrep and subgroup context belong to different groups")
-    ranks = _projector_ranks(irrep_set.character_table, ctx, "irrep {}")
-    weighted = sum(r.dim * rank for r, rank in zip(irrep_set, ranks))
-    if weighted != ctx.index_n:
-        raise NumericalError(
-            f"rank identity: dimension-weighted ranks sum to {weighted}, "
-            f"expected {ctx.index_n}; irrep list is incomplete or duplicated"
-        )
-    return ranks
+    ranks = irrep_set.checked_ranks.get(ctx)
+    if ranks is None:
+        ranks = tuple(_projector_ranks(irrep_set.character_table, ctx, "irrep {}"))
+        weighted = sum(r.dim * rank for r, rank in zip(irrep_set, ranks))
+        if weighted != ctx.index_n:
+            raise NumericalError(
+                f"rank identity: dimension-weighted ranks sum to {weighted}, "
+                f"expected {ctx.index_n}; irrep list is incomplete or duplicated"
+            )
+        irrep_set.checked_ranks[ctx] = ranks
+    return list(ranks)
 
 
 def subgroup_sum(irrep: Irrep, ctx: SubgroupContext) -> SubgroupSumImage:

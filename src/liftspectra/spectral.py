@@ -4,7 +4,8 @@ The base matrix of a voltage graph, pushed through a ``d``-dimensional irrep,
 becomes a ``dk x dk`` complex matrix.  Its eigenvalues enter the lift
 spectrum with multiplicity equal to the rank of the irrep's subgroup sum,
 and its eigenvectors pull back to lift eigenvectors through the irrep's
-coset sums, one irrep at a time.  The basis is chosen per irrep from
+coset sums, one irrep at a time.  The images of one dimension are built
+and eigensolved as a few stacks of bounded size.  The basis is chosen per irrep from
 independent rows of the subgroup projector, and residuals are checked by
 gathering over the base arcs, so nothing here builds the lift itself except
 the oracle cross-check.
@@ -13,6 +14,7 @@ the oracle cross-check.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +30,20 @@ ZERO_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
 FULL_RANK_TOL = 1e-10
 PIVOT_TIE_TOL = 1e-9
+# Complex entries in one stack of irrep images (1 MiB).  A dimension's
+# images are built and solved in slices of at most this many entries, and
+# of at least one image, so a route's peak memory stays near that of one
+# image however many irreps share the dimension.
+IMAGE_STACK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
 class IrrepImage:
-    """A base matrix pushed through one irrep: blocks ``rho(B[u, v])``."""
+    """A base matrix pushed through one irrep: blocks ``rho(B[u, v])``.
+
+    ``matrix`` is ``dk x dk``, or a ``(b, dk, dk)`` stack when
+    :func:`irrep_image` was given a sequence of ``b`` irreps.
+    """
 
     matrix: np.ndarray
 
@@ -186,29 +197,49 @@ class EigenvectorBundle:
         return {"kn": self.kn, "selected": list(self.selected_basis), "columns": columns}
 
 
-def irrep_image(base: BaseMatrix, irrep: Irrep) -> IrrepImage:
+def irrep_image(base: BaseMatrix, irrep: Irrep | Sequence[Irrep]) -> IrrepImage:
     """Apply an irrep entrywise to a base matrix, producing a ``dk x dk`` block matrix.
 
     Block ``(u, v)`` is ``sum c * rho(g)`` over the rows of the base
-    matrix's voltage table at ``(u, v)``.  ``np.add.at`` adds unbuffered and
-    in table order, which is each entry's coefficient order, so every block
-    sums its terms in the same order as an entrywise loop and the image has
-    the same bits.
+    matrix's voltage table at ``(u, v)``.  ``irrep`` is one :class:`Irrep`,
+    or a sequence of irreps of one dimension, whose images come back as one
+    ``(b, dk, dk)`` stack in sequence order.  One ``np.add.at`` adds every
+    image's terms unbuffered and in table order, which is each entry's
+    coefficient order, so every block sums its terms in the same order as an
+    entrywise loop and each image has the same bits, stacked or alone.
     """
-    if base.group is not irrep.group:
-        raise ConsistencyError("base matrix and irrep belong to different groups")
-    d = irrep.dim
+    irreps = (irrep,) if isinstance(irrep, Irrep) else tuple(irrep)
+    if not irreps:
+        raise ValueError("irrep_image needs at least one irrep")
+    d = irreps[0].dim
+    for r in irreps:
+        if r.group is not base.group:
+            raise ConsistencyError("base matrix and irrep belong to different groups")
+        if r.dim != d:
+            raise ValueError("irrep_image stacks irreps of one dimension only")
+    b = len(irreps)
     k = base.k
     table = base.voltage_table
-    blocks = np.zeros((k, k, d, d), dtype=complex)
-    np.add.at(blocks, (table.u, table.v), table.c[:, None, None] * irrep.matrices[table.g])
-    return IrrepImage(matrix=blocks.transpose(0, 2, 1, 3).reshape(d * k, d * k))
+    # Complex before the in-place product, whatever dtype the irreps hold.
+    terms = np.array([r.matrices[table.g] for r in irreps], dtype=complex)
+    np.multiply(table.c[:, None, None], terms, out=terms)
+    # Added through a view in block order, so the stack needs no copy.
+    stack = np.zeros((b, k, d, k, d), dtype=complex)
+    np.add.at(stack.transpose(0, 1, 3, 2, 4), (slice(None), table.u, table.v), terms)
+    stack = stack.reshape(b, d * k, d * k)
+    return IrrepImage(matrix=stack[0] if isinstance(irrep, Irrep) else stack)
 
 
-def is_hermitian(matrix: np.ndarray) -> bool:
-    """Whether ``M`` equals its conjugate transpose within ``HERMITIAN_TOL * max|M|``."""
-    skew = np.abs(matrix - matrix.conj().T).max(initial=0.0)
-    return bool(skew <= HERMITIAN_TOL * max(1.0, np.abs(matrix).max(initial=0.0)))
+def is_hermitian(matrix: np.ndarray) -> bool | np.ndarray:
+    """Whether ``M`` equals its conjugate transpose within ``HERMITIAN_TOL * max(1, max|M|)``.
+
+    On a ``(b, n, n)`` stack, one flag per matrix, each against its own
+    ``max|M|``.
+    """
+    skew = np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    scale = np.abs(matrix).max(axis=(-2, -1), initial=0.0)
+    flags = skew <= HERMITIAN_TOL * np.maximum(1.0, scale)
+    return bool(flags) if flags.ndim == 0 else flags
 
 
 def eig_dense(
@@ -221,10 +252,12 @@ def eig_dense(
     a real array, in the ascending order LAPACK's Hermitian solver already
     returns them in, so only the general path sorts.  The residual
     ``max |M U - U diag|`` must stay within ``DEFAULT_RESIDUAL_TOL * max|M|``
-    or a :class:`NumericalError` is raised.
+    or a :class:`NumericalError` is raised.  A ``(b, n, n)`` stack is solved
+    in one call, as ``numpy.linalg`` does, and each matrix's residual is held
+    to its own ``max|M|``; every matrix gets the bits it gets alone.
     """
     matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2]:
         raise ValueError("eig_dense needs a square matrix")
     if not np.isfinite(matrix).all():
         raise NumericalError("eigensolve: matrix has non-finite entries")
@@ -232,16 +265,17 @@ def eig_dense(
         eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     else:
         eigenvalues, eigenvectors = np.linalg.eig(matrix)
-        order = np.lexsort((eigenvalues.imag, eigenvalues.real))
-        eigenvalues = eigenvalues[order]
-        eigenvectors = eigenvectors[:, order]
+        order = np.lexsort((eigenvalues.imag, eigenvalues.real), axis=-1)
+        eigenvalues = np.take_along_axis(eigenvalues, order, axis=-1)
+        eigenvectors = np.take_along_axis(eigenvectors, order[..., None, :], axis=-1)
     residual = np.abs(
-        matrix @ eigenvectors - eigenvectors * eigenvalues[np.newaxis, :]
-    ).max(initial=0.0)
-    scale = float(np.abs(matrix).max(initial=0.0))
-    if residual > DEFAULT_RESIDUAL_TOL * max(1.0, scale):
+        matrix @ eigenvectors - eigenvectors * eigenvalues[..., None, :]
+    ).max(axis=(-2, -1), initial=0.0)
+    scale = np.abs(matrix).max(axis=(-2, -1), initial=0.0)
+    failed = residual > DEFAULT_RESIDUAL_TOL * np.maximum(1.0, scale)
+    if failed.any():
         raise NumericalError(
-            f"eigensolve: residual {residual:.3e} exceeds tolerance"
+            f"eigensolve: residual {residual.flat[failed.argmax()]:.3e} exceeds tolerance"
         )
     return eigenvalues, eigenvectors
 
@@ -257,23 +291,71 @@ def _check_lift_inputs(base: BaseMatrix, irrep_set: IrrepSet, ctx: SubgroupConte
         )
 
 
-def _image_eigendata(
-    base: BaseMatrix, idx: int, irrep: Irrep
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending, complex) and eigenvectors of one irrep image.
+def _not_hermitian(idx: int) -> NumericalError:
+    return NumericalError(
+        f"image eigensolve: irrep {idx}, image is not Hermitian; irreps must be unitary"
+    )
 
-    A unitary irrep on an undirected base always gives a Hermitian image, so
-    a failed test means the irrep is out of contract; both lift routes refuse
-    it rather than answer from a general eigensolve.
+
+def _solve_images(
+    base: BaseMatrix, irrep_set: IrrepSet, indices, keep_vectors: bool
+) -> tuple[dict, tuple[int, NumericalError] | None]:
+    """Image eigendata of the irreps ``indices``, a few stacks per dimension.
+
+    Each dimension's irreps are taken in slices of at most
+    ``IMAGE_STACK_ENTRIES`` image entries (at least one irrep each).  A
+    slice's images come from one :func:`irrep_image` call, are tested for
+    Hermitian symmetry together and are solved by one :func:`eig_dense`
+    call.  ``solved`` maps each solved index to its real ascending
+    eigenvalues and, with ``keep_vectors``, its eigenvectors (else
+    ``None``), with the bits of a solve of that image alone.
+
+    ``failure`` is ``None`` or ``(idx, error)`` for the lowest irrep whose
+    image fails, either the Hermitian test (a unitary irrep on an undirected
+    base always passes it) or its eigensolve; the caller raises ``error``
+    when it reaches ``idx``, so the lowest failing irrep of either route
+    wins, as in an irrep-by-irrep loop.  Every irrep below ``idx`` is solved
+    and no slice is built above it once it is known.
     """
-    image = irrep_image(base, irrep).matrix
-    if not is_hermitian(image):
-        raise NumericalError(
-            f"image eigensolve: irrep {idx}, image is not Hermitian; "
-            "irreps must be unitary"
-        )
-    eigenvalues, eigenvectors = eig_dense(image, hermitian_hint=True)
-    return np.asarray(eigenvalues, dtype=complex), eigenvectors
+    by_dim: dict[int, list[int]] = {}
+    for idx in indices:
+        by_dim.setdefault(irrep_set[idx].dim, []).append(idx)
+    solved = {}
+    failure = None
+    for d, members in by_dim.items():
+        size = max(1, IMAGE_STACK_ENTRIES // max(1, (d * base.k) ** 2))
+        for start in range(0, len(members), size):
+            part = members[start : start + size]
+            if failure is not None:
+                part = [idx for idx in part if idx < failure[0]]
+                if not part:
+                    break
+            images = irrep_image(base, [irrep_set[idx] for idx in part]).matrix
+            hermitian = is_hermitian(images)
+            if not hermitian.all():
+                cut = int(hermitian.argmin())
+                failure = (part[cut], _not_hermitian(part[cut]))
+                part, images = part[:cut], images[:cut]
+            if not part:
+                continue
+            try:
+                values, vectors = eig_dense(images, hermitian_hint=True)
+            except NumericalError:
+                # Solve the slice's images one at a time to find the lowest
+                # that fails; those before it keep their bits.
+                values, vectors = [], []
+                for idx, image in zip(part, images):
+                    try:
+                        one_values, one_vectors = eig_dense(image, hermitian_hint=True)
+                    except NumericalError as error:
+                        failure = (idx, error)
+                        break
+                    values.append(one_values)
+                    vectors.append(one_vectors)
+            if not keep_vectors:
+                vectors = [None] * len(values)
+            solved.update(zip(part, zip(values, vectors)))
+    return solved, failure
 
 
 def _merge_spectra(
@@ -344,7 +426,11 @@ def lift_spectrum(
     mean over ``H`` (Frobenius reciprocity) as in :func:`lift_eigenvectors`.
     The dimension-weighted ranks must add up to the coset count, and every
     image of nonzero rank must be Hermitian; a violation raises
-    :class:`NumericalError` naming its stage.  The images' real eigenvalue
+    :class:`NumericalError` naming its stage, and of several failing images
+    the lowest irrep's is named.  The images of nonzero rank are built and
+    solved in stacks of one irrep dimension, a bounded number of entries
+    each (:func:`_solve_images`), every image with the bits of its own
+    solve; only their eigenvalues are kept.  The images' real eigenvalue
     arrays are merged as one sorted array (:func:`_merge_spectra`): each
     entry is anchored at its smallest value and takes every value within
     ``match_tol`` of that anchor, with the combined multiplicity.  The
@@ -353,12 +439,12 @@ def lift_spectrum(
     """
     _check_lift_inputs(base, irrep_set, ctx)
     ranks = subgroup_ranks(irrep_set, ctx)
-    spectra = []
-    tags = []
-    for idx, (irrep, rank) in enumerate(zip(irrep_set, ranks)):
-        if rank:
-            spectra.append(_image_eigendata(base, idx, irrep)[0].real)
-            tags.append((idx, irrep.dim, rank))
+    used = [idx for idx, rank in enumerate(ranks) if rank]
+    solved, failure = _solve_images(base, irrep_set, used, keep_vectors=False)
+    if failure is not None:
+        raise failure[1]
+    spectra = [solved[idx][0] for idx in used]
+    tags = [(idx, irrep_set[idx].dim, ranks[idx]) for idx in used]
     entries = _merge_spectra(spectra, tags, match_tol)
     total = sum(e.count for e in entries)
     if total != base.k * ctx.index_n:
@@ -557,9 +643,14 @@ def lift_eigenvectors(
     kept in :attr:`IrrepSet.pullback_plans` for as long as ``ctx`` lives.  A
     plan whose checks fail is not kept, so its error comes back on every
     call.  The image eigensolves, the pull-back, the zero flags and the
-    residual checks run on every call.  Each irrep's block is written once,
-    C-contiguous, by :func:`_pull_back`; the residual check and the
-    ``(kn, d * dk)`` array returned read it in place.
+    residual checks run on every call.  The images are built and solved in
+    stacks of one irrep dimension, a bounded number of entries each
+    (:func:`_solve_images`); the pull-back and its checks then run irrep by
+    irrep, and the lowest irrep whose image is not Hermitian or fails its
+    eigensolve raises only once every irrep before it has passed its own
+    checks, as when each image was solved in turn.  Each irrep's block is
+    written once, C-contiguous, by :func:`_pull_back`; the residual check
+    and the ``(kn, d * dk)`` array returned read it in place.
     """
     _check_lift_inputs(base, irrep_set, ctx)
     plan = _pullback_plan(irrep_set, ctx)
@@ -567,9 +658,13 @@ def lift_eigenvectors(
     kn = k * ctx.index_n
     terms = _lift_terms(base, ctx)
 
+    solved, failure = _solve_images(base, irrep_set, range(len(irrep_set)), keep_vectors=True)
     parts = []
     for idx, irrep in enumerate(irrep_set):
-        eigenvalues, eigenvectors = _image_eigendata(base, idx, irrep)
+        if failure is not None and idx == failure[0]:
+            raise failure[1]
+        values, eigenvectors = solved[idx]
+        eigenvalues = np.asarray(values, dtype=complex)
         pulled = _pull_back(plan.sums[idx], eigenvectors, k)
         picked = plan.picked[idx]
         if picked:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -188,7 +189,13 @@ def randomize_voltages(graph: VoltageGraph, rng: np.random.Generator) -> Voltage
 
 
 class VoltageTable(NamedTuple):
-    """One row per base-matrix coefficient: entry ``(u, v)`` holds ``c * g``."""
+    """One row per base-matrix coefficient: entry ``(u, v)`` holds ``c * g``.
+
+    Rows run by ``(u, v)``, then in the order the cell's elements ``g``
+    first appear; no two rows share ``(u, v, g)``, and empty cells have no
+    rows.  Consumers that sum rows in table order add each cell's terms in
+    that order.
+    """
 
     u: np.ndarray
     v: np.ndarray
@@ -196,111 +203,149 @@ class VoltageTable(NamedTuple):
     c: np.ndarray
 
 
+def _voltage_table(u, v, g, c) -> VoltageTable:
+    """The given columns as read-only arrays, which every caller of the matrix shares."""
+    table = VoltageTable(
+        u=np.array(u, dtype=np.intp),
+        v=np.array(v, dtype=np.intp),
+        g=np.array(g, dtype=np.intp),
+        c=np.array(c, dtype=complex),
+    )
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class BaseMatrix:
-    """The vertex-by-vertex matrix of summed arc voltages.
+    """The vertex-by-vertex matrix of summed arc voltages, held as its voltage table.
 
     Entry ``(u, v)`` is the group-algebra sum of the voltages of all arcs
-    from ``u`` to ``v``.  For an undirected graph the matrix is self-adjoint:
-    transposing and inverting every group element gives it back.
+    from ``u`` to ``v``: the rows of :attr:`voltage_table` at ``(u, v)``.
+    For an undirected graph the matrix is self-adjoint: transposing and
+    inverting every group element gives it back.
     """
 
     group: FiniteGroup
     k: int
-    entries: tuple[tuple[GroupAlgebraElement, ...], ...]
+    voltage_table: VoltageTable
     directed: bool
+
+    @cached_property
+    def entries(self) -> tuple[tuple[GroupAlgebraElement, ...], ...]:
+        """The ``k x k`` grid of group-algebra entries, built from the table on first read.
+
+        Each entry's coefficients are its table rows, in table order.  Every
+        empty cell holds one shared ``zero()`` element: no code in the
+        package mutates a coefficient dict in place (products and sums build
+        new dicts), so sharing it is safe.
+        """
+        table = self.voltage_table
+        cells: dict[tuple[int, int], dict[int, complex]] = {}
+        for u, v, g, c in zip(*(column.tolist() for column in table)):
+            cells.setdefault((u, v), {})[g] = c
+        empty = GroupAlgebraElement.zero(self.group)
+        rows = [[empty] * self.k for _ in range(self.k)]
+        for (u, v), cell in cells.items():
+            rows[u][v] = GroupAlgebraElement(self.group, cell)
+        return tuple(map(tuple, rows))
 
     def entry(self, u: int, v: int) -> GroupAlgebraElement:
         return self.entries[u][v]
 
-    @cached_property
-    def voltage_table(self) -> VoltageTable:
-        """Every coefficient as a ``(u, v, g, c)`` row, computed once per matrix.
-
-        Rows run in entry order: by ``u``, then ``v``, then the insertion
-        order of the entry's coefficient dict, which is the order the
-        entrywise loops over :meth:`entry` visit them; empty cells have no
-        rows and are skipped.  Consumers that sum rows in table order
-        therefore add in the same order as those loops and reproduce their
-        bits.
-        """
-        rows = [
-            (u, v, g, c)
-            for u, row in enumerate(self.entries)
-            for v, entry in enumerate(row)
-            if entry.coefficients
-            for g, c in entry.coefficients.items()
-        ]
-        u, v, g, c = zip(*rows) if rows else ((), (), (), ())
-        table = VoltageTable(
-            u=np.array(u, dtype=np.intp),
-            v=np.array(v, dtype=np.intp),
-            g=np.array(g, dtype=np.intp),
-            c=np.array(c, dtype=complex),
-        )
-        # Every caller of this matrix shares the cached arrays.
-        for column in table:
-            column.flags.writeable = False
-        return table
-
     def __matmul__(self, other: "BaseMatrix") -> "BaseMatrix":
+        """The product, whose table is formed from the two tables.
+
+        Entry ``(u, w)`` is ``sum_v self[u, v] * other[v, w]``.  The terms
+        ``c * d`` of row pairs ``(u, v, g, c)``, ``(v, w, h, d)`` are taken
+        by ``(u, w)``, then by ``v``, then in the two cells' row orders.
+        They are summed per ``(u, w, v, g h)`` and then per ``(u, w, g h)``,
+        each sum in that order from ``0j``, and the product's rows keep the
+        order in which each ``g h`` first appears: the order, sums and bits
+        of multiplying the entries' coefficient dicts cell by cell.
+        """
         if self.group is not other.group or self.k != other.k:
             raise ConsistencyError("base matrices are not conformable")
-        rows = []
-        for u in range(self.k):
-            row = []
-            for v in range(self.k):
-                acc = GroupAlgebraElement.zero(self.group)
-                for w in range(self.k):
-                    left = self.entries[u][w]
-                    right = other.entries[w][v]
-                    if left.coefficients and right.coefficients:
-                        acc = acc + left * right
-                row.append(acc)
-            rows.append(tuple(row))
-        return BaseMatrix(
-            group=self.group,
-            k=self.k,
-            entries=tuple(rows),
-            directed=self.directed or other.directed,
-        )
+        left, right = self.voltage_table, other.voltage_table
+        k = self.k
+        order = self.group.order
+        # Pair every left row (u, v, g, c) with each right row of row v.
+        starts = np.searchsorted(right.u, np.arange(k + 1))
+        counts = starts[left.v + 1] - starts[left.v]
+        a = np.repeat(np.arange(left.u.size), counts)
+        b = np.arange(a.size) + np.repeat(starts[left.v] - (np.cumsum(counts) - counts), counts)
+        # Stable, so each (u, w) keeps its terms by v and by row order.
+        ranked = np.lexsort((right.v[b], left.u[a]))
+        a, b = a[ranked], b[ranked]
+        u, w = left.u[a], right.v[b]
+        x = self.group.mult_table[left.g[a], right.g[b]].astype(np.intp)
+        cell = (u * k + w) * order + x
+        per_v, first = _first_appearance(cell * k + left.v[a])
+        partial = np.zeros(first.size, dtype=complex)
+        np.add.at(partial, per_v, _complex_product(left.c[a], right.c[b]))
+        per_cell, first_cell = _first_appearance(cell[first])
+        coefficients = np.zeros(first_cell.size, dtype=complex)
+        np.add.at(coefficients, per_cell, partial)
+        rows = first[first_cell]
+        table = _voltage_table(u[rows], w[rows], x[rows], coefficients)
+        directed = self.directed or other.directed
+        return BaseMatrix(group=self.group, k=k, voltage_table=table, directed=directed)
 
     def trace(self) -> GroupAlgebraElement:
-        acc = GroupAlgebraElement.zero(self.group)
-        for u in range(self.k):
-            acc = acc + self.entries[u][u]
-        return acc
+        """The sum of the diagonal entries, added from ``0j`` row by row in table order."""
+        table = self.voltage_table
+        diagonal = np.flatnonzero(table.u == table.v)
+        coefficients: dict[int, complex] = {}
+        for g, c in zip(table.g[diagonal].tolist(), table.c[diagonal].tolist()):
+            coefficients[g] = coefficients.get(g, 0j) + c
+        return GroupAlgebraElement(self.group, coefficients)
+
+
+def _complex_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x * y`` elementwise, rounded as Python's complex product rounds it.
+
+    NumPy's complex multiply may round differently (a fused multiply-add).
+    """
+    out = np.empty(x.shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's group, numbered in order of first appearance, and each group's first position."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    starts = np.empty(keys.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    # A stable sort puts each group's first position at the start of its run.
+    first = order[starts]
+    by_first = np.argsort(first)
+    number = np.empty_like(by_first)
+    number[by_first] = np.arange(by_first.size)
+    groups = np.empty_like(order)
+    groups[order] = number[np.cumsum(starts) - 1]
+    return groups, first[by_first]
 
 
 def build_base_matrix(graph: VoltageGraph) -> BaseMatrix:
-    """Sum arc voltages into the ``k x k`` group-algebra base matrix.
+    """Count the arcs of each ``(u, v, voltage)`` into the base matrix's voltage table.
 
-    Each occupied cell is a plain dict filled in arc order with
-    ``cell.get(g, 0j) + (1 + 0j)`` and wrapped as a group-algebra element
-    once at the end.  That is the arithmetic and key order of folding
-    ``GroupAlgebraElement.from_element`` terms into ``zero()``, so the
-    coefficients, their bits and their order are the same.  Every empty
-    cell holds one shared ``zero()`` element: no code in the package
-    mutates a coefficient dict in place (products and sums build new
-    dicts), so sharing it is safe and saves ``k^2`` allocations on sparse
-    bases.
+    Rows run by ``(u, v)`` and then by each voltage's first arc in the
+    cell, and each count is an exact integer held as a complex: the
+    coefficients, their bits and their order are those of folding
+    ``GroupAlgebraElement.from_element`` terms into ``zero()`` arc by arc.
     """
-    k = graph.k
-    cells: dict[tuple[int, int], dict[int, complex]] = {}
+    counts: dict[tuple[int, int, int], int] = {}
     for arc in graph.arcs:
-        cell = cells.setdefault((arc.tail, arc.head), {})
-        g = int(arc.voltage)
-        cell[g] = cell.get(g, 0j) + (1 + 0j)
-    empty = GroupAlgebraElement.zero(graph.group)
-    rows = [[empty] * k for _ in range(k)]
-    for (u, v), cell in cells.items():
-        rows[u][v] = GroupAlgebraElement(graph.group, cell)
-    return BaseMatrix(
-        group=graph.group,
-        k=k,
-        entries=tuple(map(tuple, rows)),
-        directed=graph.directed,
-    )
+        key = arc[:3]
+        counts[key] = counts.get(key, 0) + 1
+    # The sort is stable, so each cell keeps its voltages in first-arc order.
+    keys = sorted(counts, key=itemgetter(0, 1))
+    u, v, g = zip(*keys) if keys else ((), (), ())
+    table = _voltage_table(u, v, g, [counts[key] for key in keys])
+    return BaseMatrix(group=graph.group, k=graph.k, voltage_table=table, directed=graph.directed)
 
 
 def _powers(base: BaseMatrix, count: int):
@@ -323,9 +368,8 @@ def base_matrix_power(base: BaseMatrix, power: int) -> BaseMatrix:
         raise ValueError(f"power must be at least 1, got {power}")
     for out in _powers(base, power):
         pass
-    for row in out.entries:
-        for entry in row:
-            entry.integer_coefficients()
+    # Table order is the entries' order, so the first coefficient off is the same.
+    _integer_counts(out.voltage_table.c, out.voltage_table.g, "walk counts")
     return out
 
 

@@ -83,6 +83,67 @@ def reference_irrep_image(base, irrep):
     return out
 
 
+def reference_image_eigendata(base, idx, irrep):
+    """Eigenvalues (ascending, complex) and eigenvectors of one irrep image, solved alone.
+
+    The per-irrep image eigensolve both lift routes ran before they solved
+    stacks per dimension: the bit-for-bit reference.  The image comes
+    from the entrywise loop, the Hermitian test is the two-dimensional one,
+    and the solve is ``eigh`` on the one matrix; the residual check is left
+    out, since it changes no bit.
+    """
+    from liftspectra import NumericalError
+    from liftspectra.spectral import HERMITIAN_TOL
+
+    image = reference_irrep_image(base, irrep)
+    skew = np.abs(image - image.conj().T).max(initial=0.0)
+    if not skew <= HERMITIAN_TOL * max(1.0, np.abs(image).max(initial=0.0)):
+        raise NumericalError(
+            f"image eigensolve: irrep {idx}, image is not Hermitian; "
+            "irreps must be unitary"
+        )
+    eigenvalues, eigenvectors = np.linalg.eigh(image)
+    return np.asarray(eigenvalues, dtype=complex), eigenvectors
+
+
+def reference_matmul_entries(left, right):
+    """The product's entry grid by multiplying coefficient dicts cell by cell: the reference.
+
+    Entry ``(u, w)`` starts at ``zero()`` and adds ``left[u, v] * right[v, w]``
+    for ``v`` in order, skipping empty factors.
+    """
+    from liftspectra import GroupAlgebraElement
+
+    k = left.k
+    grid = []
+    for u in range(k):
+        row = []
+        for w in range(k):
+            acc = GroupAlgebraElement.zero(left.group)
+            for v in range(k):
+                a, b = left.entry(u, v), right.entry(v, w)
+                if a.coefficients and b.coefficients:
+                    acc = acc + a * b
+            row.append(acc)
+        grid.append(row)
+    return grid
+
+
+def reference_trace(base):
+    """``zero()`` plus each diagonal entry in turn."""
+    from liftspectra import GroupAlgebraElement
+
+    acc = GroupAlgebraElement.zero(base.group)
+    for u in range(base.k):
+        acc = acc + base.entry(u, u)
+    return acc
+
+
+def coefficient_bits(element):
+    """An element's coefficients in order, each value as hex floats."""
+    return [(g, c.real.hex(), c.imag.hex()) for g, c in element.coefficients.items()]
+
+
 def reference_base_entries(graph):
     """Base-matrix entries folded arc by arc as ``zero() + from_element``."""
     from liftspectra import GroupAlgebraElement
@@ -124,12 +185,7 @@ def reference_bundle_columns(base, irrep_set, ctx):
     """
     from liftspectra import EigenvectorColumn, NumericalError
     from liftspectra.irreps import subgroup_ranks
-    from liftspectra.spectral import (
-        ZERO_TOL,
-        _coset_sums,
-        _image_eigendata,
-        _select_rows,
-    )
+    from liftspectra.spectral import ZERO_TOL, _coset_sums, _select_rows
 
     ranks = subgroup_ranks(irrep_set, ctx)
     k = base.k
@@ -138,7 +194,7 @@ def reference_bundle_columns(base, irrep_set, ctx):
     for idx, irrep in enumerate(irrep_set):
         sums = _coset_sums(irrep, ctx)
         projector = sums[0] / len(ctx.subgroup_elements)
-        eigenvalues, eigenvectors = _image_eigendata(base, idx, irrep)
+        eigenvalues, eigenvectors = reference_image_eigendata(base, idx, irrep)
         pulled = reference_pull_back(sums, eigenvectors, k)
         picked = _select_rows(idx, sums, projector, ranks[idx])
         blocks.append((irrep.dim, eigenvalues, pulled.reshape(kn, -1), picked))
@@ -251,14 +307,12 @@ def reference_trace_rank(irrep, ctx, label):
 
 def reference_spectrum_entries(base, irrep_set, ctx, match_tol):
     """``lift_spectrum``'s entries as the per-irrep rank loop and the tuple merge gave them."""
-    from liftspectra.spectral import _image_eigendata
-
     spectra = []
     tags = []
     for idx, irrep in enumerate(irrep_set):
         rank = reference_trace_rank(irrep, ctx, f"irrep {idx}")
         if rank:
-            spectra.append(_image_eigendata(base, idx, irrep)[0])
+            spectra.append(reference_image_eigendata(base, idx, irrep)[0])
             tags.append((idx, irrep.dim, rank))
     return reference_merge(spectra, tags, match_tol)
 

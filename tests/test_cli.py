@@ -596,6 +596,30 @@ def test_spectrum_over_full_and_generated_subgroups(tmp_path, capsys, subgroup, 
     assert multiset_distance(values, np.linalg.eigvalsh(lift)) < 1e-9
 
 
+def test_spectrum_of_the_named_cyclic_1000_cycle_graph(tmp_path, capsys):
+    # One vertex with one undirected loop on the 1000-cycle lifts to the
+    # cycle graph C_1000.  With unreduced phases its images failed the
+    # Hermitian test, and the command exited 4.
+    m = 1000
+    doc = {
+        "group": {"kind": "named", "family": "cyclic", "param": m},
+        "subgroup": {"kind": "trivial"},
+        "graph": {
+            "directed": False,
+            "vertices": ["a"],
+            "edges": [
+                {"from": "a", "to": "a", "voltage": f"({' '.join(map(str, range(1, m + 1)))})"}
+            ],
+        },
+    }
+    code, out, err = _run(capsys, ["spectrum", _write_instance(tmp_path, doc)])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    values = [e["value"][0] for e in payload["eigenvalues"] for _ in range(e["count"])]
+    assert payload["kn"] == m
+    assert multiset_distance(values, 2 * np.cos(2 * np.pi * np.arange(m) / m)) < 1e-12
+
+
 class TestImports:
     def test_cli_import_leaves_scipy_unloaded(self):
         # scipy is a test-only dependency; a fresh CLI process must not pay

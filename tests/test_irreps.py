@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import tracemalloc
 
 import numpy as np
@@ -620,6 +621,30 @@ def test_ranks_match_the_per_irrep_trace_rule(name, data):
     want = [reference_trace_rank(r, ctx, f"irrep {i}") for i, r in enumerate(irrep_set)]
     assert irreps_module.subgroup_ranks(irrep_set, ctx) == want
     assert [subgroup_sum(r, ctx).rank for r in irrep_set] == want
+
+
+def test_checked_ranks_are_kept_per_context_and_go_with_it(sym3, sym3_catalog):
+    ctx = right_cosets(sym3, stabilizer(sym3, 1))
+    kept = sym3_catalog.checked_ranks
+    ranks = irreps_module.subgroup_ranks(sym3_catalog, ctx)
+    assert ranks == [1, 0, 1]
+    assert kept[ctx] == (1, 0, 1)
+    # Each call gets its own list; the kept tuple does not change.
+    ranks.append(7)
+    assert irreps_module.subgroup_ranks(sym3_catalog, ctx) == [1, 0, 1]
+    before = len(kept)
+    del ctx
+    gc.collect()
+    assert len(kept) == before - 1
+
+
+def test_failing_ranks_are_not_kept(sym3, sym3_catalog):
+    partial = IrrepSet(group=sym3, irreps=sym3_catalog.irreps[:2])
+    ctx = right_cosets(sym3, stabilizer(sym3, 1))
+    for _ in range(2):
+        with pytest.raises(NumericalError, match="^rank identity: dimension-weighted ranks"):
+            irreps_module.subgroup_ranks(partial, ctx)
+    assert ctx not in partial.checked_ranks
 
 
 class TestOrthogonalityChecks:

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 import liftspectra.spectral as spectral
 from liftspectra import (
     BaseMatrix,
-    GroupAlgebraElement,
     Irrep,
     IrrepSet,
     NumericalError,
@@ -32,6 +31,7 @@ from liftspectra import (
     builtin_irreps,
     compute_irreps,
     generate_group,
+    irrep_image,
     lift_eigenvectors,
     lift_spectrum,
     parse_permutation,
@@ -39,6 +39,7 @@ from liftspectra import (
     stabilizer,
     subgroup_closure,
 )
+from liftspectra.voltage import VoltageTable
 
 from helpers import reference_bundle_columns, reference_bundle_json, reference_column_norms
 
@@ -62,6 +63,9 @@ DIHEDRAL = {"D5": 5, "D6": 6}
 def catalog(name: str) -> IrrepSet:
     if name in DIHEDRAL:
         return builtin_irreps("dihedral", DIHEDRAL[name])
+    if name == "C60":
+        # Sixty one-dimensional irreps, built and solved as one stack.
+        return builtin_irreps("cyclic", 60)
     degree, gens = GENERATED[name]
     group = generate_group([parse_permutation(g, degree) for g in gens])
     return compute_irreps(group, seed=0)
@@ -167,7 +171,7 @@ def assert_bundle_matches_reference(irrep_set, ctx, graph):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(lifts(names=("A5", "D6", "S4")))
+@given(lifts(names=("A5", "D6", "S4", "C60")))
 def test_bundle_arrays_match_the_per_column_loop_bit_for_bit(lift):
     assert_bundle_matches_reference(*lift)
 
@@ -201,8 +205,11 @@ def test_bundle_edge_cases_match_the_per_column_loop(name, generators, k, edges)
 
 @st.composite
 def pull_back_lifts(draw):
-    """S4, A5, D6 or S5 over the trivial group, a point stabilizer or a random subgroup, k 1-6."""
-    irrep_set, ctx, graph = draw(lifts(names=("S4", "A5", "D6", "S5"), max_k=6))
+    """S4, A5, D6, S5 or C60 over the trivial group, a point stabilizer or a random subgroup.
+
+    The base has 1 to 6 vertices.
+    """
+    irrep_set, ctx, graph = draw(lifts(names=("S4", "A5", "D6", "S5", "C60"), max_k=6))
     group = irrep_set.group
     kind = draw(st.sampled_from(("trivial", "stabilizer", "random")))
     if kind == "trivial":
@@ -362,8 +369,8 @@ class TestErrorMessages:
             route(dumbbell_base, irreps, point_stabilizer_ctx)
 
     def test_non_integer_coefficient(self, sym3, sym3_catalog, point_stabilizer_ctx):
-        half = GroupAlgebraElement(sym3, {sym3.identity: 0.5 + 0j})
-        base = BaseMatrix(group=sym3, k=1, entries=((half,),), directed=False)
+        half = VoltageTable(*(np.array([x]) for x in (0, 0, sym3.identity, 0.5 + 0j)))
+        base = BaseMatrix(group=sym3, k=1, voltage_table=half, directed=False)
         message = r"^lift terms: coefficient \(0\.5\+0j\) of element 0 is not an integer within 1e-09$"
         with pytest.raises(NumericalError, match=message):
             lift_eigenvectors(base, sym3_catalog, point_stabilizer_ctx)
@@ -445,6 +452,94 @@ def test_residual_check_catches_a_corrupted_column(
     message = rf"^residual: irrep {irrep}, column j={j} w={c // d} i={c % d} fails"
     with pytest.raises(NumericalError, match=message):
         lift_eigenvectors(base, sym3_catalog, ctx)
+
+
+def test_lowest_failing_irrep_wins_over_a_later_non_hermitian_image(
+    monkeypatch, dumbbell, sym3, sym3_catalog
+):
+    # The plane irrep (index 2) is out of contract, and irrep 0 fails its
+    # residual check; as when each image was solved in turn, irrep 0's error
+    # is raised, before the Hermitian test of irrep 2 is acted on.
+    plane = sym3_catalog[2]
+    s = np.array([[1.0, 2.0], [0.0, 1.0]])
+    skewed = Irrep(
+        group=sym3,
+        dim=2,
+        matrices=s @ plane.matrices @ np.linalg.inv(s),
+        character=plane.character,
+    )
+    irreps = IrrepSet(group=sym3, irreps=sym3_catalog.irreps[:2] + (skewed,))
+    ctx = right_cosets(sym3, frozenset({sym3.identity}))
+    base = build_base_matrix(dumbbell)
+    with pytest.raises(NumericalError, match="^image eigensolve: irrep 2, image is not Hermitian"):
+        lift_eigenvectors(base, irreps, ctx)
+    _corrupt_one_column(monkeypatch, 0, 0, 0)
+    with pytest.raises(NumericalError, match=r"^residual: irrep 0, column j=0 w=0 i=0 fails"):
+        lift_eigenvectors(base, irreps, ctx)
+
+
+def _fail_eigensolve_of(monkeypatch, target):
+    """Make ``eig_dense`` raise on any call whose matrix, or one in its stack, equals ``target``."""
+    original = spectral.eig_dense
+
+    def failing(matrix, hermitian_hint=False):
+        out = original(matrix, hermitian_hint)
+        if any(np.array_equal(m, target) for m in matrix.reshape(-1, *target.shape)):
+            raise NumericalError("eigensolve: residual 1.000e+00 exceeds tolerance")
+        return out
+
+    monkeypatch.setattr(spectral, "eig_dense", failing)
+
+
+@pytest.mark.parametrize("route", [lift_spectrum, lift_eigenvectors])
+def test_lowest_failing_image_wins_across_stacks(monkeypatch, route, dumbbell, sym3, sym3_catalog):
+    # Irreps 0 and 2 (one-dimensional) share a stack, which is solved before
+    # irrep 1's (two-dimensional).  Irrep 2's eigensolve fails, and so does
+    # irrep 1's Hermitian test once irrep 1 is skewed: as when each image was
+    # solved in turn, the lower irrep's error is raised.
+    trivial, sign, plane = sym3_catalog
+    s = np.array([[1.0, 2.0], [0.0, 1.0]])
+    skewed = Irrep(
+        group=sym3,
+        dim=2,
+        matrices=s @ plane.matrices @ np.linalg.inv(s),
+        character=plane.character,
+    )
+    ctx = right_cosets(sym3, frozenset({sym3.identity}))
+    base = build_base_matrix(dumbbell)
+    target = irrep_image(base, sign).matrix
+    assert not np.array_equal(target, irrep_image(base, trivial).matrix)
+    _fail_eigensolve_of(monkeypatch, target)
+    eigensolve = r"^eigensolve: residual 1\.000e\+00 exceeds tolerance$"
+    with pytest.raises(NumericalError, match=eigensolve):
+        route(base, IrrepSet(group=sym3, irreps=(trivial, plane, sign)), ctx)
+    with pytest.raises(NumericalError, match="^image eigensolve: irrep 1, image is not Hermitian"):
+        route(base, IrrepSet(group=sym3, irreps=(trivial, skewed, sign)), ctx)
+    if route is lift_eigenvectors:
+        # A residual failure of irrep 0 comes before irrep 2's eigensolve.
+        _corrupt_one_column(monkeypatch, 0, 0, 0)
+        with pytest.raises(NumericalError, match=r"^residual: irrep 0, column j=0 w=0 i=0 fails"):
+            route(base, IrrepSet(group=sym3, irreps=(trivial, plane, sign)), ctx)
+
+
+def test_a_dimension_solved_in_several_slices_keeps_its_bits(monkeypatch):
+    # Sixty one-dimensional images of a 5-vertex base, 3 to a slice.
+    irrep_set = catalog("C60")
+    group = irrep_set.group
+    edges = [(str(v), str((v + 1) % 5), 7 * v + 1) for v in range(5)] + [("0", "0", 11)]
+    graph = VoltageGraph.build(group, [str(v) for v in range(5)], edges)
+    ctx = right_cosets(group, frozenset({group.identity}))
+    original = spectral.irrep_image
+    calls = []
+
+    def recording(base, irreps):
+        calls.append(len(irreps))
+        return original(base, irreps)
+
+    monkeypatch.setattr(spectral, "irrep_image", recording)
+    monkeypatch.setattr(spectral, "IMAGE_STACK_ENTRIES", 3 * 5 * 5 + 1)
+    assert_bundle_matches_reference(irrep_set, ctx, graph)
+    assert calls == [3] * 20
 
 
 def test_interleaved_calls_reuse_plans_and_match_the_reference(dumbbell, sym3, sym3_catalog):

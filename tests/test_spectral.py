@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from liftspectra import spectral
 from liftspectra import (
     ConsistencyError,
+    Irrep,
     IrrepSet,
     NumericalError,
     SpectrumEntry,
@@ -99,18 +101,30 @@ class TestIrrepImage:
 def _catalog(name: str) -> IrrepSet:
     if name == "D6":
         return builtin_irreps("dihedral", 6)
+    if name == "C60":
+        # Sixty one-dimensional irreps: one stack of sixty images.
+        return builtin_irreps("cyclic", 60)
     degree, gens = {
         "S4": (4, ("(1 2)", "(1 2 3 4)")),
         "A5": (5, ("(1 2 3)", "(1 2 3 4 5)")),
+        "S5": (5, ("(1 2)", "(1 2 3 4 5)")),
         "D6 computed": (6, ("(1 2 3 4 5 6)", "(2 6)(3 5)")),
     }[name]
     return compute_irreps(generate_group([parse_permutation(g, degree) for g in gens]), seed=0)
 
 
+def _by_dimension(irreps):
+    """Irrep indices grouped by dimension, in index order within each group."""
+    groups = {}
+    for idx, irrep in enumerate(irreps):
+        groups.setdefault(irrep.dim, []).append(idx)
+    return groups
+
+
 @st.composite
 def _base_specs(draw):
     """``(catalog, k, directed, edges)``; loops and parallel edges are drawn often."""
-    name = draw(st.sampled_from(["S4", "A5", "D6"]))
+    name = draw(st.sampled_from(["S4", "A5", "D6", "C60"]))
     k = draw(st.integers(1, 4))
     vertex = st.integers(0, k - 1)
     element = st.integers(0, _catalog(name).group.order - 1)
@@ -138,9 +152,44 @@ def test_irrep_images_match_the_entrywise_loop_bit_for_bit(spec):
             assert all(type(g) is int and type(c) is complex for g, c in got)
     # The square has coefficients above one and longer entries.
     for matrix in (base, base @ base):
-        for irrep in irrep_set:
-            image = irrep_image(matrix, irrep).matrix
-            assert image.tobytes() == reference_irrep_image(matrix, irrep).tobytes()
+        references = [reference_irrep_image(matrix, irrep) for irrep in irrep_set]
+        for irrep, reference in zip(irrep_set, references):
+            assert irrep_image(matrix, irrep).matrix.tobytes() == reference.tobytes()
+        # Each stack of one dimension holds every image with its own bits.
+        for members in _by_dimension(irrep_set).values():
+            stack = irrep_image(matrix, [irrep_set[idx] for idx in members]).matrix
+            assert stack.shape == (len(members), *references[members[0]].shape)
+            for image, idx in zip(stack, members):
+                assert image.tobytes() == references[idx].tobytes()
+
+
+def test_irrep_image_refuses_mixed_and_empty_stacks(dumbbell_base, sym3_catalog):
+    with pytest.raises(ValueError, match="^irrep_image stacks irreps of one dimension only$"):
+        irrep_image(dumbbell_base, [sym3_catalog[0], sym3_catalog[2]])
+    with pytest.raises(ValueError, match="^irrep_image needs at least one irrep$"):
+        irrep_image(dumbbell_base, [])
+    other = builtin_irreps("cyclic", 2)
+    with pytest.raises(ConsistencyError):
+        irrep_image(dumbbell_base, [sym3_catalog[0], other[0]])
+
+
+def test_irrep_image_of_a_real_irrep_is_complex(dumbbell_base, sym3, sym3_catalog, trivial_ctx):
+    # An irrep may hold real matrices; its image is complex all the same.
+    real = IrrepSet(
+        group=sym3,
+        irreps=tuple(
+            Irrep(group=sym3, dim=r.dim, matrices=r.matrices.real.copy(), character=r.character)
+            for r in sym3_catalog
+        ),
+    )
+    sign = real[1]
+    assert sign.matrices.dtype == np.float64
+    expected = reference_irrep_image(dumbbell_base, sign)
+    assert irrep_image(dumbbell_base, sign).matrix.tobytes() == expected.tobytes()
+    assert irrep_image(dumbbell_base, [sign, real[0]]).matrix[0].tobytes() == expected.tobytes()
+    report = lift_spectrum(dumbbell_base, real, trivial_ctx)
+    expected = reference_spectrum_entries(dumbbell_base, real, trivial_ctx, TOL)
+    assert entry_bits(report.entries) == entry_bits(expected)
 
 
 class TestEigDense:
@@ -165,7 +214,9 @@ class TestEigDense:
         assert values.shape == (0,)
         assert vectors.shape == (0, 0)
 
-    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2)])
+    # A (b, n, n) stack is accepted (see test_stack_solves_each_matrix_alone),
+    # so the third shape is a stack of non-square matrices.
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 3), (1, 1, 2, 2)])
     def test_non_square_refused(self, shape):
         with pytest.raises(ValueError, match="^eig_dense needs a square matrix$"):
             eig_dense(np.zeros(shape))
@@ -174,11 +225,50 @@ class TestEigDense:
         with pytest.raises(NumericalError, match="^eigensolve: matrix has non-finite entries"):
             eig_dense(np.array([[1.0, np.nan], [np.nan, 1.0]]), hermitian_hint=True)
 
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_stack_solves_each_matrix_alone(self, hermitian):
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 5, 12, 24):
+            stack = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+            if hermitian:
+                stack = stack + stack.conj().swapaxes(1, 2)
+            values, vectors = eig_dense(stack, hermitian_hint=hermitian)
+            assert values.shape == (4, n) and vectors.shape == (4, n, n)
+            for matrix, got_values, got_vectors in zip(stack, values, vectors):
+                want_values, want_vectors = eig_dense(matrix, hermitian_hint=hermitian)
+                assert got_values.tobytes() == want_values.tobytes()
+                assert got_vectors.tobytes() == want_vectors.tobytes()
+
+    def test_stack_residual_is_held_to_each_matrix_scale(self, monkeypatch):
+        # The second matrix's pairs are off by 1e-5: within 1e-8 of the
+        # stack's largest entry (2e6), but not of its own (2).
+        stack = np.array([np.diag([1e6, 2e6]), np.diag([1.0, 2.0])])
+        exact = np.linalg.eigh
+
+        def off(matrix):
+            values, vectors = exact(matrix)
+            values[1, 0] += 1e-5
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", off)
+        with pytest.raises(NumericalError, match=r"^eigensolve: residual 1\.000e-05 exceeds"):
+            eig_dense(stack, hermitian_hint=True)
+
     def test_residual_names_the_stage(self, monkeypatch):
         # A solver that returns the wrong pairs must be caught by the residual.
         monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.zeros(2), np.eye(2)))
         with pytest.raises(NumericalError, match=r"^eigensolve: residual 2\.000e\+00 exceeds"):
             eig_dense(np.diag([1.0, 2.0]), hermitian_hint=True)
+
+
+def test_is_hermitian_holds_each_matrix_to_its_own_scale():
+    # A skew of 1e-9 passes next to entries of 1e6 (tolerance 1e-12 * 1e6)
+    # but not next to entries of 1.
+    skewed = np.array([[1.0, 1e-9], [0.0, 1.0]])
+    stack = np.array([1e6 * np.eye(2) + skewed - np.eye(2), skewed])
+    assert spectral.is_hermitian(stack).tolist() == [True, False]
+    assert spectral.is_hermitian(stack[0]) is True
+    assert spectral.is_hermitian(stack[1]) is False
 
 
 class TestLiftSpectrum:
@@ -365,7 +455,7 @@ class TestMergeSpectra:
 @st.composite
 def _spectrum_cases(draw):
     """A catalog, a random subgroup, a base with k from 1 to 4 (edges optional)."""
-    irrep_set = _catalog(draw(st.sampled_from(["S4", "A5", "D6", "D6 computed"])))
+    irrep_set = _catalog(draw(st.sampled_from(["S4", "A5", "D6", "D6 computed", "S5", "C60"])))
     group = irrep_set.group
     element = st.integers(0, group.order - 1)
     members = subgroup_closure(group, draw(st.lists(element, max_size=2)))
@@ -388,6 +478,108 @@ def test_array_merge_matches_the_tuple_merge_bit_for_bit(case):
     old = SpectrumReport(entries=expected, total=report.total)
     assert json.dumps(report.to_json(), indent=2) == json.dumps(old.to_json(), indent=2)
     assert report.expand().tobytes() == _expand_by_list(old).tobytes()
+
+
+@pytest.mark.parametrize("name", ["S4", "D6", "S5", "C60"])
+def test_stacks_of_several_irreps_match_the_per_irrep_solves(name):
+    # Over the trivial subgroup every irrep is solved, so each dimension that
+    # holds two or more irreps (S4's two 3-dimensional ones, D6's four
+    # 1-dimensional ones, all sixty of C60) is one stack.
+    irrep_set = _catalog(name)
+    group = irrep_set.group
+    assert max(len(members) for members in _by_dimension(irrep_set).values()) >= 2
+    rng = np.random.default_rng(len(name))
+    k = 4
+    pairs = [(0, 1), (1, 2), (2, 3), (3, 0), (1, 1), (0, 2)]
+    edges = [(str(u), str(v), int(rng.integers(group.order))) for u, v in pairs]
+    base = build_base_matrix(VoltageGraph.build(group, [str(v) for v in range(k)], edges))
+    ctx = right_cosets(group, frozenset({group.identity}))
+    report = lift_spectrum(base, irrep_set, ctx)
+    expected = reference_spectrum_entries(base, irrep_set, ctx, TOL)
+    assert entry_bits(report.entries) == entry_bits(expected)
+
+
+def _cycle_base(group, k):
+    """A k-cycle base whose arcs carry varied elements, plus one loop."""
+    edges = [(str(v), str((v + 1) % k), (7 * v + 1) % group.order) for v in range(k)]
+    edges.append(("0", "0", 11 % group.order))
+    return build_base_matrix(VoltageGraph.build(group, [str(v) for v in range(k)], edges))
+
+
+def test_a_dimension_solved_in_several_slices_keeps_its_bits(monkeypatch):
+    # Sixty one-dimensional images of a 5-vertex base, 3 to a slice.
+    irrep_set = _catalog("C60")
+    group = irrep_set.group
+    base = _cycle_base(group, 5)
+    ctx = right_cosets(group, frozenset({group.identity}))
+    expected = reference_spectrum_entries(base, irrep_set, ctx, TOL)
+    original = spectral.irrep_image
+    calls = []
+
+    def recording(base, irreps):
+        calls.append(len(irreps))
+        return original(base, irreps)
+
+    monkeypatch.setattr(spectral, "irrep_image", recording)
+    assert entry_bits(lift_spectrum(base, irrep_set, ctx).entries) == entry_bits(expected)
+    assert calls == [60]
+    calls.clear()
+    monkeypatch.setattr(spectral, "IMAGE_STACK_ENTRIES", 3 * 5 * 5 + 1)
+    assert entry_bits(lift_spectrum(base, irrep_set, ctx).entries) == entry_bits(expected)
+    assert calls == [3] * 20
+
+
+def test_image_stacks_keep_peak_memory_bounded():
+    # Sixty 96 x 96 images take 8.8 MB as one stack, and an eigensolve keeps
+    # several arrays of that size alive; in slices of IMAGE_STACK_ENTRIES
+    # the route stays within a few slices' worth.
+    irrep_set = _catalog("C60")
+    group = irrep_set.group
+    base = _cycle_base(group, 96)
+    ctx = right_cosets(group, frozenset({group.identity}))
+    slice_bytes = spectral.IMAGE_STACK_ENTRIES * 16
+    assert 60 * 96**2 * 16 > 8 * slice_bytes
+    lift_spectrum(base, irrep_set, ctx)
+    tracemalloc.start()
+    try:
+        report = lift_spectrum(base, irrep_set, ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.total == 96 * 60
+    assert peak < 8 * slice_bytes, peak / slice_bytes
+
+
+def test_lift_routes_read_only_the_voltage_table(
+    dumbbell, sym3, sym3_catalog, point_stabilizer_ctx
+):
+    base = build_base_matrix(dumbbell)
+    lift_spectrum(base, sym3_catalog, point_stabilizer_ctx)
+    lift_eigenvectors(base, sym3_catalog, point_stabilizer_ctx)
+    assert "entries" not in vars(base)
+    assert base.entry(0, 1).coefficients == {sym3.identity: 1 + 0j}
+    assert "entries" in vars(base)
+
+
+@functools.cache
+def _cycle_lift(m):
+    """``cyclic`` m and the one-vertex base whose loop carries the m-cycle: the cycle C_m."""
+    irrep_set = builtin_irreps("cyclic", m)
+    group = irrep_set.group
+    cycle = parse_permutation("(" + " ".join(map(str, range(1, m + 1))) + ")", m)
+    graph = VoltageGraph.build(group, ["a"], [("a", "a", group.index_of(cycle))])
+    return irrep_set, right_cosets(group, frozenset({group.identity})), graph
+
+
+@pytest.mark.parametrize("m", [700, 1000])
+def test_cycle_graph_lift_spectrum_is_two_cos(m):
+    # An unreduced phase j*s up to (m - 1)^2 made these images fail the
+    # Hermitian test (NumericalError), from m = 700 on.
+    irrep_set, ctx, graph = _cycle_lift(m)
+    report = lift_spectrum(build_base_matrix(graph), irrep_set, ctx)
+    exact = np.sort(2 * np.cos(2 * np.pi * np.arange(m) / m))
+    assert report.total == m
+    assert np.max(np.abs(np.sort(report.expand().real) - exact)) < 1e-12
 
 
 class TestLiftEigenvectors:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftspectra import (
+    BaseMatrix,
     ConsistencyError,
     GroupAlgebraElement,
     NumericalError,
@@ -24,7 +25,13 @@ from liftspectra import (
     subgroup_closure,
 )
 
-from helpers import reference_build_lift
+from liftspectra.voltage import VoltageTable
+from helpers import (
+    coefficient_bits,
+    reference_build_lift,
+    reference_matmul_entries,
+    reference_trace,
+)
 
 
 def _elem(group, text):
@@ -204,6 +211,15 @@ class TestBaseMatrixPowers:
             for v in range(2):
                 assert p1.entry(u, v).coefficients == dumbbell_base.entry(u, v).coefficients
 
+    def test_power_checks_the_table_without_building_the_grid(self, sym3, dumbbell_base):
+        power = base_matrix_power(dumbbell_base, 3)
+        assert "entries" not in vars(power)
+        half = VoltageTable(*(np.array([x]) for x in (0, 0, sym3.identity, 0.5 + 0j)))
+        base = BaseMatrix(group=sym3, k=1, voltage_table=half, directed=False)
+        message = r"^walk counts: coefficient \(0\.25\+0j\) of element 0 is not an integer within 1e-09$"
+        with pytest.raises(NumericalError, match=message):
+            base_matrix_power(base, 2)
+
     def test_power_below_one_rejected(self, dumbbell_base):
         with pytest.raises(ValueError):
             base_matrix_power(dumbbell_base, 0)
@@ -227,6 +243,53 @@ class TestBaseMatrixPowers:
             traced = base_matrix_power(base, power).trace()
             total = sum(c.real for c in traced.coefficients.values())
             assert total == pytest.approx(walk_count)
+
+
+@st.composite
+def _random_tables(draw):
+    """Two base matrices over D5, C7 or S3 with k 1-4 and drawn tables.
+
+    Coefficients are small integers, as walk counts are, or arbitrary
+    complex values (signed zeros included), so that the order of every sum
+    shows in the bits.
+    """
+    group = draw(st.sampled_from(["dihedral 5", "cyclic 7", "dihedral 3"]))
+    family, m = group.split()
+    group = builtin_irreps(family, int(m)).group
+    k = draw(st.integers(1, 4))
+    integer = st.integers(-3, 3).map(complex)
+    value = st.floats(-4, 4, allow_nan=False, width=64)
+    general = st.builds(complex, value, value)
+    coefficient = draw(st.sampled_from([integer, general]))
+
+    def matrix():
+        cells = {}
+        cell = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+        for u, v in draw(st.lists(cell, max_size=2 * k * k)):
+            g = draw(st.integers(0, group.order - 1))
+            cells.setdefault((u, v), {})[g] = draw(coefficient)
+        rows = [(u, v, g, c) for (u, v) in sorted(cells) for g, c in cells[u, v].items()]
+        columns = [np.array(col) for col in zip(*rows)] if rows else [np.array([], int)] * 4
+        table = VoltageTable(*columns[:3], np.asarray(columns[3], dtype=complex))
+        return BaseMatrix(group=group, k=k, voltage_table=table, directed=False)
+
+    return matrix(), matrix()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_random_tables())
+def test_table_product_and_trace_match_the_dict_loops_bit_for_bit(pair):
+    left, right = pair
+    product = left @ right
+    # The product is formed from the tables; its grid is left unbuilt.
+    assert "entries" not in vars(product)
+    expected = reference_matmul_entries(left, right)
+    for row, expected_row in zip(product.entries, expected):
+        for got, want in zip(row, expected_row):
+            assert coefficient_bits(got) == coefficient_bits(want)
+            assert all(type(g) is int and type(c) is complex for g, c in got.coefficients.items())
+    for matrix in (left, product):
+        assert coefficient_bits(matrix.trace()) == coefficient_bits(reference_trace(matrix))
 
 
 class TestLifts:

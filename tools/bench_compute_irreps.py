@@ -1,14 +1,17 @@
-"""Stage timings of ``compute_irreps`` on a parent tree and this one, as JSON.
+"""Stage timings of ``compute_irreps`` or ``lift_spectrum`` on a parent tree and this one, as JSON.
 
 Usage, from the root of a checkout::
 
-    python3 tools/bench_compute_irreps.py --parent PARENT --out BENCH_compute_irreps.json \\
+    python3 tools/bench_compute_irreps.py --parent PARENT [--subject SUBJECT] [--out FILE] \\
         [--ab-parent RUN ...] [--ab-change RUN ...]
 
 ``PARENT`` is the root of a checkout of the parent commit; the checkout that
 holds this script is the change.  Each tree is measured in fresh child
 processes that import ``liftspectra`` from its ``src/`` with one BLAS thread.
-On each group of the ladder a child times:
+``SUBJECT`` is ``compute_irreps`` (the default) or ``lift_spectrum``, and
+``FILE`` defaults to ``BENCH_<SUBJECT>.json``.
+
+For ``compute_irreps``, on each group of the ladder a child times:
 
 - ``compute_irreps`` as a whole: the fastest of ``reps`` calls;
 - each stage of ``_decompose_regular`` (and the sort and validation after
@@ -24,9 +27,22 @@ On each group of the ladder a child times:
 Two more children per tree close S6, or S5 x C8, and call ``compute_irreps``
 once; each reports the wall time of both steps and its peak RSS.  They run
 in ``ONE_CALL_ROUNDS`` alternating rounds, and the file keeps the fastest
-wall time and the largest peak RSS of each.  ``--ab-parent`` and
-``--ab-change`` take saved outputs of ``perfbench/run.py``; the file gets
-the median and quartiles of every end-to-end metric per workload and side.
+wall time and the largest peak RSS of each.
+
+For ``lift_spectrum``, the ladder is the ``spectrum_sweep`` mix of
+``perfbench/`` at pool seed ``SPECTRUM_SEED``.  A child times, per instance,
+the whole query (``build_base_matrix`` then ``lift_spectrum``) and each
+stage of a staged copy of it (``SPECTRUM_STAGES``): the base build, the
+ranks, the images, their Hermitian test, the eigensolve and the merge, each
+the fastest of ``SPECTRUM_REPS`` passes over the mix.  The images take the
+tree's form: one per irrep on the parent, one stack per slice of a
+dimension (``spectral.IMAGE_STACK_ENTRIES``) on the change.  Before timing, the child checks that the staged copy gives the
+same entries, bit for bit, as the tree's own ``lift_spectrum``.  Children
+run in ``SPECTRUM_ROUNDS`` alternating rounds, and the fastest is kept.
+
+``--ab-parent`` and ``--ab-change`` take saved outputs of
+``perfbench/run.py``; the file gets every run's value and the median and
+quartiles of every end-to-end metric per workload and side.
 """
 
 from __future__ import annotations
@@ -246,6 +262,130 @@ def _one_call(trees):
     return out
 
 
+SPECTRUM_SEED = 3
+SPECTRUM_REPS = 60
+SPECTRUM_ROUNDS = 4
+SPECTRUM_STAGES = ("base_build", "ranks", "images", "hermitian", "eigensolve", "merge")
+
+
+def _staged_spectrum(np, ls, inst, form, lap):
+    """``build_base_matrix`` and ``lift_spectrum``'s body, with a clock per stage."""
+    spectral = ls.spectral
+    irrep_set, ctx = inst.irrep_set, inst.ctx
+    base = ls.build_base_matrix(inst.graph)
+    if form == "parent":
+        # The parent builds the table from its entries on first read.
+        base.voltage_table
+    lap("base_build")
+    ranks = spectral.subgroup_ranks(irrep_set, ctx)
+    lap("ranks")
+    used = [idx for idx, rank in enumerate(ranks) if rank]
+    if form == "parent":
+        groups = [[idx] for idx in used]
+    else:
+        by_dim = {}
+        for idx in used:
+            by_dim.setdefault(irrep_set[idx].dim, []).append(idx)
+        groups = []
+        for d, members in by_dim.items():
+            size = max(1, spectral.IMAGE_STACK_ENTRIES // max(1, (d * base.k) ** 2))
+            groups.extend(members[i : i + size] for i in range(0, len(members), size))
+    spectra = {}
+    for members in groups:
+        chosen = [irrep_set[idx] for idx in members]
+        images = ls.irrep_image(base, chosen[0] if form == "parent" else chosen).matrix
+        lap("images")
+        if not np.all(spectral.is_hermitian(images)):
+            raise RuntimeError(f"{inst.case.label}: an image is not Hermitian")
+        lap("hermitian")
+        values, _ = ls.eig_dense(images, hermitian_hint=True)
+        spectra.update(zip(members, [values] if form == "parent" else values))
+        lap("eigensolve")
+    tags = [(idx, irrep_set[idx].dim, ranks[idx]) for idx in used]
+    entries = spectral._merge_spectra(
+        [spectra[idx] for idx in used], tags, spectral.DEFAULT_MATCH_TOL
+    )
+    if sum(e.count for e in entries) != base.k * ctx.index_n:
+        raise RuntimeError(f"{inst.case.label}: the counts do not add up")
+    lap("merge")
+    return entries
+
+
+def _child_spectrum(form):
+    import numpy as np
+
+    import liftspectra as ls
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import instances
+    import workloads
+
+    mix = workloads.SpectrumSweep().composition
+    catalogs, contexts = instances.setup(mix, irreps_seed=0)
+    pool = instances.make_pool(mix, catalogs, contexts, SPECTRUM_SEED)
+
+    def bits(entries):
+        return [(e.value.real.hex(), e.value.imag.hex(), e.count, e.provenance) for e in entries]
+
+    out = {}
+    for inst in pool:
+        own = ls.lift_spectrum(ls.build_base_matrix(inst.graph), inst.irrep_set, inst.ctx)
+        if bits(_staged_spectrum(np, ls, inst, form, lambda stage: None)) != bits(own.entries):
+            raise RuntimeError(f"{inst.case.label}: the staged copy does not match lift_spectrum")
+        out[inst.case.label] = {
+            "query_s": float("inf"),
+            "stages_s": dict.fromkeys(SPECTRUM_STAGES, float("inf")),
+        }
+
+    # A stage that runs once per stack (images, hermitian, eigensolve) adds
+    # up over its calls in one query.
+    mark = 0.0
+    spent = {}
+
+    def lap(stage):
+        nonlocal mark
+        now = time.perf_counter()
+        spent[stage] += now - mark
+        mark = now
+
+    for _ in range(SPECTRUM_REPS):
+        for inst in pool:
+            kept = out[inst.case.label]
+            start = time.perf_counter()
+            ls.lift_spectrum(ls.build_base_matrix(inst.graph), inst.irrep_set, inst.ctx)
+            kept["query_s"] = min(kept["query_s"], time.perf_counter() - start)
+            spent = dict.fromkeys(SPECTRUM_STAGES, 0.0)
+            mark = time.perf_counter()
+            _staged_spectrum(np, ls, inst, form, lap)
+            kept["stages_s"] = {k: min(v, spent[k]) for k, v in kept["stages_s"].items()}
+    return out
+
+
+def _spectrum_ladder(trees):
+    out = {side: {} for side in trees}
+    for r in range(SPECTRUM_ROUNDS):
+        for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
+            got = _run_child(trees[side], "spectrum", side)
+            for label, row in got.items():
+                kept = out[side].setdefault(label, row)
+                kept["query_s"] = min(kept["query_s"], row["query_s"])
+                kept["stages_s"] = {
+                    k: min(v, row["stages_s"][k]) for k, v in kept["stages_s"].items()
+                }
+    summary = {}
+    for side, rows in out.items():
+        queries = sorted(row["query_s"] for row in rows.values())
+        summary[side] = {
+            "query_p50_ms": 1e3 * statistics.median(queries),
+            "query_sum_ms": 1e3 * sum(queries),
+            "stage_sum_ms": {
+                stage: 1e3 * sum(row["stages_s"][stage] for row in rows.values())
+                for stage in SPECTRUM_STAGES
+            },
+        }
+    return {"summary": summary, "per_instance": out}
+
+
 def _run_child(tree, *args):
     env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"), PYTHONDONTWRITEBYTECODE="1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -277,6 +417,7 @@ def _ab_summary(paths):
             q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
             summary[workload][key] = {
                 "runs": len(values),
+                "values": values,
                 "median": median,
                 "q1": q1,
                 "q3": q3,
@@ -308,33 +449,49 @@ def _machine():
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", help="root of a checkout of the parent commit")
-    p.add_argument("--out", default="BENCH_compute_irreps.json")
+    p.add_argument(
+        "--subject", choices=("compute_irreps", "lift_spectrum"), default="compute_irreps"
+    )
+    p.add_argument("--out", help="output file (default: BENCH_<subject>.json)")
     p.add_argument("--ab-parent", nargs="*", default=[], metavar="RUN")
     p.add_argument("--ab-change", nargs="*", default=[], metavar="RUN")
     p.add_argument("--child", nargs="+", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.child:
         kind, *rest = args.child
-        result = _child_ladder(*rest) if kind == "ladder" else _child_one_call(*rest)
-        print(json.dumps(result))
+        children = {"ladder": _child_ladder, "one": _child_one_call, "spectrum": _child_spectrum}
+        print(json.dumps(children[kind](*rest)))
         return 0
     if not args.parent:
         p.error("--parent is required")
     trees = {"parent": args.parent, "change": str(ROOT)}
-    doc = {
-        "what": "compute_irreps and the stages of _decompose_regular, parent against change",
-        "machine": _machine(),
-        "seed": SEED,
-        "timing": "in-process wall clock, fastest of reps calls in each of rounds children",
-        "ladder": _ladder(trees),
-        "one_call_fresh_process": _one_call(trees),
-    }
+    if args.subject == "compute_irreps":
+        doc = {
+            "what": "compute_irreps and the stages of _decompose_regular, parent against change",
+            "machine": _machine(),
+            "seed": SEED,
+            "timing": "in-process wall clock, fastest of reps calls in each of rounds children",
+            "ladder": _ladder(trees),
+            "one_call_fresh_process": _one_call(trees),
+        }
+    else:
+        doc = {
+            "what": "lift_spectrum queries of the spectrum_sweep mix and their stages, "
+            "parent against change",
+            "machine": _machine(),
+            "pool_seed": SPECTRUM_SEED,
+            "timing": f"in-process wall clock, per instance the fastest of {SPECTRUM_REPS} "
+            f"passes in each of {SPECTRUM_ROUNDS} alternating children; sums and the "
+            "median are over the 24 instances",
+            "stages": list(SPECTRUM_STAGES),
+            "ladder": _spectrum_ladder(trees),
+        }
     if args.ab_parent or args.ab_change:
         doc["perfbench_ab"] = {
             "parent": _ab_summary(args.ab_parent),
             "change": _ab_summary(args.ab_change),
         }
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(args.out or f"BENCH_{args.subject}.json").write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
 
