@@ -20,7 +20,8 @@ a subgroup, and a voltage graph::
 
 Exit codes: 0 success, 1 failed verification, 2 parse errors, 3 structural
 inconsistencies (voltages outside the group, directed input where it is not
-supported, and the like), 4 numerical failures.  All output is JSON or plain
+supported, a lift too large to build densely, and the like), 4 numerical
+failures.  All output is JSON or plain
 text on stdout and is byte-identical across runs for a fixed file and seed.
 """
 
@@ -279,8 +280,6 @@ def cmd_lift(doc: InstanceDocument, args: argparse.Namespace) -> int:
 
 def cmd_verify(doc: InstanceDocument, args: argparse.Namespace) -> int:
     _require_undirected(doc, "verify")
-    if args.trials < 0:
-        raise ParseError("--trials must be non-negative")
     labelled = [("instance", doc.graph)]
     for i in range(args.trials):
         rng = np.random.default_rng(
@@ -375,6 +374,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {name: getattr(args, name) for name in FLAG_OPTIONS}
     try:
+        # Refused before the document is loaded, which can take seconds.
+        if getattr(args, "trials", 0) < 0:
+            raise ParseError("--trials must be non-negative")
         return args.handler(load_instance(args.file, overrides), args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,16 +4,17 @@ The base matrix of a voltage graph, pushed through a ``d``-dimensional irrep,
 becomes a ``dk x dk`` complex matrix.  Its eigenvalues enter the lift
 spectrum with multiplicity equal to the rank of the irrep's subgroup sum,
 and its eigenvectors pull back to lift eigenvectors through the irrep's
-coset sums, one irrep at a time.  The images of one dimension are built
-and eigensolved as a few stacks of bounded size.  The basis is chosen per irrep from
-independent rows of the subgroup projector, and residuals are checked by
-gathering over the base arcs, so nothing here builds the lift itself except
-the oracle cross-check.
+coset sums, one irrep at a time.  Consecutive irreps of one dimension have
+their images built and eigensolved as stacks of bounded size.  The basis is
+chosen per irrep from independent rows of the subgroup projector, and
+residuals are checked by gathering over the base arcs, so nothing here
+builds the lift itself except the oracle cross-check.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -30,10 +31,10 @@ ZERO_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
 FULL_RANK_TOL = 1e-10
 PIVOT_TIE_TOL = 1e-9
-# Complex entries in one stack of irrep images (1 MiB).  A dimension's
-# images are built and solved in slices of at most this many entries, and
-# of at least one image, so a route's peak memory stays near that of one
-# image however many irreps share the dimension.
+# Complex entries in one stack of irrep images (1 MiB).  Consecutive irreps
+# of one dimension have their images built and solved in slices of at most
+# this many entries, and of at least one image, so a route's peak memory
+# stays near that of one image however many irreps share the dimension.
 IMAGE_STACK_ENTRIES = 1 << 16
 
 
@@ -291,71 +292,42 @@ def _check_lift_inputs(base: BaseMatrix, irrep_set: IrrepSet, ctx: SubgroupConte
         )
 
 
-def _not_hermitian(idx: int) -> NumericalError:
-    return NumericalError(
-        f"image eigensolve: irrep {idx}, image is not Hermitian; irreps must be unitary"
-    )
+def _image_eigensystems(base: BaseMatrix, irrep_set: IrrepSet, indices):
+    """Yield ``(idx, eigenvalues, eigenvectors)`` of the images of ``indices``, in order.
 
-
-def _solve_images(
-    base: BaseMatrix, irrep_set: IrrepSet, indices, keep_vectors: bool
-) -> tuple[dict, tuple[int, NumericalError] | None]:
-    """Image eigendata of the irreps ``indices``, a few stacks per dimension.
-
-    Each dimension's irreps are taken in slices of at most
-    ``IMAGE_STACK_ENTRIES`` image entries (at least one irrep each).  A
+    Each run of consecutive irreps of one dimension is cut into slices of at
+    most ``IMAGE_STACK_ENTRIES`` image entries (at least one irrep each).  A
     slice's images come from one :func:`irrep_image` call, are tested for
     Hermitian symmetry together and are solved by one :func:`eig_dense`
-    call.  ``solved`` maps each solved index to its real ascending
-    eigenvalues and, with ``keep_vectors``, its eigenvectors (else
-    ``None``), with the bits of a solve of that image alone.
-
-    ``failure`` is ``None`` or ``(idx, error)`` for the lowest irrep whose
-    image fails, either the Hermitian test (a unitary irrep on an undirected
-    base always passes it) or its eigensolve; the caller raises ``error``
-    when it reaches ``idx``, so the lowest failing irrep of either route
-    wins, as in an irrep-by-irrep loop.  Every irrep below ``idx`` is solved
-    and no slice is built above it once it is known.
+    call, and every image gets the real ascending eigenvalues and the bits
+    of a solve of it alone.  The first image that is not Hermitian (a
+    unitary irrep on an undirected base always is) or fails its eigensolve
+    raises :class:`NumericalError` once every irrep before it has been
+    yielded, as in an irrep-by-irrep loop.
     """
-    by_dim: dict[int, list[int]] = {}
-    for idx in indices:
-        by_dim.setdefault(irrep_set[idx].dim, []).append(idx)
-    solved = {}
-    failure = None
-    for d, members in by_dim.items():
+    for d, run in itertools.groupby(indices, lambda idx: irrep_set[idx].dim):
+        run = list(run)
         size = max(1, IMAGE_STACK_ENTRIES // max(1, (d * base.k) ** 2))
-        for start in range(0, len(members), size):
-            part = members[start : start + size]
-            if failure is not None:
-                part = [idx for idx in part if idx < failure[0]]
-                if not part:
-                    break
+        for start in range(0, len(run), size):
+            part = run[start : start + size]
             images = irrep_image(base, [irrep_set[idx] for idx in part]).matrix
             hermitian = is_hermitian(images)
-            if not hermitian.all():
-                cut = int(hermitian.argmin())
-                failure = (part[cut], _not_hermitian(part[cut]))
-                part, images = part[:cut], images[:cut]
-            if not part:
-                continue
+            cut = len(part) if hermitian.all() else int(hermitian.argmin())
             try:
-                values, vectors = eig_dense(images, hermitian_hint=True)
+                solved = zip(part, *eig_dense(images[:cut], hermitian_hint=True))
             except NumericalError:
-                # Solve the slice's images one at a time to find the lowest
-                # that fails; those before it keep their bits.
-                values, vectors = [], []
-                for idx, image in zip(part, images):
-                    try:
-                        one_values, one_vectors = eig_dense(image, hermitian_hint=True)
-                    except NumericalError as error:
-                        failure = (idx, error)
-                        break
-                    values.append(one_values)
-                    vectors.append(one_vectors)
-            if not keep_vectors:
-                vectors = [None] * len(values)
-            solved.update(zip(part, zip(values, vectors)))
-    return solved, failure
+                # Solve the slice's images one at a time: those before the
+                # first that fails are yielded, and then it raises.
+                solved = (
+                    (idx, *eig_dense(image, hermitian_hint=True))
+                    for idx, image in zip(part, images[:cut])
+                )
+            yield from solved
+            if cut < len(part):
+                raise NumericalError(
+                    f"image eigensolve: irrep {part[cut]}, image is not Hermitian; "
+                    "irreps must be unitary"
+                )
 
 
 def _merge_spectra(
@@ -427,9 +399,9 @@ def lift_spectrum(
     The dimension-weighted ranks must add up to the coset count, and every
     image of nonzero rank must be Hermitian; a violation raises
     :class:`NumericalError` naming its stage, and of several failing images
-    the lowest irrep's is named.  The images of nonzero rank are built and
-    solved in stacks of one irrep dimension, a bounded number of entries
-    each (:func:`_solve_images`), every image with the bits of its own
+    the lowest irrep's is named.  The images of nonzero rank are solved in
+    order, in stacks of consecutive irreps of one dimension
+    (:func:`_image_eigensystems`), every image with the bits of its own
     solve; only their eigenvalues are kept.  The images' real eigenvalue
     arrays are merged as one sorted array (:func:`_merge_spectra`): each
     entry is anchored at its smallest value and takes every value within
@@ -440,10 +412,7 @@ def lift_spectrum(
     _check_lift_inputs(base, irrep_set, ctx)
     ranks = subgroup_ranks(irrep_set, ctx)
     used = [idx for idx, rank in enumerate(ranks) if rank]
-    solved, failure = _solve_images(base, irrep_set, used, keep_vectors=False)
-    if failure is not None:
-        raise failure[1]
-    spectra = [solved[idx][0] for idx in used]
+    spectra = [values for _, values, _ in _image_eigensystems(base, irrep_set, used)]
     tags = [(idx, irrep_set[idx].dim, ranks[idx]) for idx in used]
     entries = _merge_spectra(spectra, tags, match_tol)
     total = sum(e.count for e in entries)
@@ -643,14 +612,14 @@ def lift_eigenvectors(
     kept in :attr:`IrrepSet.pullback_plans` for as long as ``ctx`` lives.  A
     plan whose checks fail is not kept, so its error comes back on every
     call.  The image eigensolves, the pull-back, the zero flags and the
-    residual checks run on every call.  The images are built and solved in
-    stacks of one irrep dimension, a bounded number of entries each
-    (:func:`_solve_images`); the pull-back and its checks then run irrep by
-    irrep, and the lowest irrep whose image is not Hermitian or fails its
+    residual checks run on every call.  The images are solved in order, in
+    stacks of consecutive irreps of one dimension
+    (:func:`_image_eigensystems`), and each is pulled back and checked as it
+    comes, so the lowest irrep whose image is not Hermitian or fails its
     eigensolve raises only once every irrep before it has passed its own
-    checks, as when each image was solved in turn.  Each irrep's block is
-    written once, C-contiguous, by :func:`_pull_back`; the residual check
-    and the ``(kn, d * dk)`` array returned read it in place.
+    checks.  Each irrep's block is written once, C-contiguous, by
+    :func:`_pull_back`; the residual check and the ``(kn, d * dk)`` array
+    returned read it in place.
     """
     _check_lift_inputs(base, irrep_set, ctx)
     plan = _pullback_plan(irrep_set, ctx)
@@ -658,12 +627,8 @@ def lift_eigenvectors(
     kn = k * ctx.index_n
     terms = _lift_terms(base, ctx)
 
-    solved, failure = _solve_images(base, irrep_set, range(len(irrep_set)), keep_vectors=True)
     parts = []
-    for idx, irrep in enumerate(irrep_set):
-        if failure is not None and idx == failure[0]:
-            raise failure[1]
-        values, eigenvectors = solved[idx]
+    for idx, values, eigenvectors in _image_eigensystems(base, irrep_set, range(len(irrep_set))):
         eigenvalues = np.asarray(values, dtype=complex)
         pulled = _pull_back(plan.sums[idx], eigenvectors, k)
         picked = plan.picked[idx]
@@ -671,7 +636,7 @@ def lift_eigenvectors(
             _check_residuals(idx, terms, pulled, eigenvalues, picked, residual_tol)
         pulled = pulled.reshape(kn, -1)
         peak = np.max(np.abs(pulled), axis=0, initial=0.0)
-        parts.append((irrep.dim, eigenvalues, pulled, picked, peak))
+        parts.append((irrep_set[idx].dim, eigenvalues, pulled, picked, peak))
     global_peak = max((float(peak.max(initial=0.0)) for *_, peak in parts), default=0.0)
 
     blocks: list[IrrepColumns] = []

@@ -25,6 +25,9 @@ from .permgroup import (
 )
 
 INTEGER_TOL = 1e-9
+# The most lift vertices ``build_lift`` builds; its dense int64 adjacency
+# then takes at most 512 MiB.
+MAX_LIFT_VERTICES = 8192
 
 
 def _integer_counts(values, elements, stage: str) -> np.ndarray:
@@ -428,12 +431,19 @@ def build_lift(graph: VoltageGraph, ctx: SubgroupContext) -> LiftGraph:
     Every arc ``u -> v`` with voltage ``g`` contributes one edge from
     ``(u, J)`` to ``(v, Jg)`` for each coset ``J`` (:func:`_lift_terms`).
     Undirected base graphs therefore produce symmetric adjacency matrices,
-    and each row sums to the out-degree of its base vertex.
+    and each row sums to the out-degree of its base vertex.  A lift of more
+    than ``MAX_LIFT_VERTICES`` vertices raises :class:`ConsistencyError`
+    before anything is allocated.
     """
     if graph.group is not ctx.group:
         raise ConsistencyError("graph and subgroup context belong to different groups")
     n = ctx.index_n
     k = graph.k
+    if k * n > MAX_LIFT_VERTICES:
+        raise ConsistencyError(
+            f"build_lift: the lift has k*n = {k}*{n} = {k * n} vertices, above "
+            f"MAX_LIFT_VERTICES = {MAX_LIFT_VERTICES}, the most built as a dense matrix"
+        )
     adjacency = np.zeros((k * n, k * n), dtype=np.int64)
     cosets = np.arange(n)
     # An action is a permutation of the cosets, so no row repeats an index.

@@ -224,6 +224,42 @@ class TestVerifyCommand:
         assert code == 2
         assert "trials" in err
 
+    def test_negative_trials_refused_before_the_document_is_loaded(self, capsys, monkeypatch):
+        import liftspectra.cli as cli_module
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("load_instance was called")
+
+        monkeypatch.setattr(cli_module, "load_instance", unreachable)
+        code, out, err = _run(capsys, ["verify", DUMBBELL, "--trials", "-1"])
+        assert (code, out, err) == (2, "", "error: --trials must be non-negative\n")
+
+
+def _s4_cycle_doc(k):
+    """S4 over its trivial subgroup on a k-cycle: a lift of 24k vertices."""
+    vertices = [f"v{i}" for i in range(k)]
+    edges = [
+        {"from": vertices[i], "to": vertices[(i + 1) % k], "voltage": "(1 2 3 4)"}
+        for i in range(k)
+    ]
+    return {
+        "group": {"kind": "generators", "degree": 4, "generators": ["(1 2)", "(1 2 3 4)"]},
+        "subgroup": {"kind": "trivial"},
+        "graph": {"directed": False, "vertices": vertices, "edges": edges},
+    }
+
+
+@pytest.mark.parametrize("command", ["lift", "verify"])
+def test_lift_too_large_to_build_densely_exits_three(tmp_path, capsys, command):
+    # 72,000 lift vertices: the dense adjacency alone would take 38.6 GiB.
+    path = _write_instance(tmp_path, _s4_cycle_doc(3000))
+    code, out, err = _run(capsys, [command, path])
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: build_lift: the lift has k*n = 3000*24 = 72000 vertices, above "
+        "MAX_LIFT_VERTICES = 8192, the most built as a dense matrix\n"
+    )
+
 
 class TestCharactersCommand:
     def test_regular_dumbbell(self, capsys):

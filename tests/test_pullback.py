@@ -57,15 +57,25 @@ GENERATED = {
     "S5": (5, ("(1 2)", "(1 2 3 4 5)")),
 }
 DIHEDRAL = {"D5": 5, "D6": 6}
+# (trivial, plane, sign), and S5's dimensions as 4, 4, 1, 6, 5, 1, 5.
+UNSORTED = {"sym3 unsorted": ("sym3", (0, 2, 1)), "S5 shuffled": ("S5", (2, 3, 0, 6, 4, 1, 5))}
 
 
 @functools.cache
 def catalog(name: str) -> IrrepSet:
+    if name == "sym3":
+        return builtin_irreps("sym3")
     if name in DIHEDRAL:
         return builtin_irreps("dihedral", DIHEDRAL[name])
     if name == "C60":
         # Sixty one-dimensional irreps, built and solved as one stack.
         return builtin_irreps("cyclic", 60)
+    if name in UNSORTED:
+        # Irrep sets not sorted by dimension: only consecutive irreps of one
+        # dimension share a stack.
+        source, order = UNSORTED[name]
+        irrep_set = catalog(source)
+        return IrrepSet(group=irrep_set.group, irreps=tuple(irrep_set[i] for i in order))
     degree, gens = GENERATED[name]
     group = generate_group([parse_permutation(g, degree) for g in gens])
     return compute_irreps(group, seed=0)
@@ -171,7 +181,7 @@ def assert_bundle_matches_reference(irrep_set, ctx, graph):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(lifts(names=("A5", "D6", "S4", "C60")))
+@given(lifts(names=("A5", "D6", "S4", "C60", *UNSORTED)))
 def test_bundle_arrays_match_the_per_column_loop_bit_for_bit(lift):
     assert_bundle_matches_reference(*lift)
 
@@ -493,10 +503,11 @@ def _fail_eigensolve_of(monkeypatch, target):
 
 @pytest.mark.parametrize("route", [lift_spectrum, lift_eigenvectors])
 def test_lowest_failing_image_wins_across_stacks(monkeypatch, route, dumbbell, sym3, sym3_catalog):
-    # Irreps 0 and 2 (one-dimensional) share a stack, which is solved before
-    # irrep 1's (two-dimensional).  Irrep 2's eigensolve fails, and so does
-    # irrep 1's Hermitian test once irrep 1 is skewed: as when each image was
-    # solved in turn, the lower irrep's error is raised.
+    # Irreps 0 and 2 (one-dimensional) are not consecutive, so each of the
+    # three images is a slice of its own, solved in irrep order.  Irrep 2's
+    # eigensolve fails, and so does irrep 1's Hermitian test once irrep 1 is
+    # skewed: as when each image was solved in turn, the lower irrep's error
+    # is raised.
     trivial, sign, plane = sym3_catalog
     s = np.array([[1.0, 2.0], [0.0, 1.0]])
     skewed = Irrep(

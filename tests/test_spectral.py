@@ -97,13 +97,25 @@ class TestIrrepImage:
             irrep_image(dumbbell_base, other[0])
 
 
+# (trivial, plane, sign), and S5's dimensions as 4, 4, 1, 6, 5, 1, 5.
+UNSORTED = {"sym3 unsorted": ("sym3", (0, 2, 1)), "S5 shuffled": ("S5", (2, 3, 0, 6, 4, 1, 5))}
+
+
 @functools.cache
 def _catalog(name: str) -> IrrepSet:
+    if name == "sym3":
+        return builtin_irreps("sym3")
     if name == "D6":
         return builtin_irreps("dihedral", 6)
     if name == "C60":
         # Sixty one-dimensional irreps: one stack of sixty images.
         return builtin_irreps("cyclic", 60)
+    if name in UNSORTED:
+        # Irrep sets not sorted by dimension: only consecutive irreps of one
+        # dimension share a stack.
+        source, order = UNSORTED[name]
+        irrep_set = _catalog(source)
+        return IrrepSet(group=irrep_set.group, irreps=tuple(irrep_set[i] for i in order))
     degree, gens = {
         "S4": (4, ("(1 2)", "(1 2 3 4)")),
         "A5": (5, ("(1 2 3)", "(1 2 3 4 5)")),
@@ -455,7 +467,8 @@ class TestMergeSpectra:
 @st.composite
 def _spectrum_cases(draw):
     """A catalog, a random subgroup, a base with k from 1 to 4 (edges optional)."""
-    irrep_set = _catalog(draw(st.sampled_from(["S4", "A5", "D6", "D6 computed", "S5", "C60"])))
+    names = ["S4", "A5", "D6", "D6 computed", "S5", "C60", *UNSORTED]
+    irrep_set = _catalog(draw(st.sampled_from(names)))
     group = irrep_set.group
     element = st.integers(0, group.order - 1)
     members = subgroup_closure(group, draw(st.lists(element, max_size=2)))
@@ -480,11 +493,13 @@ def test_array_merge_matches_the_tuple_merge_bit_for_bit(case):
     assert report.expand().tobytes() == _expand_by_list(old).tobytes()
 
 
-@pytest.mark.parametrize("name", ["S4", "D6", "S5", "C60"])
+@pytest.mark.parametrize("name", ["S4", "D6", "S5", "C60", *UNSORTED])
 def test_stacks_of_several_irreps_match_the_per_irrep_solves(name):
-    # Over the trivial subgroup every irrep is solved, so each dimension that
-    # holds two or more irreps (S4's two 3-dimensional ones, D6's four
-    # 1-dimensional ones, all sixty of C60) is one stack.
+    # Over the trivial subgroup every irrep is solved, so each run of two or
+    # more consecutive irreps of one dimension (S4's two 3-dimensional ones,
+    # D6's four 1-dimensional ones, all sixty of C60, the shuffled S5's two
+    # 4-dimensional ones) is one stack, and the unsorted sets also solve
+    # irreps of a shared dimension in separate stacks.
     irrep_set = _catalog(name)
     group = irrep_set.group
     assert max(len(members) for members in _by_dimension(irrep_set).values()) >= 2

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from liftspectra import (
     subgroup_closure,
 )
 
+import liftspectra.voltage as voltage
 from liftspectra.voltage import VoltageTable
 from helpers import (
     coefficient_bits,
@@ -353,6 +355,33 @@ class TestLifts:
         ctx = right_cosets(other.group, frozenset({0}))
         with pytest.raises(ConsistencyError):
             build_lift(dumbbell, ctx)
+
+    def test_lift_above_the_vertex_cap_is_refused_before_allocating(self):
+        # S4 over its trivial subgroup on a 3000-cycle: 72,000 lift vertices.
+        group = generate_group([parse_permutation(g, 4) for g in ("(1 2)", "(1 2 3 4)")])
+        vertices = [str(v) for v in range(3000)]
+        edges = [(vertices[v], vertices[(v + 1) % 3000], 1) for v in range(3000)]
+        graph = VoltageGraph.build(group, vertices, edges)
+        ctx = right_cosets(group, frozenset({group.identity}))
+        message = (
+            r"^build_lift: the lift has k\*n = 3000\*24 = 72000 vertices, above "
+            r"MAX_LIFT_VERTICES = 8192, the most built as a dense matrix$"
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConsistencyError, match=message):
+                build_lift(graph, ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_lift_at_the_vertex_cap_builds(self, monkeypatch, dumbbell, trivial_ctx):
+        monkeypatch.setattr(voltage, "MAX_LIFT_VERTICES", 12)
+        assert build_lift(dumbbell, trivial_ctx).size == 12
+        monkeypatch.setattr(voltage, "MAX_LIFT_VERTICES", 11)
+        with pytest.raises(ConsistencyError, match=r"k\*n = 2\*6 = 12 vertices"):
+            build_lift(dumbbell, trivial_ctx)
 
     def test_json_export(self, dumbbell, point_stabilizer_ctx):
         lift = build_lift(dumbbell, point_stabilizer_ctx)

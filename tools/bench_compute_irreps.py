@@ -18,10 +18,10 @@ For ``compute_irreps``, on each group of the ladder a child times:
   it), from the staged copy of its body below, the fastest of ``reps``.
   Each group runs in ``rounds`` fresh children per tree, alternating which
   tree goes first, and the fastest over the rounds is kept.
-  The shift, the ``sub`` einsum and the invariance residual take the tree's
-  form: one pass over every group element ``g`` on the parent, slices of 32
-  elements on the change.  Before timing, the child checks that the staged
-  copy gives the same bytes as the tree's own ``_decompose_regular``;
+  The shift, the ``sub`` einsum and the invariance residual run over slices
+  of 32 group elements, as ``_decompose_regular`` does.  Before timing, the
+  child checks that the staged copy gives the same bytes as the tree's own
+  ``_decompose_regular``, so a tree whose body differs is refused;
 - the ``tracemalloc`` peak of one more ``compute_irreps`` call.
 
 Two more children per tree close S6, or S5 x C8, and call ``compute_irreps``
@@ -34,11 +34,13 @@ For ``lift_spectrum``, the ladder is the ``spectrum_sweep`` mix of
 the whole query (``build_base_matrix`` then ``lift_spectrum``) and each
 stage of a staged copy of it (``SPECTRUM_STAGES``): the base build, the
 ranks, the images, their Hermitian test, the eigensolve and the merge, each
-the fastest of ``SPECTRUM_REPS`` passes over the mix.  The images take the
-tree's form: one per irrep on the parent, one stack per slice of a
-dimension (``spectral.IMAGE_STACK_ENTRIES``) on the change.  Before timing, the child checks that the staged copy gives the
-same entries, bit for bit, as the tree's own ``lift_spectrum``.  Children
-run in ``SPECTRUM_ROUNDS`` alternating rounds, and the fastest is kept.
+the fastest of ``SPECTRUM_REPS`` passes over the mix.  The images are built
+and solved as one stack per slice of consecutive irreps of one dimension
+(``spectral.IMAGE_STACK_ENTRIES``), as ``lift_spectrum`` does.  Before
+timing, the child checks that the staged copy gives the same entries, bit
+for bit, as the tree's own ``lift_spectrum``, so a tree whose body differs
+is refused.  Children run in ``SPECTRUM_ROUNDS`` alternating rounds, and
+the fastest is kept.
 
 ``--ab-parent`` and ``--ab-change`` take saved outputs of
 ``perfbench/run.py``; the file gets every run's value and the median and
@@ -48,6 +50,7 @@ quartiles of every end-to-end metric per workload and side.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -86,18 +89,6 @@ STAGES = (
 )
 
 
-def _sub_whole(np, basis, table, lap):
-    shifted = basis[table.T]
-    lap("shifted_gather")
-    sub = np.einsum("ai,gab->gib", basis.conj(), shifted)
-    lap("sub_einsum")
-    lifted = basis @ sub
-    lifted -= shifted
-    residual = np.max(np.abs(lifted))
-    lap("invariance_residual")
-    return sub, residual
-
-
 def _sub_sliced(np, basis, table, lap):
     n, d = basis.shape
     dual = basis.conj()
@@ -119,12 +110,8 @@ def _sub_sliced(np, basis, table, lap):
     return sub, residual
 
 
-FORMS = {"parent": _sub_whole, "change": _sub_sliced}
-
-
-def _staged(np, irreps, group, classes, rng, form):
+def _staged(np, irreps, group, classes, rng):
     """``_decompose_regular``, sort and validation, with a clock per stage."""
-    build = FORMS[form]
     times = dict.fromkeys(STAGES, 0.0)
     mark = time.perf_counter()
 
@@ -170,7 +157,7 @@ def _staged(np, irreps, group, classes, rng, form):
             continue
         kept = np.vstack([kept, class_char])
         lap("class_characters")
-        sub, residual = build(np, basis, table, lap)
+        sub, residual = _sub_sliced(np, basis, table, lap)
         if not residual <= irreps.DEFAULT_VERIFY_TOL:
             raise RuntimeError("non-invariant cluster on attempt 0; pick another seed")
         found.append(sub)
@@ -185,7 +172,7 @@ def _group(liftspectra, degree, gens):
     return liftspectra.generate_group([liftspectra.parse_permutation(g, degree) for g in gens])
 
 
-def _child_ladder(form, name):
+def _child_ladder(name):
     import numpy as np
 
     import liftspectra
@@ -197,7 +184,7 @@ def _child_ladder(form, name):
     degree, gens, reps, _ = LADDER[name]
     group = _group(liftspectra, degree, gens)
     classes = liftspectra.conjugacy_classes(group)
-    staged, _ = _staged(np, irreps, group, classes, attempt_rng(), form)
+    staged, _ = _staged(np, irreps, group, classes, attempt_rng())
     own = irreps._decompose_regular(group, classes, attempt_rng())
     if [m.tobytes() for m in staged] != [m.tobytes() for m in own]:
         raise RuntimeError(f"{name}: the staged copy does not match _decompose_regular")
@@ -208,7 +195,7 @@ def _child_ladder(form, name):
         whole = min(whole, time.perf_counter() - start)
     stages = dict.fromkeys(STAGES, float("inf"))
     for _ in range(reps):
-        _, times = _staged(np, irreps, group, classes, attempt_rng(), form)
+        _, times = _staged(np, irreps, group, classes, attempt_rng())
         stages = {k: min(stages[k], times[k]) for k in STAGES}
     tracemalloc.start()
     liftspectra.compute_irreps(group, SEED)
@@ -227,7 +214,7 @@ def _ladder(trees):
     for name, (_, _, reps, rounds) in LADDER.items():
         for r in range(rounds):
             for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
-                got = _run_child(trees[side], "ladder", side, name)
+                got = _run_child(trees[side], "ladder", name)
                 kept = out[side].setdefault(name, dict(got, reps=reps, rounds=rounds))
                 kept["compute_irreps_s"] = min(kept["compute_irreps_s"], got["compute_irreps_s"])
                 kept["stages_s"] = {
@@ -268,50 +255,38 @@ SPECTRUM_ROUNDS = 4
 SPECTRUM_STAGES = ("base_build", "ranks", "images", "hermitian", "eigensolve", "merge")
 
 
-def _staged_spectrum(np, ls, inst, form, lap):
+def _staged_spectrum(np, ls, inst, lap):
     """``build_base_matrix`` and ``lift_spectrum``'s body, with a clock per stage."""
     spectral = ls.spectral
     irrep_set, ctx = inst.irrep_set, inst.ctx
     base = ls.build_base_matrix(inst.graph)
-    if form == "parent":
-        # The parent builds the table from its entries on first read.
-        base.voltage_table
     lap("base_build")
     ranks = spectral.subgroup_ranks(irrep_set, ctx)
     lap("ranks")
     used = [idx for idx, rank in enumerate(ranks) if rank]
-    if form == "parent":
-        groups = [[idx] for idx in used]
-    else:
-        by_dim = {}
-        for idx in used:
-            by_dim.setdefault(irrep_set[idx].dim, []).append(idx)
-        groups = []
-        for d, members in by_dim.items():
-            size = max(1, spectral.IMAGE_STACK_ENTRIES // max(1, (d * base.k) ** 2))
-            groups.extend(members[i : i + size] for i in range(0, len(members), size))
-    spectra = {}
-    for members in groups:
-        chosen = [irrep_set[idx] for idx in members]
-        images = ls.irrep_image(base, chosen[0] if form == "parent" else chosen).matrix
-        lap("images")
-        if not np.all(spectral.is_hermitian(images)):
-            raise RuntimeError(f"{inst.case.label}: an image is not Hermitian")
-        lap("hermitian")
-        values, _ = ls.eig_dense(images, hermitian_hint=True)
-        spectra.update(zip(members, [values] if form == "parent" else values))
-        lap("eigensolve")
+    spectra = []
+    for d, run in itertools.groupby(used, lambda idx: irrep_set[idx].dim):
+        run = list(run)
+        size = max(1, spectral.IMAGE_STACK_ENTRIES // max(1, (d * base.k) ** 2))
+        for start in range(0, len(run), size):
+            part = run[start : start + size]
+            images = ls.irrep_image(base, [irrep_set[idx] for idx in part]).matrix
+            lap("images")
+            if not np.all(spectral.is_hermitian(images)):
+                raise RuntimeError(f"{inst.case.label}: an image is not Hermitian")
+            lap("hermitian")
+            values, _ = ls.eig_dense(images, hermitian_hint=True)
+            spectra.extend(values)
+            lap("eigensolve")
     tags = [(idx, irrep_set[idx].dim, ranks[idx]) for idx in used]
-    entries = spectral._merge_spectra(
-        [spectra[idx] for idx in used], tags, spectral.DEFAULT_MATCH_TOL
-    )
+    entries = spectral._merge_spectra(spectra, tags, spectral.DEFAULT_MATCH_TOL)
     if sum(e.count for e in entries) != base.k * ctx.index_n:
         raise RuntimeError(f"{inst.case.label}: the counts do not add up")
     lap("merge")
     return entries
 
 
-def _child_spectrum(form):
+def _child_spectrum():
     import numpy as np
 
     import liftspectra as ls
@@ -330,7 +305,7 @@ def _child_spectrum(form):
     out = {}
     for inst in pool:
         own = ls.lift_spectrum(ls.build_base_matrix(inst.graph), inst.irrep_set, inst.ctx)
-        if bits(_staged_spectrum(np, ls, inst, form, lambda stage: None)) != bits(own.entries):
+        if bits(_staged_spectrum(np, ls, inst, lambda stage: None)) != bits(own.entries):
             raise RuntimeError(f"{inst.case.label}: the staged copy does not match lift_spectrum")
         out[inst.case.label] = {
             "query_s": float("inf"),
@@ -356,7 +331,7 @@ def _child_spectrum(form):
             kept["query_s"] = min(kept["query_s"], time.perf_counter() - start)
             spent = dict.fromkeys(SPECTRUM_STAGES, 0.0)
             mark = time.perf_counter()
-            _staged_spectrum(np, ls, inst, form, lap)
+            _staged_spectrum(np, ls, inst, lap)
             kept["stages_s"] = {k: min(v, spent[k]) for k, v in kept["stages_s"].items()}
     return out
 
@@ -365,7 +340,7 @@ def _spectrum_ladder(trees):
     out = {side: {} for side in trees}
     for r in range(SPECTRUM_ROUNDS):
         for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
-            got = _run_child(trees[side], "spectrum", side)
+            got = _run_child(trees[side], "spectrum")
             for label, row in got.items():
                 kept = out[side].setdefault(label, row)
                 kept["query_s"] = min(kept["query_s"], row["query_s"])
