@@ -33,8 +33,8 @@ DEFAULT_VERIFY_TOL = 1e-8
 CHARACTER_TOL = 1e-6
 RANK_TRACE_TOL = 1e-8
 MAX_RETRIES = 8
-# One compute_irreps call in a fresh process on one core takes about 5.7 s
-# and 93 MB peak RSS for S6 (order 720), and 18 s and 133 MB for S5 x C8
+# One compute_irreps call in a fresh process on one core takes about 3.4 s
+# and 85 MB peak RSS for S6 (order 720), and 9.7 s and 119 MB for S5 x C8
 # (order 960); its time grows as |G|^3 and its memory as |G|^2.
 MAX_COMPUTED_ORDER = 1000
 
@@ -323,6 +323,32 @@ def _random_hermitian(rng: np.random.Generator, size: int) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
+def _catalog_slices(basis: np.ndarray, table: np.ndarray, sub: np.ndarray):
+    """Fill ``sub[g] = basis^* R(g) basis`` for the regular representation ``R``,
+    32 group elements ``g`` at a time.
+
+    Each slice yields ``(part, shifted)``: its block of ``sub`` and the gathered
+    ``shifted[g, b, a] = basis[table[a, g], b]``, held once as a C-contiguous
+    ``(g, b, a)`` array.
+    """
+    columns = basis.T.copy()
+    dual = columns.conj()
+    rows = np.arange(len(columns))[:, None]
+    for g0 in range(0, len(sub), 32):
+        part = sub[g0 : g0 + 32]
+        # A contiguous index slice makes the gather's output C-contiguous.
+        elements = np.ascontiguousarray(table.T[g0 : g0 + 32])
+        shifted = columns[rows, elements[:, None, :]]
+        # With ``(g, b, a)`` the sum over ``a`` runs innermost along
+        # contiguous memory; a ``(g, a, b)`` gather would leave numpy's inner
+        # loop over the d entries of ``b``.  Either way each entry adds the
+        # same products one by one in ``a`` order, so every bit is that of
+        # ``einsum("ai,gab->gib", basis.conj(), basis[table.T[g0:g0 + 32]])``,
+        # which ``test_catalog_slices_match_the_strided_einsum`` pins.
+        np.einsum("ia,gba->gib", dual, shifted, out=part)
+        yield part, shifted
+
+
 def _decompose_regular(
     group: FiniteGroup, classes: list[ConjugacyClass], rng: np.random.Generator
 ):
@@ -364,7 +390,10 @@ def _decompose_regular(
         basis = eigenvectors[:, lo:hi]
         class_char = np.einsum("ai,cai->c", basis.conj(), basis[class_cols])
         norm = float(sizes @ np.abs(class_char) ** 2) / n
-        if abs(norm - 1) > CHARACTER_TOL:
+        # Written so that a NaN norm fails: a NaN anywhere in the cluster's
+        # basis reaches the identity class's character, so it is refused here
+        # and never counted as a new irrep below.
+        if not abs(norm - 1) <= CHARACTER_TOL:
             raise NumericalError(
                 f"irrep split: reducible eigenvalue cluster {idx} ({hi - lo}-dimensional): "
                 f"character norm {norm:.6f} departs from 1"
@@ -377,15 +406,14 @@ def _decompose_regular(
         # residual only meets a tolerance, so it is a broadcast matmul.  Both
         # run over 32 elements g at a time, so no |G| x |G| x d array is
         # held; each slice's einsum gives the bits of the whole-g call.
-        dual = basis.conj()
         sub = np.empty((n, hi - lo, hi - lo), dtype=complex)
         peaks = []
-        for g0 in range(0, n, 32):
-            shifted = basis[table.T[g0 : g0 + 32]]
-            part = sub[g0 : g0 + 32]
-            np.einsum("ai,gab->gib", dual, shifted, out=part)
+        for part, shifted in _catalog_slices(basis, table, sub):
+            # One broadcast product and a transposed view keep the residual's
+            # bits, so the messages that report it; a gemm per slice would
+            # change them (test_residual_message_matches_the_whole_g_residual).
             lifted = basis @ part
-            lifted -= shifted
+            lifted -= shifted.transpose(0, 2, 1)
             peaks.append(np.max(np.abs(lifted)))
         # A NaN peak carries through ``np.max`` and fails the test below.
         residual = np.max(peaks)

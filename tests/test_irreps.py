@@ -455,6 +455,33 @@ class TestComputeIrrepsBits:
         )
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([1, 31, 33, 97]),
+    d=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_catalog_slices_match_the_strided_einsum(n, d, seed):
+    """The ``(g, b, a)`` gather and its contraction give the bits of the
+    ``(g, a, b)`` einsum on every slice, the short last one included."""
+    rng = np.random.default_rng(seed)
+    wide = rng.standard_normal((n, d + 2)) + 1j * rng.standard_normal((n, d + 2))
+    # A column slice, strided as an eigenvalue cluster's basis is.
+    basis = wide[:, 1 : d + 1]
+    table = np.stack([rng.permutation(n) for _ in range(n)], axis=1)
+    sub = np.empty((n, d, d), dtype=complex)
+    slices = list(irreps_module._catalog_slices(basis, table, sub))
+    assert len(slices) == -(-n // 32)
+    for k, (part, shifted) in enumerate(slices):
+        g0 = 32 * k
+        want_shifted = basis[table.T[g0 : g0 + 32]]
+        want = np.einsum("ai,gab->gib", basis.conj(), want_shifted)
+        assert shifted.flags.c_contiguous
+        assert shifted.transpose(0, 2, 1).tobytes("C") == want_shifted.tobytes()
+        assert part.tobytes() == want.tobytes()
+    assert sub.tobytes() == np.einsum("ai,gab->gib", basis.conj(), basis[table.T]).tobytes()
+
+
 class TestComputeIrrepsStageNames:
     """Each of ``compute_irreps``' own failures names its stage."""
 
@@ -476,6 +503,23 @@ class TestComputeIrrepsStageNames:
             self._split(_sym4())
 
     def test_nan_residual_fails_closed(self, monkeypatch):
+        # A NaN in the catalog einsum's output is read by the residual alone;
+        # the class characters are an einsum without ``out``.
+        einsum = np.einsum
+
+        def poisoned(*operands, out=None, **kwargs):
+            result = einsum(*operands, out=out, **kwargs)
+            if out is not None:
+                out[0, 0, 0] = np.nan
+            return result
+
+        monkeypatch.setattr(np, "einsum", poisoned)
+        message = r"^irrep split: eigenvalue cluster 0 is not an invariant subspace \(residual nan\)"
+        with pytest.raises(NumericalError, match=message):
+            self._split(_sym4())
+
+    def test_nan_eigenvector_is_a_reducible_cluster(self, monkeypatch):
+        # The first cluster is refused before any catalog slice is built.
         eigh = np.linalg.eigh
 
         def poisoned(matrix):
@@ -484,7 +528,11 @@ class TestComputeIrrepsStageNames:
             return eigenvalues, eigenvectors
 
         monkeypatch.setattr(np.linalg, "eigh", poisoned)
-        message = r"^irrep split: eigenvalue cluster 0 is not an invariant subspace \(residual nan\)"
+        monkeypatch.setattr(irreps_module, "_catalog_slices", lambda *args: pytest.fail("built"))
+        message = (
+            r"^irrep split: reducible eigenvalue cluster 0 \(\d+-dimensional\): "
+            r"character norm nan departs from 1$"
+        )
         with pytest.raises(NumericalError, match=message):
             self._split(_sym4())
 

@@ -19,9 +19,14 @@ For ``compute_irreps``, on each group of the ladder a child times:
   Each group runs in ``rounds`` fresh children per tree, alternating which
   tree goes first, and the fastest over the rounds is kept.
   The shift, the ``sub`` einsum and the invariance residual run over slices
-  of 32 group elements, as ``_decompose_regular`` does.  Before timing, the
-  child checks that the staged copy gives the same bytes as the tree's own
-  ``_decompose_regular``, so a tree whose body differs is refused;
+  of 32 group elements, as ``_decompose_regular`` does, in the tree's own
+  layout (``LAYOUTS``): a tree with ``irreps._catalog_slices`` gathers the
+  shift as ``(g, b, a)`` and sums along contiguous memory; an older one
+  gathers ``(g, a, b)``.  Both layouts give the same bytes, so the layout
+  is read from the tree and written to the file with its stages.  Before
+  timing, the child checks that the staged copy gives the same bytes as the
+  tree's own ``_decompose_regular``, so a tree whose body differs is
+  refused;
 - the ``tracemalloc`` peak of one more ``compute_irreps`` call.
 
 Two more children per tree close S6, or S5 x C8, and call ``compute_irreps``
@@ -89,7 +94,8 @@ STAGES = (
 )
 
 
-def _sub_sliced(np, basis, table, lap):
+def _sub_strided(np, basis, table, lap):
+    """``sub`` and the residual with the shift held as ``(g, a, b)``."""
     n, d = basis.shape
     dual = basis.conj()
     sub = np.empty((n, d, d), dtype=complex)
@@ -108,6 +114,39 @@ def _sub_sliced(np, basis, table, lap):
     residual = np.max(peaks)
     lap("invariance_residual")
     return sub, residual
+
+
+def _sub_contiguous(np, basis, table, lap):
+    """``sub`` and the residual with the shift held as ``(g, b, a)``, as
+    ``irreps._catalog_slices`` gathers it."""
+    n, d = basis.shape
+    columns = basis.T.copy()
+    dual = columns.conj()
+    rows = np.arange(d)[:, None]
+    sub = np.empty((n, d, d), dtype=complex)
+    peaks = []
+    lap("sub_einsum")
+    for g0 in range(0, n, 32):
+        elements = np.ascontiguousarray(table.T[g0 : g0 + 32])
+        shifted = columns[rows, elements[:, None, :]]
+        lap("shifted_gather")
+        part = sub[g0 : g0 + 32]
+        np.einsum("ia,gba->gib", dual, shifted, out=part)
+        lap("sub_einsum")
+        lifted = basis @ part
+        lifted -= shifted.transpose(0, 2, 1)
+        peaks.append(np.max(np.abs(lifted)))
+        lap("invariance_residual")
+    residual = np.max(peaks)
+    lap("invariance_residual")
+    return sub, residual
+
+
+LAYOUTS = {"(g, a, b)": _sub_strided, "(g, b, a)": _sub_contiguous}
+
+
+def _layout(irreps):
+    return "(g, b, a)" if hasattr(irreps, "_catalog_slices") else "(g, a, b)"
 
 
 def _staged(np, irreps, group, classes, rng):
@@ -150,14 +189,14 @@ def _staged(np, irreps, group, classes, rng):
         basis = eigenvectors[:, lo:hi]
         class_char = np.einsum("ai,cai->c", basis.conj(), basis[class_cols])
         norm = float(sizes @ np.abs(class_char) ** 2) / n
-        if abs(norm - 1) > irreps.CHARACTER_TOL:
+        if not abs(norm - 1) <= irreps.CHARACTER_TOL:
             raise RuntimeError("reducible cluster on attempt 0; pick another seed")
         if np.any(np.max(np.abs(kept - class_char), axis=1) <= irreps.CHARACTER_TOL):
             lap("class_characters")
             continue
         kept = np.vstack([kept, class_char])
         lap("class_characters")
-        sub, residual = _sub_sliced(np, basis, table, lap)
+        sub, residual = LAYOUTS[_layout(irreps)](np, basis, table, lap)
         if not residual <= irreps.DEFAULT_VERIFY_TOL:
             raise RuntimeError("non-invariant cluster on attempt 0; pick another seed")
         found.append(sub)
@@ -203,6 +242,7 @@ def _child_ladder(name):
     tracemalloc.stop()
     return {
         "order": group.order,
+        "shift_layout": _layout(irreps),
         "compute_irreps_s": whole,
         "stages_s": stages,
         "tracemalloc_peak_bytes": peak,
