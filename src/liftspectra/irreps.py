@@ -480,13 +480,13 @@ def _projector_ranks(characters: np.ndarray, ctx: SubgroupContext, label: str) -
     ``characters`` holds one character per row.  ``P`` is an orthogonal
     projector, so ``rank P = tr P = (1/|H|) sum_{h in H} chi(h)``, the
     multiplicity of the irrep in the coset module (Frobenius reciprocity).
-    A trace further than ``RANK_TRACE_TOL`` from an integer raises
+    A trace not within ``RANK_TRACE_TOL`` of an integer, NaN included, raises
     :class:`NumericalError` naming the first row that is off through
     ``label.format(row)``, since no unitary irrep gives one.
     """
     traces = characters[:, ctx.sorted_members].mean(axis=1)
     nearest = np.round(traces.real)
-    off = np.flatnonzero(np.abs(traces - nearest) > RANK_TRACE_TOL)
+    off = np.flatnonzero(~(np.abs(traces - nearest) <= RANK_TRACE_TOL))
     if off.size:
         idx = int(off[0])
         raise NumericalError(

@@ -253,9 +253,10 @@ def eig_dense(
     a real array, in the ascending order LAPACK's Hermitian solver already
     returns them in, so only the general path sorts.  The residual
     ``max |M U - U diag|`` must stay within ``DEFAULT_RESIDUAL_TOL * max|M|``
-    or a :class:`NumericalError` is raised.  A ``(b, n, n)`` stack is solved
-    in one call, as ``numpy.linalg`` does, and each matrix's residual is held
-    to its own ``max|M|``; every matrix gets the bits it gets alone.
+    or a :class:`NumericalError` is raised; a NaN residual is not within.  A
+    ``(b, n, n)`` stack is solved in one call, as ``numpy.linalg`` does, and
+    each matrix's residual is held to its own ``max|M|``; every matrix gets
+    the bits it gets alone.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2]:
@@ -273,7 +274,7 @@ def eig_dense(
         matrix @ eigenvectors - eigenvectors * eigenvalues[..., None, :]
     ).max(axis=(-2, -1), initial=0.0)
     scale = np.abs(matrix).max(axis=(-2, -1), initial=0.0)
-    failed = residual > DEFAULT_RESIDUAL_TOL * np.maximum(1.0, scale)
+    failed = ~(residual <= DEFAULT_RESIDUAL_TOL * np.maximum(1.0, scale))
     if failed.any():
         raise NumericalError(
             f"eigensolve: residual {residual.flat[failed.argmax()]:.3e} exceeds tolerance"
@@ -300,10 +301,11 @@ def _image_eigensystems(base: BaseMatrix, irrep_set: IrrepSet, indices):
     slice's images come from one :func:`irrep_image` call, are tested for
     Hermitian symmetry together and are solved by one :func:`eig_dense`
     call, and every image gets the real ascending eigenvalues and the bits
-    of a solve of it alone.  The first image that is not Hermitian (a
-    unitary irrep on an undirected base always is) or fails its eigensolve
-    raises :class:`NumericalError` once every irrep before it has been
-    yielded, as in an irrep-by-irrep loop.
+    of a solve of it alone.  Slices are taken in irrep order, and a slice is
+    refused whole: if any of its images is not Hermitian (a unitary irrep on
+    an undirected base always is), :class:`NumericalError` names the first
+    such irrep, and if its eigensolve fails, :func:`eig_dense`'s error is
+    raised; either way none of the slice's irreps is yielded.
     """
     for d, run in itertools.groupby(indices, lambda idx: irrep_set[idx].dim):
         run = list(run)
@@ -312,22 +314,12 @@ def _image_eigensystems(base: BaseMatrix, irrep_set: IrrepSet, indices):
             part = run[start : start + size]
             images = irrep_image(base, [irrep_set[idx] for idx in part]).matrix
             hermitian = is_hermitian(images)
-            cut = len(part) if hermitian.all() else int(hermitian.argmin())
-            try:
-                solved = zip(part, *eig_dense(images[:cut], hermitian_hint=True))
-            except NumericalError:
-                # Solve the slice's images one at a time: those before the
-                # first that fails are yielded, and then it raises.
-                solved = (
-                    (idx, *eig_dense(image, hermitian_hint=True))
-                    for idx, image in zip(part, images[:cut])
-                )
-            yield from solved
-            if cut < len(part):
+            if not hermitian.all():
                 raise NumericalError(
-                    f"image eigensolve: irrep {part[cut]}, image is not Hermitian; "
-                    "irreps must be unitary"
+                    f"image eigensolve: irrep {part[int(hermitian.argmin())]}, "
+                    "image is not Hermitian; irreps must be unitary"
                 )
+            yield from zip(part, *eig_dense(images, hermitian_hint=True))
 
 
 def _merge_spectra(
@@ -398,11 +390,11 @@ def lift_spectrum(
     mean over ``H`` (Frobenius reciprocity) as in :func:`lift_eigenvectors`.
     The dimension-weighted ranks must add up to the coset count, and every
     image of nonzero rank must be Hermitian; a violation raises
-    :class:`NumericalError` naming its stage, and of several failing images
-    the lowest irrep's is named.  The images of nonzero rank are solved in
-    order, in stacks of consecutive irreps of one dimension
-    (:func:`_image_eigensystems`), every image with the bits of its own
-    solve; only their eigenvalues are kept.  The images' real eigenvalue
+    :class:`NumericalError` naming its stage.  The images of nonzero rank
+    are solved in slices of consecutive irreps of one dimension, taken in
+    irrep order, and a slice with a failing image is refused whole
+    (:func:`_image_eigensystems`); every image gets the bits of its own
+    solve, and only their eigenvalues are kept.  The images' real eigenvalue
     arrays are merged as one sorted array (:func:`_merge_spectra`): each
     entry is anchored at its smallest value and takes every value within
     ``match_tol`` of that anchor, with the combined multiplicity.  The
@@ -550,7 +542,8 @@ def _check_residuals(
     from ``-lambda v`` and adds ``A v`` arc by arc, never forming ``A``.  An
     arc ``u -> v`` with voltage ``a`` joins ``(u, J)`` to ``(v, J a)``, so
     row ``(u, J)`` gathers row ``(v, J a)`` of the columns.  A column fails
-    when its residual's norm exceeds ``tol * max(1, |v|)``.
+    unless its residual's norm is within ``tol * max(1, |v|)``, so a NaN
+    fails.
 
     The block is C-contiguous (:func:`_pull_back`), so when every row is
     picked the columns are read in place; otherwise ``take`` copies the
@@ -567,7 +560,7 @@ def _check_residuals(
         residual[u] += gathered
     residuals = _column_norms(residual.reshape(k * n, -1))
     bounds = tol * np.maximum(1.0, _column_norms(vectors.reshape(k * n, -1)))
-    failed = np.flatnonzero(residuals > bounds)
+    failed = np.flatnonzero(~(residuals <= bounds))
     if failed.size:
         j, c = divmod(int(failed[0]), dk)
         raise NumericalError(
@@ -612,14 +605,14 @@ def lift_eigenvectors(
     kept in :attr:`IrrepSet.pullback_plans` for as long as ``ctx`` lives.  A
     plan whose checks fail is not kept, so its error comes back on every
     call.  The image eigensolves, the pull-back, the zero flags and the
-    residual checks run on every call.  The images are solved in order, in
-    stacks of consecutive irreps of one dimension
-    (:func:`_image_eigensystems`), and each is pulled back and checked as it
-    comes, so the lowest irrep whose image is not Hermitian or fails its
-    eigensolve raises only once every irrep before it has passed its own
-    checks.  Each irrep's block is written once, C-contiguous, by
-    :func:`_pull_back`; the residual check and the ``(kn, d * dk)`` array
-    returned read it in place.
+    residual checks run on every call.  The images are solved in slices of
+    consecutive irreps of one dimension, taken in irrep order, and a slice
+    with an image that is not Hermitian or fails its eigensolve is refused
+    whole (:func:`_image_eigensystems`), once every irrep of the slices
+    before it has passed its own checks; each solved image is pulled back
+    and checked as it comes.  Each irrep's block is written once,
+    C-contiguous, by :func:`_pull_back`; the residual check and the
+    ``(kn, d * dk)`` array returned read it in place.
     """
     _check_lift_inputs(base, irrep_set, ctx)
     plan = _pullback_plan(irrep_set, ctx)
@@ -695,7 +688,8 @@ def verify_against_oracle(
     The lift adjacency is built outright and eigendecomposed; the blockwise
     spectrum must match it as a sorted multiset within ``match_tol``, and
     every selected eigenvector column must satisfy the residual bound against
-    the same adjacency.
+    the same adjacency.  A NaN imaginary part counts as non-real, and a NaN
+    distance or residual is kept in the report and fails it.
     """
     if graph.directed:
         raise ConsistencyError("oracle verification needs an undirected base")
@@ -705,7 +699,7 @@ def verify_against_oracle(
 
     report = lift_spectrum(base, irrep_set, ctx, match_tol=match_tol)
     values = report.expand()
-    if np.max(np.abs(values.imag), initial=0.0) > match_tol:
+    if not np.max(np.abs(values.imag), initial=0.0) <= match_tol:
         raise NumericalError("oracle check: undirected lift produced non-real eigenvalues")
     computed = np.sort(values.real)
     if computed.shape != reference.shape:
@@ -727,7 +721,7 @@ def verify_against_oracle(
             residual = np.linalg.norm(
                 adjacency @ vector - eigenvalue * vector
             ) / max(1.0, np.linalg.norm(vector))
-            max_residual = max(max_residual, float(residual))
+            max_residual = float(np.maximum(max_residual, residual))
 
     passed = (
         spectral_distance <= match_tol

@@ -33,12 +33,13 @@ MAX_LIFT_VERTICES = 8192
 def _integer_counts(values, elements, stage: str) -> np.ndarray:
     """The nearest integers to complex ``values``, as floats, each within ``INTEGER_TOL``.
 
-    Otherwise :class:`NumericalError`, prefixed by ``stage``, names the first
-    value off and its entry in the parallel sequence of group ``elements``.
+    Otherwise, NaN included, :class:`NumericalError`, prefixed by ``stage``,
+    names the first value off and its entry in the parallel sequence of group
+    ``elements``.
     """
     values = np.asarray(values, dtype=complex)
     nearest = np.round(values.real)
-    off = np.flatnonzero(np.abs(values - nearest) > INTEGER_TOL)
+    off = np.flatnonzero(~(np.abs(values - nearest) <= INTEGER_TOL))
     if off.size:
         i = off[0]
         raise NumericalError(

@@ -695,6 +695,17 @@ def test_failing_ranks_are_not_kept(sym3, sym3_catalog):
     assert ctx not in partial.checked_ranks
 
 
+def test_nan_character_fails_the_rank_check(sym3, sym3_catalog):
+    sign = sym3_catalog[1]
+    poisoned = Irrep(
+        group=sym3, dim=1, matrices=sign.matrices, character=np.full_like(sign.character, np.nan)
+    )
+    irrep_set = IrrepSet(group=sym3, irreps=(sym3_catalog[0], poisoned, sym3_catalog[2]))
+    ctx = right_cosets(sym3, stabilizer(sym3, 1))
+    with pytest.raises(NumericalError, match=r"^rank identity: irrep 1, tr P = nan"):
+        irreps_module.subgroup_ranks(irrep_set, ctx)
+
+
 class TestOrthogonalityChecks:
     def test_corrupted_set_fails(self, sym3, sym3_catalog):
         matrices = sym3_catalog[2].matrices.copy()

@@ -385,6 +385,13 @@ class TestErrorMessages:
         with pytest.raises(NumericalError, match=message):
             lift_eigenvectors(base, sym3_catalog, point_stabilizer_ctx)
 
+    def test_nan_coefficient(self, sym3, sym3_catalog, point_stabilizer_ctx):
+        nan = VoltageTable(*(np.array([x]) for x in (0, 0, sym3.identity, complex(np.nan))))
+        base = BaseMatrix(group=sym3, k=1, voltage_table=nan, directed=False)
+        message = r"^lift terms: coefficient \(nan\+0j\) of element 0 is not an integer within 1e-09$"
+        with pytest.raises(NumericalError, match=message):
+            lift_eigenvectors(base, sym3_catalog, point_stabilizer_ctx)
+
     def test_picked_row_that_pulls_back_to_zero(
         self, monkeypatch, dumbbell_base, sym3, sym3_catalog
     ):
@@ -420,19 +427,23 @@ def _loop_graph(sym3):
     return VoltageGraph.build(sym3, ["a", "b"], [("a", "a", t)])
 
 
-def _corrupt_one_column(monkeypatch, irrep, j, c):
-    """Make ``_pull_back`` add 1e-6 to row 0 of column ``(j, c)`` of one irrep's block."""
+def _corrupt_one_column(monkeypatch, irrep, j, c, delta=1e-6):
+    """Make ``_pull_back`` add ``delta`` to row 0 of column ``(j, c)`` of one irrep's block.
+
+    Returns the list that records one entry per ``_pull_back`` call.
+    """
     original = spectral._pull_back
     calls = []
 
     def corrupted(sums, eigenvectors, k):
         out = original(sums, eigenvectors, k)
         if len(calls) == irrep:
-            out[0, 0, j, c] += 1e-6
+            out[0, 0, j, c] += delta
         calls.append(irrep)
         return out
 
     monkeypatch.setattr(spectral, "_pull_back", corrupted)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -462,6 +473,49 @@ def test_residual_check_catches_a_corrupted_column(
     message = rf"^residual: irrep {irrep}, column j={j} w={c // d} i={c % d} fails"
     with pytest.raises(NumericalError, match=message):
         lift_eigenvectors(base, sym3_catalog, ctx)
+
+
+def test_residual_check_fails_closed_on_nan(monkeypatch, dumbbell, sym3, sym3_catalog):
+    # A NaN residual is not within any bound, so the column fails.
+    ctx = right_cosets(sym3, frozenset({sym3.identity}))
+    _corrupt_one_column(monkeypatch, 2, 1, 3, delta=np.nan)
+    message = r"^residual: irrep 2, column j=1 w=1 i=1 fails .* bound \(nan\)$"
+    with pytest.raises(NumericalError, match=message):
+        lift_eigenvectors(build_base_matrix(dumbbell), sym3_catalog, ctx)
+
+
+def test_a_slice_with_a_non_hermitian_image_is_refused_whole(monkeypatch):
+    # S4's irreps have dimensions (1, 1, 2, 3, 3), so irreps 3 and 4 share a
+    # slice.  Irrep 4 is replaced by s M s^-1 with s = I + 2 E01: the same
+    # character, so the rank identity holds, but images that are not
+    # Hermitian.  The slice is refused before either irrep is solved or
+    # pulled back, so a residual fault planted in irrep 3 is never reached.
+    computed = catalog("S4")
+    group = computed.group
+    assert [r.dim for r in computed] == [1, 1, 2, 3, 3]
+    s = np.eye(3)
+    s[0, 1] = 2.0
+    skewed = s @ computed[4].matrices @ np.linalg.inv(s)
+    assert np.allclose(np.trace(skewed, axis1=1, axis2=2), computed[4].character)
+    irrep_set = IrrepSet(
+        group=group,
+        irreps=computed.irreps[:4]
+        + (Irrep(group=group, dim=3, matrices=skewed, character=computed[4].character),),
+    )
+    elements = [group.index_of(parse_permutation(g, 4)) for g in ("(1 2)", "(1 2 3 4)")]
+    graph = VoltageGraph.build(
+        group, ["u", "v"], [("u", "u", elements[0]), ("u", "v", 0), ("v", "v", elements[1])]
+    )
+    base = build_base_matrix(graph)
+    ctx = right_cosets(group, frozenset({group.identity}))
+    message = "^image eigensolve: irrep 4, image is not Hermitian; irreps must be unitary$"
+    for route in (lift_spectrum, lift_eigenvectors):
+        with pytest.raises(NumericalError, match=message):
+            route(base, irrep_set, ctx)
+    calls = _corrupt_one_column(monkeypatch, 3, 0, 0)
+    with pytest.raises(NumericalError, match=message):
+        lift_eigenvectors(base, irrep_set, ctx)
+    assert len(calls) == 3
 
 
 def test_lowest_failing_irrep_wins_over_a_later_non_hermitian_image(

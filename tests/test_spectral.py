@@ -266,6 +266,23 @@ class TestEigDense:
         with pytest.raises(NumericalError, match=r"^eigensolve: residual 1\.000e-05 exceeds"):
             eig_dense(stack, hermitian_hint=True)
 
+    def test_nan_eigenvector_fails_the_residual(
+        self, monkeypatch, dumbbell_base, sym3_catalog, point_stabilizer_ctx
+    ):
+        # A NaN residual is not within the bound, so the solve is refused.
+        exact = np.linalg.eigh
+
+        def poisoned(matrix):
+            values, vectors = exact(matrix)
+            vectors[..., 0, 0] = np.nan
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", poisoned)
+        with pytest.raises(NumericalError, match=r"^eigensolve: residual nan exceeds"):
+            eig_dense(np.diag([1.0, 2.0]), hermitian_hint=True)
+        with pytest.raises(NumericalError, match=r"^eigensolve: residual nan exceeds"):
+            lift_spectrum(dumbbell_base, sym3_catalog, point_stabilizer_ctx)
+
     def test_residual_names_the_stage(self, monkeypatch):
         # A solver that returns the wrong pairs must be caught by the residual.
         monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.zeros(2), np.eye(2)))
@@ -737,10 +754,27 @@ class TestOracle:
                 assert json.dumps(got.to_json()) == json.dumps(want.to_json())
                 assert got.max_residual.hex() == want.max_residual.hex()
 
+    def test_nan_residual_fails_the_report(
+        self, monkeypatch, dumbbell, sym3_catalog, point_stabilizer_ctx
+    ):
+        original = spectral.lift_eigenvectors
+
+        def poisoned(*args, **kwargs):
+            bundle = original(*args, **kwargs)
+            block = bundle.blocks[0]
+            block.pulled[0, np.flatnonzero(block.selected)[0]] = np.nan
+            return bundle
+
+        monkeypatch.setattr(spectral, "lift_eigenvectors", poisoned)
+        report = verify_against_oracle(dumbbell, sym3_catalog, point_stabilizer_ctx)
+        assert math.isnan(report.max_residual)
+        assert not report.passed
+
     @pytest.mark.parametrize(
         "value, count, message",
         [
             (1j, 6, "^oracle check: undirected lift produced non-real eigenvalues"),
+            (complex(0.0, math.nan), 6, "^oracle check: undirected lift produced non-real"),
             (1.0, 5, "^oracle check: spectrum sizes differ: 5 vs 6"),
         ],
     )

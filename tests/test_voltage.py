@@ -222,6 +222,13 @@ class TestBaseMatrixPowers:
         with pytest.raises(NumericalError, match=message):
             base_matrix_power(base, 2)
 
+    def test_nan_coefficient_fails_the_walk_count_check(self, sym3):
+        nan = VoltageTable(*(np.array([x]) for x in (0, 0, sym3.identity, complex(np.nan))))
+        base = BaseMatrix(group=sym3, k=1, voltage_table=nan, directed=False)
+        message = r"^walk counts: coefficient \(nan\+nanj\) of element 0 is not an integer"
+        with pytest.raises(NumericalError, match=message):
+            base_matrix_power(base, 2)
+
     def test_power_below_one_rejected(self, dumbbell_base):
         with pytest.raises(ValueError):
             base_matrix_power(dumbbell_base, 0)

@@ -19,14 +19,11 @@ For ``compute_irreps``, on each group of the ladder a child times:
   Each group runs in ``rounds`` fresh children per tree, alternating which
   tree goes first, and the fastest over the rounds is kept.
   The shift, the ``sub`` einsum and the invariance residual run over slices
-  of 32 group elements, as ``_decompose_regular`` does, in the tree's own
-  layout (``LAYOUTS``): a tree with ``irreps._catalog_slices`` gathers the
-  shift as ``(g, b, a)`` and sums along contiguous memory; an older one
-  gathers ``(g, a, b)``.  Both layouts give the same bytes, so the layout
-  is read from the tree and written to the file with its stages.  Before
-  timing, the child checks that the staged copy gives the same bytes as the
-  tree's own ``_decompose_regular``, so a tree whose body differs is
-  refused;
+  of 32 group elements, as ``_decompose_regular`` does: the shift is
+  gathered as ``(g, b, a)``, as ``irreps._catalog_slices`` gathers it, and
+  the einsum sums along contiguous memory.  Before timing, the child checks
+  that the staged copy gives the same bytes as the tree's own
+  ``_decompose_regular``, so a tree whose body differs is refused;
 - the ``tracemalloc`` peak of one more ``compute_irreps`` call.
 
 Two more children per tree close S6, or S5 x C8, and call ``compute_irreps``
@@ -94,29 +91,7 @@ STAGES = (
 )
 
 
-def _sub_strided(np, basis, table, lap):
-    """``sub`` and the residual with the shift held as ``(g, a, b)``."""
-    n, d = basis.shape
-    dual = basis.conj()
-    sub = np.empty((n, d, d), dtype=complex)
-    peaks = []
-    lap("sub_einsum")
-    for g0 in range(0, n, 32):
-        shifted = basis[table.T[g0 : g0 + 32]]
-        lap("shifted_gather")
-        part = sub[g0 : g0 + 32]
-        np.einsum("ai,gab->gib", dual, shifted, out=part)
-        lap("sub_einsum")
-        lifted = basis @ part
-        lifted -= shifted
-        peaks.append(np.max(np.abs(lifted)))
-        lap("invariance_residual")
-    residual = np.max(peaks)
-    lap("invariance_residual")
-    return sub, residual
-
-
-def _sub_contiguous(np, basis, table, lap):
+def _sub_and_residual(np, basis, table, lap):
     """``sub`` and the residual with the shift held as ``(g, b, a)``, as
     ``irreps._catalog_slices`` gathers it."""
     n, d = basis.shape
@@ -140,13 +115,6 @@ def _sub_contiguous(np, basis, table, lap):
     residual = np.max(peaks)
     lap("invariance_residual")
     return sub, residual
-
-
-LAYOUTS = {"(g, a, b)": _sub_strided, "(g, b, a)": _sub_contiguous}
-
-
-def _layout(irreps):
-    return "(g, b, a)" if hasattr(irreps, "_catalog_slices") else "(g, a, b)"
 
 
 def _staged(np, irreps, group, classes, rng):
@@ -196,7 +164,7 @@ def _staged(np, irreps, group, classes, rng):
             continue
         kept = np.vstack([kept, class_char])
         lap("class_characters")
-        sub, residual = LAYOUTS[_layout(irreps)](np, basis, table, lap)
+        sub, residual = _sub_and_residual(np, basis, table, lap)
         if not residual <= irreps.DEFAULT_VERIFY_TOL:
             raise RuntimeError("non-invariant cluster on attempt 0; pick another seed")
         found.append(sub)
@@ -242,7 +210,6 @@ def _child_ladder(name):
     tracemalloc.stop()
     return {
         "order": group.order,
-        "shift_layout": _layout(irreps),
         "compute_irreps_s": whole,
         "stages_s": stages,
         "tracemalloc_peak_bytes": peak,
