@@ -64,29 +64,45 @@ class SpectrumEntry:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    """The complete lift spectrum as merged entries summing to ``kn``."""
+    """The complete lift spectrum as merged entries summing to ``kn``, kept as arrays.
 
-    entries: tuple[SpectrumEntry, ...]
+    Entry ``e`` has the value ``values[e]`` (complex, ascending), the total
+    multiplicity ``counts[e]`` and the provenance tags ``provenance[e]``;
+    both arrays are read-only.  ``entries``, one :class:`SpectrumEntry` per
+    merged value, is built the first time it is read.
+    """
+
+    values: np.ndarray
+    counts: np.ndarray
+    provenance: tuple[tuple[tuple[int, int, int], ...], ...]
     total: int
+
+    @functools.cached_property
+    def entries(self) -> tuple[SpectrumEntry, ...]:
+        """One :class:`SpectrumEntry` per merged value, in order, built on first read."""
+        return tuple(
+            map(SpectrumEntry, self.values.tolist(), self.counts.tolist(), self.provenance)
+        )
 
     def expand(self) -> np.ndarray:
         """The full eigenvalue multiset, sorted, one copy per multiplicity."""
-        values = np.array([e.value for e in self.entries], dtype=complex)
-        counts = np.array([e.count for e in self.entries], dtype=np.intp)
-        return np.repeat(values, counts)
+        return np.repeat(self.values, self.counts)
 
     def to_json(self) -> dict:
         return {
             "kn": self.total,
             "eigenvalues": [
                 {
-                    "value": [e.value.real, e.value.imag],
-                    "count": e.count,
-                    "provenance": [
-                        {"irrep": i, "dim": d, "rank": r} for i, d, r in e.provenance
-                    ],
+                    "value": [re, im],
+                    "count": count,
+                    "provenance": [{"irrep": i, "dim": d, "rank": r} for i, d, r in tags],
                 }
-                for e in self.entries
+                for re, im, count, tags in zip(
+                    self.values.real.tolist(),
+                    self.values.imag.tolist(),
+                    self.counts.tolist(),
+                    self.provenance,
+                )
             ],
         }
 
@@ -261,7 +277,9 @@ def eig_dense(
     matrix = np.asarray(matrix)
     if matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2]:
         raise ValueError("eig_dense needs a square matrix")
-    if not np.isfinite(matrix).all():
+    # ``max|M|`` is not finite exactly when an entry is not: NaN propagates.
+    scale = np.abs(matrix).max(axis=(-2, -1), initial=0.0)
+    if not np.isfinite(scale).all():
         raise NumericalError("eigensolve: matrix has non-finite entries")
     if hermitian_hint:
         eigenvalues, eigenvectors = np.linalg.eigh(matrix)
@@ -273,7 +291,6 @@ def eig_dense(
     residual = np.abs(
         matrix @ eigenvectors - eigenvectors * eigenvalues[..., None, :]
     ).max(axis=(-2, -1), initial=0.0)
-    scale = np.abs(matrix).max(axis=(-2, -1), initial=0.0)
     failed = ~(residual <= DEFAULT_RESIDUAL_TOL * np.maximum(1.0, scale))
     if failed.any():
         raise NumericalError(
@@ -324,7 +341,7 @@ def _image_eigensystems(base: BaseMatrix, irrep_set: IrrepSet, indices):
 
 def _merge_spectra(
     spectra: list[np.ndarray], tags: list[tuple[int, int, int]], match_tol: float
-) -> tuple[SpectrumEntry, ...]:
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[tuple[int, int, int], ...], ...]]:
     """Merge real image spectra into entries, working on one sorted array.
 
     ``spectra[i]`` is a real eigenvalue array whose values each count
@@ -336,6 +353,8 @@ def _merge_spectra(
     entry.  The rule is not transitive: values spaced closer than
     ``match_tol`` can still fall into different entries.  An entry's count is
     the sum of its values' counts and its provenance the sorted distinct tags.
+    The entries come back as :class:`SpectrumReport` holds them: read-only
+    arrays of values (complex) and counts, and one provenance tuple each.
     """
     values = np.concatenate(spectra)
     order = np.argsort(values, kind="stable")
@@ -362,8 +381,8 @@ def _merge_spectra(
     is_anchor[merged] = False
     anchors = is_anchor.nonzero()[0]
 
-    weights = np.array([tag[2] for tag in tags])
-    counts = np.add.reduceat(weights[owner], anchors).tolist()
+    weights = np.array([tag[2] for tag in tags], dtype=np.intp)
+    counts = np.add.reduceat(weights[owner], anchors)
     single = [(tag,) for tag in tags]
     provenance = [single[o] for o in owner[anchors].tolist()]
     if merged:
@@ -372,8 +391,10 @@ def _merge_spectra(
         for e in set(np.searchsorted(anchors, merged, side="right").tolist()):
             distinct = sorted(set(owners[bounds[e - 1] : bounds[e]]))
             provenance[e - 1] = tuple(tags[o] for o in distinct)
-    firsts = ordered[anchors].astype(complex).tolist()
-    return tuple(map(SpectrumEntry, firsts, counts, provenance))
+    firsts = ordered[anchors].astype(complex)
+    firsts.flags.writeable = False
+    counts.flags.writeable = False
+    return firsts, counts, tuple(provenance)
 
 
 def lift_spectrum(
@@ -406,14 +427,14 @@ def lift_spectrum(
     used = [idx for idx, rank in enumerate(ranks) if rank]
     spectra = [values for _, values, _ in _image_eigensystems(base, irrep_set, used)]
     tags = [(idx, irrep_set[idx].dim, ranks[idx]) for idx in used]
-    entries = _merge_spectra(spectra, tags, match_tol)
-    total = sum(e.count for e in entries)
+    values, counts, provenance = _merge_spectra(spectra, tags, match_tol)
+    total = int(counts.sum())
     if total != base.k * ctx.index_n:
         raise NumericalError(
             f"spectrum merge: spectrum size {total} does not match lift order "
             f"{base.k * ctx.index_n}"
         )
-    return SpectrumReport(entries=entries, total=total)
+    return SpectrumReport(values=values, counts=counts, provenance=provenance, total=total)
 
 
 def _coset_sums(irrep: Irrep, ctx: SubgroupContext) -> np.ndarray:
@@ -449,7 +470,7 @@ def _select_rows(idx: int, sums: np.ndarray, projector: np.ndarray, rank: int) -
         n = sums.shape[0]
         stack = sums[:, picked, :].reshape(n, -1)
         singular_values = np.linalg.svd(stack, compute_uv=False)
-        if stack.shape[1] > n or singular_values[-1] <= FULL_RANK_TOL * singular_values[0]:
+        if stack.shape[1] > n or not singular_values[-1] > FULL_RANK_TOL * singular_values[0]:
             raise NumericalError(
                 f"basis selection: irrep {idx}, coset sums of rows {picked} "
                 f"do not reach rank {stack.shape[1]}"
@@ -475,8 +496,10 @@ def _pullback_plan(irrep_set: IrrepSet, ctx: SubgroupContext) -> _PullbackPlan:
     """The pull-back plan of ``(irrep_set, ctx)``, built on first use and then reused.
 
     It lives in ``irrep_set.pullback_plans`` under a weak key on ``ctx`` and
-    holds no reference to either object.  A plan is stored only once every
-    check in it has passed, so a failing one raises on every call.
+    holds no reference to either object.  Every irrep's coset sums must be
+    finite, whatever its rank, or :class:`NumericalError` names the irrep.  A
+    plan is stored only once every check in it has passed, so a failing one
+    raises on every call.
     """
     plans = irrep_set.pullback_plans
     plan = plans.get(ctx)
@@ -486,6 +509,8 @@ def _pullback_plan(irrep_set: IrrepSet, ctx: SubgroupContext) -> _PullbackPlan:
         picked = []
         for idx, (irrep, rank) in enumerate(zip(irrep_set, ranks)):
             coset_sums = _coset_sums(irrep, ctx)
+            if not np.isfinite(coset_sums).all():
+                raise NumericalError(f"basis selection: irrep {idx}, coset sums are not finite")
             projector = coset_sums[0] / ctx.sorted_members.size
             picked.append(tuple(_select_rows(idx, coset_sums, projector, rank)))
             laid_out = coset_sums.transpose(2, 0, 1).reshape(irrep.dim, -1)

@@ -282,6 +282,63 @@ def reference_merge(spectra, tags, match_tol):
     return tuple(entries)
 
 
+def reference_report_json(entries, total):
+    """``SpectrumReport.to_json`` as it read a tuple of :class:`SpectrumEntry`."""
+    return {
+        "kn": total,
+        "eigenvalues": [
+            {
+                "value": [e.value.real, e.value.imag],
+                "count": e.count,
+                "provenance": [
+                    {"irrep": i, "dim": d, "rank": r} for i, d, r in e.provenance
+                ],
+            }
+            for e in entries
+        ],
+    }
+
+
+def reference_expand(entries):
+    """``SpectrumReport.expand`` as it read a tuple of :class:`SpectrumEntry`."""
+    values = np.array([e.value for e in entries], dtype=complex)
+    counts = np.array([e.count for e in entries], dtype=np.intp)
+    return np.repeat(values, counts)
+
+
+def reference_eig_dense(matrix, hermitian_hint=False):
+    """``eig_dense`` with its separate ``isfinite`` pass: the bit-for-bit reference.
+
+    The finiteness test ran over every entry before the solve, and
+    ``max|M|`` was taken after it, for the residual bound only.
+    """
+    from liftspectra import NumericalError
+    from liftspectra.spectral import DEFAULT_RESIDUAL_TOL
+
+    matrix = np.asarray(matrix)
+    if matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2]:
+        raise ValueError("eig_dense needs a square matrix")
+    if not np.isfinite(matrix).all():
+        raise NumericalError("eigensolve: matrix has non-finite entries")
+    if hermitian_hint:
+        eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+    else:
+        eigenvalues, eigenvectors = np.linalg.eig(matrix)
+        order = np.lexsort((eigenvalues.imag, eigenvalues.real), axis=-1)
+        eigenvalues = np.take_along_axis(eigenvalues, order, axis=-1)
+        eigenvectors = np.take_along_axis(eigenvectors, order[..., None, :], axis=-1)
+    residual = np.abs(
+        matrix @ eigenvectors - eigenvectors * eigenvalues[..., None, :]
+    ).max(axis=(-2, -1), initial=0.0)
+    scale = np.abs(matrix).max(axis=(-2, -1), initial=0.0)
+    failed = ~(residual <= DEFAULT_RESIDUAL_TOL * np.maximum(1.0, scale))
+    if failed.any():
+        raise NumericalError(
+            f"eigensolve: residual {residual.flat[failed.argmax()]:.3e} exceeds tolerance"
+        )
+    return eigenvalues, eigenvectors
+
+
 def reference_trace_rank(irrep, ctx, label):
     """Rank of the projector ``P = (1/|H|) sum_{h in H} rho(h)``, which is its trace.
 

@@ -409,6 +409,43 @@ class TestErrorMessages:
         with pytest.raises(NumericalError, match=message):
             lift_eigenvectors(dumbbell_base, sym3_catalog, ctx)
 
+    def test_non_finite_coset_sums_of_a_ranked_irrep(self, dumbbell_base, sym3, sym3_catalog):
+        # All-NaN plane matrices with the true character keep rank 1 over
+        # Stab(1), so rows would be picked from a NaN projector.
+        plane = sym3_catalog[2]
+        poisoned = Irrep(
+            group=sym3,
+            dim=2,
+            matrices=np.full_like(plane.matrices, np.nan),
+            character=plane.character,
+        )
+        irreps = IrrepSet(group=sym3, irreps=sym3_catalog.irreps[:2] + (poisoned,))
+        ctx = right_cosets(sym3, stabilizer(sym3, 1))
+        message = r"^basis selection: irrep 2, coset sums are not finite$"
+        for _ in range(2):
+            with pytest.raises(NumericalError, match=message):
+                lift_eigenvectors(dumbbell_base, irreps, ctx)
+            assert ctx not in irreps.pullback_plans
+
+    def test_non_finite_coset_sums_of_a_killed_irrep(self, dumbbell_base, sym3, sym3_catalog):
+        # The sign irrep has rank 0 over Stab(1) and no dumbbell arc carries
+        # (1 3), so a NaN there leaves the spectrum right but would pull back
+        # to NaN columns flagged as nonzero.
+        sign = sym3_catalog[1]
+        matrices = sign.matrices.copy()
+        matrices[sym3.index_of(parse_permutation("(1 3)", 3))] = np.nan
+        poisoned = Irrep(group=sym3, dim=1, matrices=matrices, character=sign.character)
+        irreps = IrrepSet(group=sym3, irreps=(sym3_catalog[0], poisoned, sym3_catalog[2]))
+        ctx = right_cosets(sym3, stabilizer(sym3, 1))
+        got = lift_spectrum(dumbbell_base, irreps, ctx)
+        want = lift_spectrum(dumbbell_base, sym3_catalog, ctx)
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+        message = r"^basis selection: irrep 1, coset sums are not finite$"
+        for _ in range(2):
+            with pytest.raises(NumericalError, match=message):
+                lift_eigenvectors(dumbbell_base, irreps, ctx)
+            assert ctx not in irreps.pullback_plans
+
     def test_residual_bound(self, dumbbell_base, sym3_catalog, point_stabilizer_ctx):
         message = r"^residual: irrep \d+, column j=\d+ w=\d+ i=\d+"
         with pytest.raises(NumericalError, match=message):

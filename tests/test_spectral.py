@@ -37,8 +37,11 @@ from helpers import (
     entry_bits,
     multiset_distance,
     reference_base_entries,
+    reference_eig_dense,
+    reference_expand,
     reference_irrep_image,
     reference_merge,
+    reference_report_json,
     reference_spectrum_entries,
     reference_verify_against_oracle,
 )
@@ -238,6 +241,44 @@ class TestEigDense:
             eig_dense(np.array([[1.0, np.nan], [np.nan, 1.0]]), hermitian_hint=True)
 
     @pytest.mark.parametrize("hermitian", [True, False])
+    @pytest.mark.parametrize(
+        "bad",
+        [math.nan, math.inf, -math.inf, complex(math.inf, 0.0), complex(0.0, math.nan)],
+        ids=["nan", "+inf", "-inf", "complex inf", "complex nan"],
+    )
+    def test_non_finite_entry_is_refused_before_the_solve(self, monkeypatch, hermitian, bad):
+        # One bad entry in the last matrix of a stack: max|M| is not finite
+        # there, and no solver runs.
+        calls = []
+        for name in ("eigh", "eig"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda m, solver=solver: calls.append(m) or solver(m)
+            )
+        stack = np.array([np.eye(3), 2 * np.eye(3), 3 * np.eye(3)], dtype=type(bad))
+        stack[2, 1, 2] = bad
+        with pytest.raises(NumericalError, match="^eigensolve: matrix has non-finite entries$"):
+            eig_dense(stack, hermitian_hint=hermitian)
+        assert calls == []
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_matches_the_separate_finiteness_pass_bit_for_bit(self, hermitian):
+        rng = np.random.default_rng(43)
+        for n in (0, 1, 2, 5, 12):
+            for shape in ((n, n), (3, n, n)):
+                for scale in (1e-3, 1.0, 1e6):
+                    real = rng.standard_normal(shape)
+                    for matrix in (real, real + 1j * rng.standard_normal(shape)):
+                        matrix = scale * matrix
+                        if hermitian:
+                            matrix = matrix + matrix.conj().swapaxes(-1, -2)
+                        got = eig_dense(matrix, hermitian_hint=hermitian)
+                        want = reference_eig_dense(matrix, hermitian_hint=hermitian)
+                        for g, w in zip(got, want):
+                            assert g.dtype == w.dtype and g.shape == w.shape
+                            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("hermitian", [True, False])
     def test_stack_solves_each_matrix_alone(self, hermitian):
         rng = np.random.default_rng(41)
         for n in (1, 2, 5, 12, 24):
@@ -384,9 +425,29 @@ class TestLiftSpectrum:
             lift_spectrum(dumbbell_base, sym3_catalog, point_stabilizer_ctx)
 
 
-def _expand_by_list(report):
-    """``SpectrumReport.expand`` as a list build, one value per multiplicity."""
-    return np.array([e.value for e in report.entries for _ in range(e.count)], dtype=complex)
+def _expand_by_list(entries):
+    """``SpectrumReport.expand`` as a list build over entries, one value per multiplicity."""
+    return np.array([e.value for e in entries for _ in range(e.count)], dtype=complex)
+
+
+def _report(entries):
+    """A report of ``(value, count, provenance)`` triples, held as ``lift_spectrum`` holds one."""
+    values = np.array([v for v, _, _ in entries], dtype=complex)
+    counts = np.array([c for _, c, _ in entries], dtype=np.intp)
+    values.flags.writeable = counts.flags.writeable = False
+    provenance = tuple(p for _, _, p in entries)
+    return SpectrumReport(
+        values=values, counts=counts, provenance=provenance, total=int(counts.sum())
+    )
+
+
+def _entry_types(entries):
+    """The Python types of every entry's fields, down to its provenance tags."""
+    return [
+        [type(e.value), type(e.count), type(e.provenance)]
+        + [tuple(map(type, tag)) for tag in e.provenance]
+        for e in entries
+    ]
 
 
 @pytest.mark.parametrize(
@@ -399,14 +460,36 @@ def _expand_by_list(report):
     ids=["empty", "complex", "real and int"],
 )
 def test_expand_matches_the_list_build(entries):
-    report = SpectrumReport(
-        entries=tuple(SpectrumEntry(value=v, count=c, provenance=p) for v, c, p in entries),
-        total=sum(c for _, c, _ in entries),
-    )
+    report = _report(entries)
+    expected = tuple(SpectrumEntry(value=complex(v), count=c, provenance=p) for v, c, p in entries)
+    assert entry_bits(report.entries) == entry_bits(expected)
+    assert _entry_types(report.entries) == _entry_types(expected)
     got = report.expand()
-    want = _expand_by_list(report)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    for want in (_expand_by_list(expected), reference_expand(expected)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    want_json = reference_report_json(expected, report.total)
+    assert json.dumps(report.to_json(), indent=2) == json.dumps(want_json, indent=2)
+
+
+def test_lift_spectrum_builds_entries_only_when_read(
+    monkeypatch, dumbbell_base, sym3_catalog, trivial_ctx
+):
+    built = []
+
+    def counting(*fields):
+        built.append(fields)
+        return SpectrumEntry(*fields)
+
+    monkeypatch.setattr(spectral, "SpectrumEntry", counting)
+    report = lift_spectrum(dumbbell_base, sym3_catalog, trivial_ctx)
+    report.expand()
+    report.to_json()
+    assert built == [] and "entries" not in vars(report)
+    entries = report.entries
+    assert len(built) == len(entries) == report.values.size == 8
+    assert report.entries is entries
+    assert len(built) == 8
 
 
 TOL = spectral.DEFAULT_MATCH_TOL
@@ -425,9 +508,17 @@ class TestMergeSpectra:
     @staticmethod
     def merge(spectra, tags, tol=TOL):
         spectra = [np.array(values, dtype=float) for values in spectra]
-        entries = spectral._merge_spectra(spectra, tags, tol)
-        assert entry_bits(entries) == entry_bits(reference_merge(spectra, tags, tol))
-        return entries
+        values, counts, provenance = spectral._merge_spectra(spectra, tags, tol)
+        assert values.dtype == complex and counts.dtype == np.intp
+        assert not values.flags.writeable and not counts.flags.writeable
+        assert values.shape == counts.shape == (len(provenance),)
+        report = SpectrumReport(
+            values=values, counts=counts, provenance=provenance, total=int(counts.sum())
+        )
+        expected = reference_merge(spectra, tags, tol)
+        assert entry_bits(report.entries) == entry_bits(expected)
+        assert _entry_types(report.entries) == _entry_types(expected)
+        return report.entries
 
     def test_chain_closer_than_the_tolerance_splits_at_each_anchor(self):
         # Neighbours 0.6 * tol apart: each anchor takes only the next value,
@@ -505,9 +596,14 @@ def test_array_merge_matches_the_tuple_merge_bit_for_bit(case):
     report = lift_spectrum(base, irrep_set, ctx, match_tol=match_tol)
     expected = reference_spectrum_entries(base, irrep_set, ctx, match_tol)
     assert entry_bits(report.entries) == entry_bits(expected)
-    old = SpectrumReport(entries=expected, total=report.total)
-    assert json.dumps(report.to_json(), indent=2) == json.dumps(old.to_json(), indent=2)
-    assert report.expand().tobytes() == _expand_by_list(old).tobytes()
+    assert _entry_types(report.entries) == _entry_types(expected)
+    assert type(report.total) is int and report.total == sum(e.count for e in expected)
+    want_json = reference_report_json(expected, report.total)
+    assert json.dumps(report.to_json(), indent=2) == json.dumps(want_json, indent=2)
+    got = report.expand()
+    for want in (_expand_by_list(expected), reference_expand(expected)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ["S4", "D6", "S5", "C60", *UNSORTED])
@@ -781,8 +877,7 @@ class TestOracle:
     def test_blockwise_spectrum_checks_name_the_stage(
         self, monkeypatch, dumbbell, sym3_catalog, point_stabilizer_ctx, value, count, message
     ):
-        entry = SpectrumEntry(value=value, count=count, provenance=())
-        report = SpectrumReport(entries=(entry,), total=count)
+        report = _report([(value, count, ())])
         monkeypatch.setattr(spectral, "lift_spectrum", lambda *args, **kwargs: report)
         with pytest.raises(NumericalError, match=message):
             verify_against_oracle(dumbbell, sym3_catalog, point_stabilizer_ctx)

@@ -38,11 +38,14 @@ stage of a staged copy of it (``SPECTRUM_STAGES``): the base build, the
 ranks, the images, their Hermitian test, the eigensolve and the merge, each
 the fastest of ``SPECTRUM_REPS`` passes over the mix.  The images are built
 and solved as one stack per slice of consecutive irreps of one dimension
-(``spectral.IMAGE_STACK_ENTRIES``), as ``lift_spectrum`` does.  Before
-timing, the child checks that the staged copy gives the same entries, bit
-for bit, as the tree's own ``lift_spectrum``, so a tree whose body differs
-is refused.  Children run in ``SPECTRUM_ROUNDS`` alternating rounds, and
-the fastest is kept.
+(``spectral.IMAGE_STACK_ENTRIES``), as ``lift_spectrum`` does.  The merge
+is staged in the tree's own form: the value and count arrays of a report
+that holds arrays, whose count check reads the counts, or the tuple of
+``SpectrumEntry`` of a report that holds entries.  Before timing, the
+child checks that the staged copy gives the same entries, bit for bit, as
+the tree's own ``lift_spectrum``, so a tree whose body differs is refused.
+Children run in ``SPECTRUM_ROUNDS`` alternating rounds, and the fastest is
+kept.
 
 ``--ab-parent`` and ``--ab-change`` take saved outputs of
 ``perfbench/run.py``; the file gets every run's value and the median and
@@ -286,11 +289,28 @@ def _staged_spectrum(np, ls, inst, lap):
             spectra.extend(values)
             lap("eigensolve")
     tags = [(idx, irrep_set[idx].dim, ranks[idx]) for idx in used]
-    entries = spectral._merge_spectra(spectra, tags, spectral.DEFAULT_MATCH_TOL)
-    if sum(e.count for e in entries) != base.k * ctx.index_n:
+    merged = spectral._merge_spectra(spectra, tags, spectral.DEFAULT_MATCH_TOL)
+    if _holds_entries(spectral):
+        total = sum(e.count for e in merged)
+    else:
+        total = int(merged[1].sum())
+    if total != base.k * ctx.index_n:
         raise RuntimeError(f"{inst.case.label}: the counts do not add up")
     lap("merge")
-    return entries
+    return merged
+
+
+def _holds_entries(spectral):
+    """Whether the tree's ``SpectrumReport`` holds ``SpectrumEntry`` objects, not arrays."""
+    return "entries" in spectral.SpectrumReport.__dataclass_fields__
+
+
+def _merged_rows(spectral, merged):
+    """``(value, count, provenance)`` per entry of a staged merge, in either form."""
+    if _holds_entries(spectral):
+        return [(e.value, e.count, e.provenance) for e in merged]
+    values, counts, provenance = merged
+    return list(zip(values.tolist(), counts.tolist(), provenance))
 
 
 def _child_spectrum():
@@ -306,13 +326,14 @@ def _child_spectrum():
     catalogs, contexts = instances.setup(mix, irreps_seed=0)
     pool = instances.make_pool(mix, catalogs, contexts, SPECTRUM_SEED)
 
-    def bits(entries):
-        return [(e.value.real.hex(), e.value.imag.hex(), e.count, e.provenance) for e in entries]
+    def bits(rows):
+        return [(v.real.hex(), v.imag.hex(), type(v), type(c), c, p) for v, c, p in rows]
 
     out = {}
     for inst in pool:
         own = ls.lift_spectrum(ls.build_base_matrix(inst.graph), inst.irrep_set, inst.ctx)
-        if bits(_staged_spectrum(np, ls, inst, lambda stage: None)) != bits(own.entries):
+        staged = _merged_rows(ls.spectral, _staged_spectrum(np, ls, inst, lambda stage: None))
+        if bits(staged) != bits((e.value, e.count, e.provenance) for e in own.entries):
             raise RuntimeError(f"{inst.case.label}: the staged copy does not match lift_spectrum")
         out[inst.case.label] = {
             "query_s": float("inf"),
