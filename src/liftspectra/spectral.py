@@ -239,7 +239,7 @@ def irrep_image(base: BaseMatrix, irrep: Irrep | Sequence[Irrep]) -> IrrepImage:
     table = base.voltage_table
     # Complex before the in-place product, whatever dtype the irreps hold.
     terms = np.array([r.matrices[table.g] for r in irreps], dtype=complex)
-    np.multiply(table.c[:, None, None], terms, out=terms)
+    np.multiply(table.c.astype(complex)[:, None, None], terms, out=terms)
     # Added through a view in block order, so the stack needs no copy.
     stack = np.zeros((b, k, d, k, d), dtype=complex)
     np.add.at(stack.transpose(0, 1, 3, 2, 4), (slice(None), table.u, table.v), terms)

@@ -198,26 +198,15 @@ class VoltageTable(NamedTuple):
     Rows run by ``(u, v)``, then in the order the cell's elements ``g``
     first appear; no two rows share ``(u, v, g)``, and empty cells have no
     rows.  Consumers that sum rows in table order add each cell's terms in
-    that order.
+    that order.  In a :class:`BaseMatrix` the columns are read-only, ``u``,
+    ``v`` and ``g`` as ``intp`` and ``c`` as an object array of exact
+    Python ``int`` counts.
     """
 
     u: np.ndarray
     v: np.ndarray
     g: np.ndarray
     c: np.ndarray
-
-
-def _voltage_table(u, v, g, c) -> VoltageTable:
-    """The given columns as read-only arrays, which every caller of the matrix shares."""
-    table = VoltageTable(
-        u=np.array(u, dtype=np.intp),
-        v=np.array(v, dtype=np.intp),
-        g=np.array(g, dtype=np.intp),
-        c=np.array(c, dtype=complex),
-    )
-    for column in table:
-        column.flags.writeable = False
-    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,19 +224,50 @@ class BaseMatrix:
     voltage_table: VoltageTable
     directed: bool
 
+    def __post_init__(self) -> None:
+        """Take the table over as read-only columns of in-range indices and exact counts.
+
+        An index outside ``0..k-1`` (``u``, ``v``) or the group (``g``)
+        raises :class:`ConsistencyError`.  Integer counts are kept exact as
+        Python ``int``s; any other coefficient must pass
+        :func:`_integer_counts` (stage ``base matrix``) and becomes the
+        ``int`` nearest to it.
+        """
+        index = np.array(self.voltage_table[:3], dtype=np.intp)
+        counts = np.array(self.voltage_table.c, dtype=object)
+        if counts.ndim != 1 or index.shape != (3, counts.size):
+            raise ConsistencyError("base matrix: the table's columns differ in length")
+        # As unsigned, a negative index is above every bound too.
+        high = index.view(np.uintp).max(axis=1, initial=0).tolist()
+        for name, column, bound, top in zip("uvg", index, (self.k, self.k, self.group.order), high):
+            if top >= bound:
+                row = int(np.flatnonzero(column.view(np.uintp) >= bound)[0])
+                raise ConsistencyError(
+                    f"base matrix: {name} = {column[row]} in row {row} is outside 0..{bound - 1}"
+                )
+        values = counts.tolist()
+        if not {*map(type, values)} <= {int}:
+            off = [row for row, x in enumerate(values) if type(x) is not int]
+            nearest = _integer_counts(counts[off], index[2, off], "base matrix")
+            counts[off] = [int(x) for x in nearest.tolist()]
+        index.flags.writeable = False
+        counts.flags.writeable = False
+        table = VoltageTable(*index, counts)
+        object.__setattr__(self, "voltage_table", table)
+
     @cached_property
     def entries(self) -> tuple[tuple[GroupAlgebraElement, ...], ...]:
         """The ``k x k`` grid of group-algebra entries, built from the table on first read.
 
-        Each entry's coefficients are its table rows, in table order.  Every
-        empty cell holds one shared ``zero()`` element: no code in the
-        package mutates a coefficient dict in place (products and sums build
-        new dicts), so sharing it is safe.
+        Each entry's coefficients are its table rows' counts as ``complex``,
+        in table order.  Every empty cell holds one shared ``zero()``
+        element: no code in the package mutates a coefficient dict in place
+        (products and sums build new dicts), so sharing it is safe.
         """
         table = self.voltage_table
         cells: dict[tuple[int, int], dict[int, complex]] = {}
         for u, v, g, c in zip(*(column.tolist() for column in table)):
-            cells.setdefault((u, v), {})[g] = c
+            cells.setdefault((u, v), {})[g] = complex(c)
         empty = GroupAlgebraElement.zero(self.group)
         rows = [[empty] * self.k for _ in range(self.k)]
         for (u, v), cell in cells.items():
@@ -262,11 +282,10 @@ class BaseMatrix:
 
         Entry ``(u, w)`` is ``sum_v self[u, v] * other[v, w]``.  The terms
         ``c * d`` of row pairs ``(u, v, g, c)``, ``(v, w, h, d)`` are taken
-        by ``(u, w)``, then by ``v``, then in the two cells' row orders.
-        They are summed per ``(u, w, v, g h)`` and then per ``(u, w, g h)``,
-        each sum in that order from ``0j``, and the product's rows keep the
-        order in which each ``g h`` first appears: the order, sums and bits
-        of multiplying the entries' coefficient dicts cell by cell.
+        by ``(u, w)``, then by ``v``, then in the two cells' row orders, and
+        summed exactly per ``(u, w, g h)``; the product's rows keep the
+        order in which each ``g h`` first appears, which is the key order of
+        multiplying the entries' coefficient dicts cell by cell.
         """
         if self.group is not other.group or self.k != other.k:
             raise ConsistencyError("base matrices are not conformable")
@@ -283,37 +302,21 @@ class BaseMatrix:
         a, b = a[ranked], b[ranked]
         u, w = left.u[a], right.v[b]
         x = self.group.mult_table[left.g[a], right.g[b]].astype(np.intp)
-        cell = (u * k + w) * order + x
-        per_v, first = _first_appearance(cell * k + left.v[a])
-        partial = np.zeros(first.size, dtype=complex)
-        np.add.at(partial, per_v, _complex_product(left.c[a], right.c[b]))
-        per_cell, first_cell = _first_appearance(cell[first])
-        coefficients = np.zeros(first_cell.size, dtype=complex)
-        np.add.at(coefficients, per_cell, partial)
-        rows = first[first_cell]
-        table = _voltage_table(u[rows], w[rows], x[rows], coefficients)
+        per_cell, first = _first_appearance((u * k + w) * order + x)
+        coefficients = np.zeros(first.size, dtype=object)
+        np.add.at(coefficients, per_cell, left.c[a] * right.c[b])
+        table = VoltageTable(u[first], w[first], x[first], coefficients)
         directed = self.directed or other.directed
         return BaseMatrix(group=self.group, k=k, voltage_table=table, directed=directed)
 
     def trace(self) -> GroupAlgebraElement:
-        """The sum of the diagonal entries, added from ``0j`` row by row in table order."""
+        """The sum of the diagonal entries: exact counts added in table order, then ``complex``."""
         table = self.voltage_table
         diagonal = np.flatnonzero(table.u == table.v)
-        coefficients: dict[int, complex] = {}
+        sums: dict[int, int] = {}
         for g, c in zip(table.g[diagonal].tolist(), table.c[diagonal].tolist()):
-            coefficients[g] = coefficients.get(g, 0j) + c
-        return GroupAlgebraElement(self.group, coefficients)
-
-
-def _complex_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x * y`` elementwise, rounded as Python's complex product rounds it.
-
-    NumPy's complex multiply may round differently (a fused multiply-add).
-    """
-    out = np.empty(x.shape, dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
+            sums[g] = sums.get(g, 0) + c
+        return GroupAlgebraElement(self.group, {g: complex(c) for g, c in sums.items()})
 
 
 def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,9 +340,8 @@ def build_base_matrix(graph: VoltageGraph) -> BaseMatrix:
     """Count the arcs of each ``(u, v, voltage)`` into the base matrix's voltage table.
 
     Rows run by ``(u, v)`` and then by each voltage's first arc in the
-    cell, and each count is an exact integer held as a complex: the
-    coefficients, their bits and their order are those of folding
-    ``GroupAlgebraElement.from_element`` terms into ``zero()`` arc by arc.
+    cell: the order of folding ``GroupAlgebraElement.from_element`` terms
+    into ``zero()`` arc by arc.
     """
     counts: dict[tuple[int, int, int], int] = {}
     for arc in graph.arcs:
@@ -348,7 +350,7 @@ def build_base_matrix(graph: VoltageGraph) -> BaseMatrix:
     # The sort is stable, so each cell keeps its voltages in first-arc order.
     keys = sorted(counts, key=itemgetter(0, 1))
     u, v, g = zip(*keys) if keys else ((), (), ())
-    table = _voltage_table(u, v, g, [counts[key] for key in keys])
+    table = VoltageTable(u, v, g, [counts[key] for key in keys])
     return BaseMatrix(group=graph.group, k=graph.k, voltage_table=table, directed=graph.directed)
 
 
@@ -362,18 +364,11 @@ def _powers(base: BaseMatrix, count: int):
 
 
 def base_matrix_power(base: BaseMatrix, power: int) -> BaseMatrix:
-    """Repeated base-matrix product, checking coefficients stay integral.
-
-    Powers of a base matrix count voltage-weighted walks, so every
-    coefficient must be a non-negative integer; drifting off the integers
-    signals a logic error and raises :class:`NumericalError`.
-    """
+    """``base`` multiplied by itself ``power`` times: exact walk counts, by voltage."""
     if power < 1:
         raise ValueError(f"power must be at least 1, got {power}")
     for out in _powers(base, power):
         pass
-    # Table order is the entries' order, so the first coefficient off is the same.
-    _integer_counts(out.voltage_table.c, out.voltage_table.g, "walk counts")
     return out
 
 
@@ -415,15 +410,14 @@ def _lift_terms(base: BaseMatrix, ctx: SubgroupContext) -> list:
 
     The ``count`` arcs ``u -> v`` with voltage ``g`` join ``(u, J)`` to
     ``(v, J g)`` for every coset ``J``, and ``J g`` is entry ``J`` of row
-    ``g`` of :attr:`SubgroupContext.coset_action`.  Counts come from the
-    voltage table by :func:`_integer_counts`; rows with count 0 are dropped.
+    ``g`` of :attr:`SubgroupContext.coset_action`.  Rows with count 0 are
+    dropped.
     """
     table = base.voltage_table
-    counts = _integer_counts(table.c, table.g, "lift terms")
     actions = ctx.coset_action
-    keep = np.flatnonzero(counts)
-    columns = (col[keep].tolist() for col in (table.u, table.v, table.g, counts))
-    return [(u, v, int(c), actions[g]) for u, v, g, c in zip(*columns)]
+    keep = np.flatnonzero(table.c)
+    columns = (column[keep].tolist() for column in table)
+    return [(u, v, c, actions[g]) for u, v, g, c in zip(*columns)]
 
 
 def build_lift(graph: VoltageGraph, ctx: SubgroupContext) -> LiftGraph:

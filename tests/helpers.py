@@ -106,42 +106,57 @@ def reference_image_eigendata(base, idx, irrep):
     return np.asarray(eigenvalues, dtype=complex), eigenvectors
 
 
-def reference_matmul_entries(left, right):
-    """The product's entry grid by multiplying coefficient dicts cell by cell: the reference.
+def reference_cells(base):
+    """A base matrix's table as ``{(u, v): {g: count}}``, cells and keys in table order."""
+    cells = {}
+    for u, v, g, c in zip(*(column.tolist() for column in base.voltage_table)):
+        cells.setdefault((u, v), {})[g] = c
+    return cells
 
-    Entry ``(u, w)`` starts at ``zero()`` and adds ``left[u, v] * right[v, w]``
-    for ``v`` in order, skipping empty factors.
+
+def reference_arc_cells(graph):
+    """A graph's arcs counted into Python-int cells, by ``(u, v)`` and then by first arc."""
+    cells = {}
+    for arc in graph.arcs:
+        cell = cells.setdefault((arc.tail, arc.head), {})
+        cell[arc.voltage] = cell.get(arc.voltage, 0) + 1
+    return dict(sorted(cells.items()))
+
+
+def reference_int_matmul(group, k, left, right):
+    """The product of two cell dicts by multiplying Python-int coefficient dicts: the exact reference.
+
+    Cell ``(u, w)`` adds the terms of ``left[u, v] * right[v, w]`` for ``v``
+    in order, each in the two cells' key orders, so a key's place is its
+    first appearance; cells without terms are left out.
     """
-    from liftspectra import GroupAlgebraElement
-
-    k = left.k
-    grid = []
+    table = group.mult_table
+    out = {}
     for u in range(k):
-        row = []
         for w in range(k):
-            acc = GroupAlgebraElement.zero(left.group)
+            cell = {}
             for v in range(k):
-                a, b = left.entry(u, v), right.entry(v, w)
-                if a.coefficients and b.coefficients:
-                    acc = acc + a * b
-            row.append(acc)
-        grid.append(row)
-    return grid
+                for g, c in left.get((u, v), {}).items():
+                    for h, d in right.get((v, w), {}).items():
+                        x = int(table[g, h])
+                        cell[x] = cell.get(x, 0) + c * d
+            if cell:
+                out[u, w] = cell
+    return out
 
 
-def reference_trace(base):
-    """``zero()`` plus each diagonal entry in turn."""
-    from liftspectra import GroupAlgebraElement
+def reference_int_trace(k, cells):
+    """The diagonal cells' counts added as Python ints in ``u`` order, each sum then ``complex``."""
+    sums = {}
+    for u in range(k):
+        for g, c in cells.get((u, u), {}).items():
+            sums[g] = sums.get(g, 0) + c
+    return [(g, complex(c)) for g, c in sums.items()]
 
-    acc = GroupAlgebraElement.zero(base.group)
-    for u in range(base.k):
-        acc = acc + base.entry(u, u)
-    return acc
 
-
-def coefficient_bits(element):
-    """An element's coefficients in order, each value as hex floats."""
-    return [(g, c.real.hex(), c.imag.hex()) for g, c in element.coefficients.items()]
+def ordered_cells(cells):
+    """Cells with their keys as lists, so that comparing them compares the orders too."""
+    return [(key, list(cell.items())) for key, cell in cells.items()]
 
 
 def reference_base_entries(graph):

@@ -29,10 +29,12 @@ from liftspectra import (
 import liftspectra.voltage as voltage
 from liftspectra.voltage import VoltageTable
 from helpers import (
-    coefficient_bits,
+    ordered_cells,
+    reference_arc_cells,
     reference_build_lift,
-    reference_matmul_entries,
-    reference_trace,
+    reference_cells,
+    reference_int_matmul,
+    reference_int_trace,
 )
 
 
@@ -217,17 +219,15 @@ class TestBaseMatrixPowers:
         power = base_matrix_power(dumbbell_base, 3)
         assert "entries" not in vars(power)
         half = VoltageTable(*(np.array([x]) for x in (0, 0, sym3.identity, 0.5 + 0j)))
-        base = BaseMatrix(group=sym3, k=1, voltage_table=half, directed=False)
-        message = r"^walk counts: coefficient \(0\.25\+0j\) of element 0 is not an integer within 1e-09$"
+        message = r"^base matrix: coefficient \(0\.5\+0j\) of element 0 is not an integer within 1e-09$"
         with pytest.raises(NumericalError, match=message):
-            base_matrix_power(base, 2)
+            BaseMatrix(group=sym3, k=1, voltage_table=half, directed=False)
 
     def test_nan_coefficient_fails_the_walk_count_check(self, sym3):
         nan = VoltageTable(*(np.array([x]) for x in (0, 0, sym3.identity, complex(np.nan))))
-        base = BaseMatrix(group=sym3, k=1, voltage_table=nan, directed=False)
-        message = r"^walk counts: coefficient \(nan\+nanj\) of element 0 is not an integer"
+        message = r"^base matrix: coefficient \(nan\+0j\) of element 0 is not an integer"
         with pytest.raises(NumericalError, match=message):
-            base_matrix_power(base, 2)
+            BaseMatrix(group=sym3, k=1, voltage_table=nan, directed=False)
 
     def test_power_below_one_rejected(self, dumbbell_base):
         with pytest.raises(ValueError):
@@ -254,22 +254,51 @@ class TestBaseMatrixPowers:
             assert total == pytest.approx(walk_count)
 
 
+class TestBaseMatrixGate:
+    @pytest.mark.parametrize(
+        "column, value, bound",
+        [("u", -1, 0), ("u", 1, 0), ("v", -1, 0), ("v", 1, 0), ("g", -1, 5), ("g", 6, 5)],
+    )
+    def test_index_outside_its_range(self, sym3, column, value, bound):
+        # Without the check, NumPy indexing would wrap g = -1 to element 5
+        # and both lift routes would answer; g = 6 would die in an IndexError.
+        row = {"u": 0, "v": 0, "g": sym3.identity, "c": 1}
+        row[column] = value
+        table = VoltageTable(*(np.array([row[name]]) for name in "uvgc"))
+        message = rf"^base matrix: {column} = {value} in row 0 is outside 0\.\.{bound}$"
+        with pytest.raises(ConsistencyError, match=message):
+            BaseMatrix(group=sym3, k=1, voltage_table=table, directed=False)
+
+    def test_columns_of_different_lengths(self, sym3):
+        table = VoltageTable(np.array([0, 0]), np.array([0, 0]), np.array([0, 1]), np.array([1]))
+        with pytest.raises(ConsistencyError, match="^base matrix: the table's columns differ"):
+            BaseMatrix(group=sym3, k=1, voltage_table=table, directed=False)
+
+    def test_counts_are_exact_read_only_ints(self, sym3):
+        big = 2**60 + 1
+        table = VoltageTable([0, 0], [0, 0], [sym3.identity, 1], [big, 3.0 + 0j])
+        base = BaseMatrix(group=sym3, k=1, voltage_table=table, directed=False)
+        assert base.voltage_table.c.tolist() == [big, 3]
+        assert all(type(c) is int for c in base.voltage_table.c.tolist())
+        assert all(not column.flags.writeable for column in base.voltage_table)
+        assert [column.dtype for column in base.voltage_table[:3]] == [np.intp] * 3
+        square = (base @ base).voltage_table
+        assert square.c.tolist() == [big**2 + 9, 6 * big]
+        assert base.trace().coefficients == {sym3.identity: complex(big), 1: 3 + 0j}
+
+
 @st.composite
 def _random_tables(draw):
-    """Two base matrices over D5, C7 or S3 with k 1-4 and drawn tables.
+    """Two base matrices over D5, C7 or S3 with k 1-4 and drawn integer tables.
 
-    Coefficients are small integers, as walk counts are, or arbitrary
-    complex values (signed zeros included), so that the order of every sum
-    shows in the bits.
+    Coefficients are small integers, as walk counts are, or up to 2^40 in
+    size, so that products and their sums pass 2^53.
     """
     group = draw(st.sampled_from(["dihedral 5", "cyclic 7", "dihedral 3"]))
     family, m = group.split()
     group = builtin_irreps(family, int(m)).group
     k = draw(st.integers(1, 4))
-    integer = st.integers(-3, 3).map(complex)
-    value = st.floats(-4, 4, allow_nan=False, width=64)
-    general = st.builds(complex, value, value)
-    coefficient = draw(st.sampled_from([integer, general]))
+    coefficient = st.integers(-3, 3) | st.integers(-(2**40), 2**40)
 
     def matrix():
         cells = {}
@@ -278,11 +307,16 @@ def _random_tables(draw):
             g = draw(st.integers(0, group.order - 1))
             cells.setdefault((u, v), {})[g] = draw(coefficient)
         rows = [(u, v, g, c) for (u, v) in sorted(cells) for g, c in cells[u, v].items()]
-        columns = [np.array(col) for col in zip(*rows)] if rows else [np.array([], int)] * 4
-        table = VoltageTable(*columns[:3], np.asarray(columns[3], dtype=complex))
+        table = VoltageTable(*(zip(*rows) if rows else ((),) * 4))
         return BaseMatrix(group=group, k=k, voltage_table=table, directed=False)
 
     return matrix(), matrix()
+
+
+def _assert_exact_trace(matrix, cells):
+    trace = list(matrix.trace().coefficients.items())
+    assert trace == reference_int_trace(matrix.k, cells)
+    assert all(type(g) is int and type(c) is complex for g, c in trace)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -292,13 +326,26 @@ def test_table_product_and_trace_match_the_dict_loops_bit_for_bit(pair):
     product = left @ right
     # The product is formed from the tables; its grid is left unbuilt.
     assert "entries" not in vars(product)
-    expected = reference_matmul_entries(left, right)
-    for row, expected_row in zip(product.entries, expected):
-        for got, want in zip(row, expected_row):
-            assert coefficient_bits(got) == coefficient_bits(want)
-            assert all(type(g) is int and type(c) is complex for g, c in got.coefficients.items())
-    for matrix in (left, product):
-        assert coefficient_bits(matrix.trace()) == coefficient_bits(reference_trace(matrix))
+    cells = reference_int_matmul(left.group, left.k, reference_cells(left), reference_cells(right))
+    assert ordered_cells(reference_cells(product)) == ordered_cells(cells)
+    assert all(type(c) is int for c in product.voltage_table.c.tolist())
+    _assert_exact_trace(left, reference_cells(left))
+    _assert_exact_trace(product, cells)
+
+
+def test_walk_counts_past_two_to_the_53_stay_exact():
+    # Counts pass 2^53 from B^22 on, where float counts would round a trace
+    # coefficient and move the character route's power sums.
+    group = builtin_irreps("dihedral", 5).group
+    rng = np.random.default_rng(3)
+    edges = [(i, (i + s) % 16, int(rng.integers(10))) for i in range(16) for s in (1, 2, 5)]
+    graph = VoltageGraph.build(group, range(16), edges)
+    start = cells = reference_arc_cells(graph)
+    for ell, power in enumerate(voltage._powers(build_base_matrix(graph), 32), 1):
+        assert ordered_cells(reference_cells(power)) == ordered_cells(cells), ell
+        _assert_exact_trace(power, cells)
+        cells = reference_int_matmul(group, 16, cells, start)
+    assert max(c for cell in cells.values() for c in cell.values()) > 2**53
 
 
 class TestLifts:
