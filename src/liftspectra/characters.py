@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConsistencyError, NumericalError
 from .irreps import IrrepSet
 from .spectral import eig_dense, irrep_image, is_hermitian
-from .voltage import BaseMatrix, GroupAlgebraElement, _powers
+from .voltage import BaseMatrix, GroupAlgebraElement, _json_value, _powers
 
 MAX_NEWTON_DEGREE = 32
 ROUNDTRIP_TOL = 1e-8
@@ -118,22 +118,23 @@ class CharacterSpectrum:
     spectrum: np.ndarray
     total: int
 
-    def to_json(self) -> dict:
+    def _document(self) -> dict:
         return {
             "total": self.total,
             "irreps": [
                 {
                     "irrep": p.irrep,
                     "dim": p.dim,
-                    "power_sums": [[s.real, s.imag] for s in p.power_sums],
-                    "roots": [
-                        [r.real, r.imag] for r in map(complex, self.roots_by_irrep[i])
-                    ],
+                    "power_sums": np.array(p.power_sums, dtype=complex),
+                    "roots": np.asarray(self.roots_by_irrep[i], dtype=complex),
                 }
                 for i, p in enumerate(self.profiles)
             ],
-            "spectrum": [[v.real, v.imag] for v in map(complex, self.spectrum)],
+            "spectrum": np.asarray(self.spectrum, dtype=complex),
         }
+
+    def to_json(self) -> dict:
+        return _json_value(self._document())
 
 
 def regular_spectrum_via_characters(

@@ -28,6 +28,7 @@ text on stdout and is byte-identical across runs for a fixed file and seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -52,6 +53,10 @@ from .spectral import lift_eigenvectors, lift_spectrum, verify_against_oracle
 from .voltage import VoltageGraph, build_base_matrix, build_lift, randomize_voltages
 
 NAMED_FAMILIES = ("cyclic", "dihedral", "sym3")
+# The largest ``group.degree`` of a generator document.  Every group of
+# order up to MAX_COMPUTED_ORDER acts faithfully on that many points (on
+# itself), so the cap refuses a presentation, never a group.
+MAX_DEGREE = MAX_COMPUTED_ORDER
 
 
 @dataclass(frozen=True)
@@ -130,6 +135,12 @@ def _load_group(spec, options: Options) -> tuple[FiniteGroup, IrrepSet]:
         degree = _expect(spec, "degree", int, "group")
         if isinstance(degree, bool) or degree < 1:
             raise ParseError("group.degree must be a positive integer")
+        # Every permutation is parsed into a list of ``degree`` points.
+        if degree > MAX_DEGREE:
+            raise ConsistencyError(
+                f"group.degree {degree} is above MAX_DEGREE = {MAX_DEGREE}; "
+                "a group whose irreps are computed acts faithfully on that many points"
+            )
         raw_gens = _expect(spec, "generators", list, "group")
         gens = []
         for text in raw_gens:
@@ -243,8 +254,92 @@ def _require_undirected(doc: InstanceDocument, command: str) -> None:
         )
 
 
-def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2))
+# The Python reprs that ``json`` writes differently.
+_JSON_TEXT = {
+    "nan": "NaN",
+    "inf": "Infinity",
+    "-inf": "-Infinity",
+    "True": "true",
+    "False": "false",
+    "None": "null",
+}
+
+
+def _texts(values: list) -> map:
+    """The JSON text of each number in a list of Python numbers."""
+    reprs = list(map(repr, values))
+    return map(_JSON_TEXT.get, reprs, reprs)
+
+
+def _list_text(items, indent: str) -> str:
+    """A JSON list of already written items, laid out as ``indent=2`` lays it out."""
+    inner = "\n" + indent + "  "
+    body = ("," + inner).join(items)
+    return "[" + inner + body + "\n" + indent + "]" if body else "[]"
+
+
+def _array_text(array: np.ndarray, indent: str) -> str:
+    """The JSON text of an array's listing, each complex entry as ``[re, im]``."""
+    if array.ndim > 1:
+        inner = indent + "  "
+        return _list_text((_array_text(row, inner) for row in array), indent)
+    if array.dtype.kind != "c":
+        return _list_text(_texts(array.tolist()), indent)
+    pair = _list_text(("%s", "%s"), indent + "  ")
+    pairs = zip(_texts(array.real.tolist()), _texts(array.imag.tolist()))
+    return _list_text(map(pair.__mod__, pairs), indent)
+
+
+def _text(value, indent: str) -> str:
+    """The JSON text of an array, a complex number or a scalar."""
+    if isinstance(value, np.ndarray):
+        return _array_text(value, indent)
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if isinstance(value, complex):
+        value = complex(value)
+        return _list_text(_texts([value.real, value.imag]), indent)
+    if isinstance(value, float):
+        value = float(value)  # a numpy float's repr is not the number's
+    if value is None or isinstance(value, (int, float)):
+        return next(_texts([value]))
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _chunks(document, indent: str = ""):
+    """``json.dumps(_json_value(document), indent=2)`` in pieces, written from the arrays.
+
+    ``document`` is a result's description (``_document()``), a dict or list
+    of JSON values, numpy arrays and complex numbers.  Each array and
+    complex number is written straight from its values, within one piece,
+    so neither its listing nor the whole text is ever held.  Floats are
+    written by their repr, and NaN and the infinities as ``json`` spells them.
+    """
+    brackets = "{}" if isinstance(document, dict) else "[]"
+    if not document:
+        yield brackets
+        return
+    if isinstance(document, dict):
+        keys = map(json.encoder.encode_basestring_ascii, document)
+        items = zip(map("{}: ".format, keys), document.values())
+    else:
+        items = zip(itertools.repeat(""), document)
+    inner = indent + "  "
+    separator = brackets[0] + "\n" + inner
+    for prefix, value in items:
+        if isinstance(value, (dict, list, tuple)):
+            yield separator + prefix
+            yield from _chunks(value, inner)
+        else:
+            yield separator + prefix + _text(value, inner)
+        separator = ",\n" + inner
+    yield "\n" + indent + brackets[1]
+
+
+def _emit(document) -> None:
+    """Write a result's description to stdout as ``print(json.dumps(..., indent=2))`` would."""
+    sys.stdout.writelines(_chunks(document))
+    sys.stdout.write("\n")
 
 
 def cmd_spectrum(doc: InstanceDocument, args: argparse.Namespace) -> int:
@@ -253,7 +348,7 @@ def cmd_spectrum(doc: InstanceDocument, args: argparse.Namespace) -> int:
     report = lift_spectrum(
         base, doc.irrep_set, doc.ctx, match_tol=doc.options.tol_match
     )
-    _emit(report.to_json())
+    _emit(report._document())
     return 0
 
 
@@ -263,7 +358,7 @@ def cmd_eigvecs(doc: InstanceDocument, args: argparse.Namespace) -> int:
     bundle = lift_eigenvectors(
         base, doc.irrep_set, doc.ctx, residual_tol=doc.options.tol_residual
     )
-    _emit(bundle.to_json())
+    _emit(bundle._document())
     return 0
 
 
@@ -271,10 +366,9 @@ def cmd_lift(doc: InstanceDocument, args: argparse.Namespace) -> int:
     _require_undirected(doc, "lift")
     lift = build_lift(doc.graph, doc.ctx)
     if args.emit_adjacency:
-        _emit(lift.to_json())
+        _emit(lift._document())
     else:
-        for line in lift.edge_lines():
-            print(line)
+        sys.stdout.writelines(f"{line}\n" for line in lift.edge_lines())
     return 0
 
 
@@ -295,9 +389,7 @@ def cmd_verify(doc: InstanceDocument, args: argparse.Namespace) -> int:
             match_tol=doc.options.tol_match,
             residual_tol=doc.options.tol_residual,
         )
-        entry = {"label": label}
-        entry.update(report.to_json())
-        results.append(entry)
+        results.append({"label": label, **report._document()})
     passed = all(r["passed"] for r in results)
     _emit({"passed": passed, "trials": results})
     return 0 if passed else 1
@@ -311,29 +403,22 @@ def cmd_characters(doc: InstanceDocument, args: argparse.Namespace) -> int:
         )
     base = build_base_matrix(doc.graph)
     result = regular_spectrum_via_characters(base, doc.irrep_set)
-    _emit(result.to_json())
+    _emit(result._document())
     return 0
 
 
 def cmd_irreps(doc: InstanceDocument, args: argparse.Namespace) -> int:
     group = doc.group
-    payload: dict = {"group_order": group.order}
+    document: dict = {"group_order": group.order}
     if args.dump:
-        payload["irreps"] = [
-            {
-                "dim": r.dim,
-                "matrices": {
-                    group.elements[g].cycle_string(): [
-                        [[x.real, x.imag] for x in row] for row in r.matrices[g]
-                    ]
-                    for g in range(group.order)
-                },
-            }
+        names = [element.cycle_string() for element in group.elements]
+        document["irreps"] = [
+            {"dim": r.dim, "matrices": dict(zip(names, np.asarray(r.matrices, dtype=complex)))}
             for r in doc.irrep_set
         ]
     else:
-        payload["dims"] = list(doc.irrep_set.dims)
-    _emit(payload)
+        document["dims"] = list(doc.irrep_set.dims)
+    _emit(document)
     return 0
 
 

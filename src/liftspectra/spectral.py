@@ -23,7 +23,14 @@ import numpy as np
 from .errors import ConsistencyError, NumericalError
 from .irreps import Irrep, IrrepSet, subgroup_ranks
 from .permgroup import SubgroupContext
-from .voltage import BaseMatrix, VoltageGraph, _lift_terms, build_base_matrix, build_lift
+from .voltage import (
+    BaseMatrix,
+    VoltageGraph,
+    _json_value,
+    _lift_terms,
+    build_base_matrix,
+    build_lift,
+)
 
 DEFAULT_MATCH_TOL = 1e-7
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -36,6 +43,10 @@ PIVOT_TIE_TOL = 1e-9
 # this many entries, and of at least one image, so a route's peak memory
 # stays near that of one image however many irreps share the dimension.
 IMAGE_STACK_ENTRIES = 1 << 16
+# The widest irrep image, ``d * k``, that ``irrep_image`` builds.  One such
+# complex image takes 256 MiB; ``eigh`` of one took 161 s and 1.3 GB peak
+# RSS with one OpenBLAS thread on a 2-vCPU Xeon, against 0.7 s at 768 wide.
+MAX_IMAGE_WIDTH = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,23 +99,23 @@ class SpectrumReport:
         """The full eigenvalue multiset, sorted, one copy per multiplicity."""
         return np.repeat(self.values, self.counts)
 
-    def to_json(self) -> dict:
+    def _document(self) -> dict:
         return {
             "kn": self.total,
             "eigenvalues": [
                 {
-                    "value": [re, im],
+                    "value": value,
                     "count": count,
                     "provenance": [{"irrep": i, "dim": d, "rank": r} for i, d, r in tags],
                 }
-                for re, im, count, tags in zip(
-                    self.values.real.tolist(),
-                    self.values.imag.tolist(),
-                    self.counts.tolist(),
-                    self.provenance,
+                for value, count, tags in zip(
+                    self.values.tolist(), self.counts.tolist(), self.provenance
                 )
             ],
         }
+
+    def to_json(self) -> dict:
+        return _json_value(self._document())
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,29 +200,32 @@ class EigenvectorBundle:
     def matrix(self) -> np.ndarray:
         return np.hstack([block.pulled for block in self.blocks])
 
-    def to_json(self) -> dict:
+    def _document(self) -> dict:
+        """The columns in bundle order, each ``vector`` a view into its block."""
         columns = []
         for idx, block in enumerate(self.blocks):
             d = block.dim
             dk = block.eigenvalues.size
-            real = block.eigenvalues.real.tolist()
-            imag = block.eigenvalues.imag.tolist()
-            per_column = zip(block.pulled.real.T, block.pulled.imag.T, block.selected, block.zero)
-            for col, (re, im, selected, zero) in enumerate(per_column):
+            eigenvalues = block.eigenvalues.tolist()
+            per_column = zip(block.pulled.T, block.selected.tolist(), block.zero.tolist())
+            for col, (vector, selected, zero) in enumerate(per_column):
                 j, c = divmod(col, dk)
                 columns.append(
                     {
-                        "eigenvalue": [real[c], imag[c]],
+                        "eigenvalue": eigenvalues[c],
                         "irrep": idx,
                         "j": j,
                         "w": c // d,
                         "i": c % d,
-                        "vector": [[x, y] for x, y in zip(re, im)],
-                        "selected": bool(selected),
-                        "zero": bool(zero),
+                        "vector": vector,
+                        "selected": selected,
+                        "zero": zero,
                     }
                 )
-        return {"kn": self.kn, "selected": list(self.selected_basis), "columns": columns}
+        return {"kn": self.kn, "selected": self.selected_basis, "columns": columns}
+
+    def to_json(self) -> dict:
+        return _json_value(self._document())
 
 
 def irrep_image(base: BaseMatrix, irrep: Irrep | Sequence[Irrep]) -> IrrepImage:
@@ -223,7 +237,9 @@ def irrep_image(base: BaseMatrix, irrep: Irrep | Sequence[Irrep]) -> IrrepImage:
     ``(b, dk, dk)`` stack in sequence order.  One ``np.add.at`` adds every
     image's terms unbuffered and in table order, which is each entry's
     coefficient order, so every block sums its terms in the same order as an
-    entrywise loop and each image has the same bits, stacked or alone.
+    entrywise loop and each image has the same bits, stacked or alone.  An
+    image wider than ``MAX_IMAGE_WIDTH`` raises :class:`ConsistencyError`
+    before anything is allocated.
     """
     irreps = (irrep,) if isinstance(irrep, Irrep) else tuple(irrep)
     if not irreps:
@@ -236,6 +252,11 @@ def irrep_image(base: BaseMatrix, irrep: Irrep | Sequence[Irrep]) -> IrrepImage:
             raise ValueError("irrep_image stacks irreps of one dimension only")
     b = len(irreps)
     k = base.k
+    if d * k > MAX_IMAGE_WIDTH:
+        raise ConsistencyError(
+            f"irrep image of a {d}-dimensional irrep on k = {k} base vertices is "
+            f"d*k = {d * k} wide, above MAX_IMAGE_WIDTH = {MAX_IMAGE_WIDTH}"
+        )
     table = base.voltage_table
     # Complex before the in-place product, whatever dtype the irreps hold.
     terms = np.array([r.matrices[table.g] for r in irreps], dtype=complex)
@@ -691,7 +712,7 @@ class OracleReport:
     kn: int
     selected_count: int
 
-    def to_json(self) -> dict:
+    def _document(self) -> dict:
         return {
             "passed": self.passed,
             "spectral_distance": self.spectral_distance,
@@ -699,6 +720,9 @@ class OracleReport:
             "kn": self.kn,
             "selected_count": self.selected_count,
         }
+
+    def to_json(self) -> dict:
+        return _json_value(self._document())
 
 
 def verify_against_oracle(

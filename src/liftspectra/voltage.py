@@ -30,6 +30,27 @@ INTEGER_TOL = 1e-9
 MAX_LIFT_VERTICES = 8192
 
 
+def _json_value(document):
+    """A result's document as plain JSON values, as its ``to_json()`` returns it.
+
+    Each result describes its document once (``_document()``), with numpy
+    arrays and complex numbers where the JSON has lists: an array is listed
+    with ``tolist()``, and a complex entry becomes ``[re, im]``.  The CLI
+    writes the same description as text without listing it.
+    """
+    if isinstance(document, dict):
+        return {key: _json_value(value) for key, value in document.items()}
+    if isinstance(document, (list, tuple)):
+        return [_json_value(value) for value in document]
+    if isinstance(document, np.ndarray):
+        if document.dtype.kind == "c":
+            document = np.stack((document.real, document.imag), axis=-1)
+        return document.tolist()
+    if isinstance(document, complex):
+        return [document.real, document.imag]
+    return document
+
+
 def _integer_counts(values, elements, stage: str) -> np.ndarray:
     """The nearest integers to complex ``values``, as floats, each within ``INTEGER_TOL``.
 
@@ -398,11 +419,11 @@ class LiftGraph:
             lines.append(f"{labels[i]} {labels[j]} {int(self.adjacency[i, j])}")
         return lines
 
+    def _document(self) -> dict:
+        return {"vertices": self.label_strings(), "adjacency": self.adjacency}
+
     def to_json(self) -> dict:
-        return {
-            "vertices": self.label_strings(),
-            "adjacency": [[int(x) for x in row] for row in self.adjacency],
-        }
+        return _json_value(self._document())
 
 
 def _lift_terms(base: BaseMatrix, ctx: SubgroupContext) -> list:

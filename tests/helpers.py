@@ -246,7 +246,10 @@ def reference_bundle_columns(base, irrep_set, ctx):
 
 
 def reference_bundle_json(columns, selected_basis, kn):
-    """``EigenvectorBundle.to_json`` written column by column from tagged columns."""
+    """``EigenvectorBundle.to_json`` written column by column from tagged columns.
+
+    Every number is a Python ``float``, as ``tolist()`` gives it.
+    """
     return {
         "kn": kn,
         "selected": list(selected_basis),
@@ -257,7 +260,7 @@ def reference_bundle_json(columns, selected_basis, kn):
                 "j": c.j,
                 "w": c.w,
                 "i": c.i,
-                "vector": [[x.real, x.imag] for x in c.vector],
+                "vector": [[x.real, x.imag] for x in c.vector.tolist()],
                 "selected": c.selected,
                 "zero": c.zero,
             }

@@ -560,6 +560,48 @@ class TestExitCodes:
         assert json.loads(out)["passed"] is False
 
 
+def test_degree_above_the_cap_is_refused_before_any_permutation_is_parsed(tmp_path, capsys):
+    # Each permutation would be parsed into a list of 10^9 points (8 GB).
+    doc = _dumbbell_doc()
+    doc["group"] = {"kind": "generators", "degree": 10**9, "generators": ["(1 2)", "(2 3)"]}
+    code, out, err = _run(capsys, ["spectrum", _write_instance(tmp_path, doc)])
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: group.degree 1000000000 is above MAX_DEGREE = 1000; "
+        "a group whose irreps are computed acts faithfully on that many points\n"
+    )
+
+
+def test_degree_at_the_cap_is_accepted(tmp_path):
+    doc = _dumbbell_doc()
+    doc["group"] = {"kind": "generators", "degree": 1000, "generators": ["(1 2)", "(2 3)"]}
+    loaded = load_instance(_write_instance(tmp_path, doc))
+    assert (loaded.group.degree, loaded.group.order) == (1000, 6)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "eigvecs"])
+def test_image_wider_than_the_cap_exits_three(tmp_path, capsys, command):
+    # A 4097-vertex path over the trivial group: its one image is 4097 wide.
+    k = 4097
+    vertices = [f"v{i}" for i in range(k)]
+    doc = {
+        "group": {"kind": "named", "family": "cyclic", "param": 1},
+        "subgroup": {"kind": "trivial"},
+        "graph": {
+            "vertices": vertices,
+            "edges": [
+                {"from": u, "to": v, "voltage": "()"} for u, v in zip(vertices, vertices[1:])
+            ],
+        },
+    }
+    code, out, err = _run(capsys, [command, _write_instance(tmp_path, doc)])
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: irrep image of a 1-dimensional irrep on k = 4097 base vertices is "
+        "d*k = 4097 wide, above MAX_IMAGE_WIDTH = 4096\n"
+    )
+
+
 def _dumbbell_with(path, value):
     """The dumbbell document with the entry at ``path``, a tuple of keys, replaced."""
     if not path:

@@ -99,6 +99,33 @@ class TestIrrepImage:
         with pytest.raises(ConsistencyError):
             irrep_image(dumbbell_base, other[0])
 
+    def test_image_wider_than_the_cap_is_refused_before_it_is_built(self, sym3, sym3_catalog):
+        # 2 * 2049 = 4098 columns: 256 MiB of complex entries, were it built.
+        k = 2049
+        edges = [(str(i), str((i + 1) % k), sym3.identity) for i in range(k)]
+        base = build_base_matrix(VoltageGraph.build(sym3, [str(i) for i in range(k)], edges))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConsistencyError) as caught:
+                irrep_image(base, [sym3_catalog[2], sym3_catalog[2]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == (
+            "irrep image of a 2-dimensional irrep on k = 2049 base vertices is "
+            "d*k = 4098 wide, above MAX_IMAGE_WIDTH = 4096"
+        )
+        assert peak < 1 << 20
+
+    def test_image_width_cap_is_inclusive(self, dumbbell_base, sym3_catalog, monkeypatch):
+        monkeypatch.setattr(spectral, "MAX_IMAGE_WIDTH", 4)
+        assert irrep_image(dumbbell_base, sym3_catalog[2]).matrix.shape == (4, 4)
+        monkeypatch.setattr(spectral, "MAX_IMAGE_WIDTH", 3)
+        with pytest.raises(ConsistencyError, match="d\\*k = 4 wide, above MAX_IMAGE_WIDTH = 3"):
+            irrep_image(dumbbell_base, sym3_catalog[2])
+        with pytest.raises(ConsistencyError, match="MAX_IMAGE_WIDTH"):
+            lift_spectrum(dumbbell_base, sym3_catalog, right_cosets(sym3_catalog.group, {0}))
+
 
 # (trivial, plane, sign), and S5's dimensions as 4, 4, 1, 6, 5, 1, 5.
 UNSORTED = {"sym3 unsorted": ("sym3", (0, 2, 1)), "S5 shuffled": ("S5", (2, 3, 0, 6, 4, 1, 5))}
