@@ -28,17 +28,18 @@ text on stdout and is byte-identical across runs for a fixed file and seed.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConsistencyError, NumericalError, ParseError
 from .irreps import MAX_COMPUTED_ORDER, IrrepSet, builtin_irreps, compute_irreps
-from .characters import regular_spectrum_via_characters
 from .permgroup import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
@@ -49,8 +50,10 @@ from .permgroup import (
     stabilizer,
     subgroup_closure,
 )
-from .spectral import lift_eigenvectors, lift_spectrum, verify_against_oracle
 from .voltage import VoltageGraph, build_base_matrix, build_lift, randomize_voltages
+
+# ``spectral`` and ``characters`` are imported by the commands that run them,
+# after their refusals, so no other call pays for loading them.
 
 NAMED_FAMILIES = ("cyclic", "dihedral", "sym3")
 # The largest ``group.degree`` of a generator document.  Every group of
@@ -76,10 +79,18 @@ FLAG_OPTIONS = ("seed", "tol_residual", "tol_match")
 @dataclass(frozen=True, eq=False)
 class InstanceDocument:
     group: FiniteGroup
-    irrep_set: IrrepSet
     ctx: SubgroupContext
     graph: VoltageGraph
     options: Options
+    # A named family's catalog, built with its group; None for a generated group.
+    catalog: IrrepSet | None = None
+
+    @cached_property
+    def irrep_set(self) -> IrrepSet:
+        """The group's irrep catalog; a generated group's is computed on first read."""
+        if self.catalog is not None:
+            return self.catalog
+        return compute_irreps(self.group, seed=self.options.seed)
 
 
 def _expect(mapping, key, kinds, where):
@@ -129,7 +140,7 @@ def _load_options(raw, overrides: dict) -> Options:
     return options
 
 
-def _load_group(spec, options: Options) -> tuple[FiniteGroup, IrrepSet]:
+def _load_group(spec, options: Options) -> tuple[FiniteGroup, IrrepSet | None]:
     kind = _expect(spec, "kind", str, "group")
     if kind == "generators":
         degree = _expect(spec, "degree", int, "group")
@@ -160,8 +171,7 @@ def _load_group(spec, options: Options) -> tuple[FiniteGroup, IrrepSet]:
                 f"group closure exceeded MAX_COMPUTED_ORDER = {MAX_COMPUTED_ORDER}, "
                 "the largest order whose irreps are computed"
             ) from None
-        irrep_set = compute_irreps(group, seed=options.seed)
-        return group, irrep_set
+        return group, None
     if kind == "named":
         family = _expect(spec, "family", str, "group")
         if family not in NAMED_FAMILIES:
@@ -233,17 +243,11 @@ def load_instance(path: str, overrides: dict | None = None) -> InstanceDocument:
     if not isinstance(raw, dict):
         raise ParseError("instance document must be a JSON object")
     options = _load_options(raw.get("options"), overrides or {})
-    group, irrep_set = _load_group(_expect(raw, "group", dict, "instance"), options)
+    group, catalog = _load_group(_expect(raw, "group", dict, "instance"), options)
     members = _load_subgroup(_expect(raw, "subgroup", dict, "instance"), group)
     ctx = right_cosets(group, members)
     graph = _load_graph(_expect(raw, "graph", dict, "instance"), group)
-    return InstanceDocument(
-        group=group,
-        irrep_set=irrep_set,
-        ctx=ctx,
-        graph=graph,
-        options=options,
-    )
+    return InstanceDocument(group=group, ctx=ctx, graph=graph, options=options, catalog=catalog)
 
 
 def _require_undirected(doc: InstanceDocument, command: str) -> None:
@@ -344,6 +348,8 @@ def _emit(document) -> None:
 
 def cmd_spectrum(doc: InstanceDocument, args: argparse.Namespace) -> int:
     _require_undirected(doc, "spectrum")
+    from .spectral import lift_spectrum
+
     base = build_base_matrix(doc.graph)
     report = lift_spectrum(
         base, doc.irrep_set, doc.ctx, match_tol=doc.options.tol_match
@@ -354,6 +360,8 @@ def cmd_spectrum(doc: InstanceDocument, args: argparse.Namespace) -> int:
 
 def cmd_eigvecs(doc: InstanceDocument, args: argparse.Namespace) -> int:
     _require_undirected(doc, "eigvecs")
+    from .spectral import lift_eigenvectors
+
     base = build_base_matrix(doc.graph)
     bundle = lift_eigenvectors(
         base, doc.irrep_set, doc.ctx, residual_tol=doc.options.tol_residual
@@ -374,6 +382,8 @@ def cmd_lift(doc: InstanceDocument, args: argparse.Namespace) -> int:
 
 def cmd_verify(doc: InstanceDocument, args: argparse.Namespace) -> int:
     _require_undirected(doc, "verify")
+    from .spectral import verify_against_oracle
+
     labelled = [("instance", doc.graph)]
     for i in range(args.trials):
         rng = np.random.default_rng(
@@ -401,6 +411,8 @@ def cmd_characters(doc: InstanceDocument, args: argparse.Namespace) -> int:
             "the character route computes regular-lift spectra; "
             "the subgroup must be trivial"
         )
+    from .characters import regular_spectrum_via_characters
+
     base = build_base_matrix(doc.graph)
     result = regular_spectrum_via_characters(base, doc.irrep_set)
     _emit(result._document())
@@ -469,6 +481,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # Everything alive now lives until the process exits, so no collection,
+    # the one at shutdown included, needs to walk it.
+    gc.freeze()
     sys.exit(main())
 
 

@@ -228,6 +228,14 @@ class EigenvectorBundle:
         return _json_value(self._document())
 
 
+def _check_image_width(d: int, k: int) -> None:
+    if d * k > MAX_IMAGE_WIDTH:
+        raise ConsistencyError(
+            f"irrep image of a {d}-dimensional irrep on k = {k} base vertices is "
+            f"d*k = {d * k} wide, above MAX_IMAGE_WIDTH = {MAX_IMAGE_WIDTH}"
+        )
+
+
 def irrep_image(base: BaseMatrix, irrep: Irrep | Sequence[Irrep]) -> IrrepImage:
     """Apply an irrep entrywise to a base matrix, producing a ``dk x dk`` block matrix.
 
@@ -252,11 +260,7 @@ def irrep_image(base: BaseMatrix, irrep: Irrep | Sequence[Irrep]) -> IrrepImage:
             raise ValueError("irrep_image stacks irreps of one dimension only")
     b = len(irreps)
     k = base.k
-    if d * k > MAX_IMAGE_WIDTH:
-        raise ConsistencyError(
-            f"irrep image of a {d}-dimensional irrep on k = {k} base vertices is "
-            f"d*k = {d * k} wide, above MAX_IMAGE_WIDTH = {MAX_IMAGE_WIDTH}"
-        )
+    _check_image_width(d, k)
     table = base.voltage_table
     # Complex before the in-place product, whatever dtype the irreps hold.
     terms = np.array([r.matrices[table.g] for r in irreps], dtype=complex)
@@ -343,8 +347,12 @@ def _image_eigensystems(base: BaseMatrix, irrep_set: IrrepSet, indices):
     refused whole: if any of its images is not Hermitian (a unitary irrep on
     an undirected base always is), :class:`NumericalError` names the first
     such irrep, and if its eigensolve fails, :func:`eig_dense`'s error is
-    raised; either way none of the slice's irreps is yielded.
+    raised; either way none of the slice's irreps is yielded.  An image of
+    ``indices`` wider than ``MAX_IMAGE_WIDTH`` is refused before any slice
+    is built, with :func:`irrep_image`'s error for the first such irrep.
     """
+    for idx in indices:
+        _check_image_width(irrep_set[idx].dim, base.k)
     for d, run in itertools.groupby(indices, lambda idx: irrep_set[idx].dim):
         run = list(run)
         size = max(1, IMAGE_STACK_ENTRIES // max(1, (d * base.k) ** 2))

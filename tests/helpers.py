@@ -5,7 +5,19 @@ use greedy pairing, which is exact for the sorted-real case and adequate for
 the small complex multisets produced by directed examples.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
+
+import liftspectra
+
+
+def package_env() -> dict:
+    """The environment of a child Python that imports this checkout's ``liftspectra``."""
+    src = str(Path(liftspectra.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def complex_sort(values):

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -8,14 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import liftspectra
 from liftspectra import NumericalError, build_lift
 from liftspectra.cli import load_instance, main
 
 from conftest import DUMBBELL_REGULAR, DUMBBELL_RELATIVE
-from helpers import multiset_distance
+from helpers import multiset_distance, package_env
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 DUMBBELL = str(INSTANCES / "dumbbell.json")
 DUMBBELL_TRIVIAL = str(INSTANCES / "dumbbell_regular.json")
 DUMBBELL_GENERATORS = str(INSTANCES / "dumbbell_generators.json")
@@ -90,6 +89,26 @@ class TestLoadInstance:
         doc = load_instance(DUMBBELL, {"tol_match": 1e-5, "seed": None})
         assert doc.options.tol_match == 1e-5
         assert doc.options.seed == 0
+
+    def test_catalog_is_built_only_by_the_commands_that_read_it(self, capsys, monkeypatch):
+        import liftspectra.cli as cli_module
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("compute_irreps was called")
+
+        monkeypatch.setattr(cli_module, "compute_irreps", unreachable)
+        path = str(INSTANCES / "s4_stabilizer.json")
+        code, out, err = _run(capsys, ["lift", path])
+        assert (code, err) == (0, "")
+        assert out.encode() == (GOLDEN / "s4_stabilizer.lift.out").read_bytes()
+        code, out, err = _run(capsys, ["characters", path])
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: the character route computes regular-lift spectra; "
+            "the subgroup must be trivial\n"
+        )
+        with pytest.raises(AssertionError, match="compute_irreps was called"):
+            main(["spectrum", path])
 
 
 class TestSpectrumCommand:
@@ -542,7 +561,7 @@ class TestExitCodes:
 
     def test_verify_failure_exit_one(self, tmp_path, capsys, monkeypatch):
         # Force the oracle to report a mismatch so verify returns 1.
-        import liftspectra.cli as cli_module
+        import liftspectra.spectral as spectral_module
         from liftspectra import OracleReport
 
         def fake_oracle(graph, irrep_set, ctx, match_tol=1e-7, residual_tol=1e-8):
@@ -554,7 +573,7 @@ class TestExitCodes:
                 selected_count=6,
             )
 
-        monkeypatch.setattr(cli_module, "verify_against_oracle", fake_oracle)
+        monkeypatch.setattr(spectral_module, "verify_against_oracle", fake_oracle)
         code, out, _ = _run(capsys, ["verify", DUMBBELL, "--trials", "0"])
         assert code == 1
         assert json.loads(out)["passed"] is False
@@ -698,23 +717,37 @@ def test_spectrum_of_the_named_cyclic_1000_cycle_graph(tmp_path, capsys):
     assert multiset_distance(values, 2 * np.cos(2 * np.pi * np.arange(m) / m)) < 1e-12
 
 
+def _fresh_modules(package: str) -> list[str]:
+    """The modules of ``package`` that a fresh ``import liftspectra.cli`` loads."""
+    probe = (
+        "import sys, liftspectra.cli, json; "
+        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=package_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return json.loads(result.stdout)
+
+
 class TestImports:
     def test_cli_import_leaves_scipy_unloaded(self):
         # scipy is a test-only dependency; a fresh CLI process must not pay
         # for importing it.
-        src = str(Path(liftspectra.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        probe = (
-            "import sys, liftspectra.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-            check=True,
-        )
-        assert result.stdout.strip() == "[]"
+        assert _fresh_modules("scipy") == []
+
+    def test_cli_import_leaves_spectral_and_characters_unloaded(self):
+        # The commands that run them import them; lift, irreps and refused
+        # calls never pay for either.
+        assert _fresh_modules("liftspectra") == [
+            "liftspectra",
+            "liftspectra.cli",
+            "liftspectra.errors",
+            "liftspectra.irreps",
+            "liftspectra.permgroup",
+            "liftspectra.voltage",
+        ]

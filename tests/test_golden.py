@@ -10,12 +10,15 @@ the exit codes.  Regenerate them only for an intended change of output::
 import contextlib
 import io
 import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from liftspectra.cli import main
+
+from helpers import package_env
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
@@ -55,6 +58,34 @@ def test_stdout_and_exit_code_match_golden(capsys, stem, case):
     out = capsys.readouterr().out
     assert code == json.loads(EXIT_CODES.read_text())[f"{stem}.{case}"]
     assert out.encode() == _golden(stem, case).read_bytes()
+
+
+# One case per command, and one refusal, run as ``python -m liftspectra.cli``:
+# the process path, unlike ``main()``, goes through ``entry()``.
+PROCESS_RUNS = [
+    ("dumbbell", "spectrum"),
+    ("dumbbell_generators", "eigvecs"),
+    ("s4_stabilizer", "lift"),
+    ("dumbbell", "verify"),
+    ("dumbbell_regular", "characters"),
+    ("s4_stabilizer", "irreps-dump"),
+    ("s4_stabilizer", "characters"),
+]
+
+
+@pytest.mark.parametrize("stem,case", PROCESS_RUNS, ids=[f"{s}.{c}" for s, c in PROCESS_RUNS])
+def test_a_cli_process_writes_the_golden_bytes(stem, case):
+    result = subprocess.run(
+        [sys.executable, "-m", "liftspectra.cli", *_argv(stem, case)],
+        env=package_env(),
+        capture_output=True,
+        timeout=120,
+    )
+    assert result.returncode == json.loads(EXIT_CODES.read_text())[f"{stem}.{case}"]
+    assert result.stdout == _golden(stem, case).read_bytes()
+    errors = result.stderr.decode().splitlines()
+    assert errors == [] or (len(errors) == 1 and errors[0].startswith("error: "))
+    assert bool(errors) == (result.returncode != 0)
 
 
 def _regenerate():

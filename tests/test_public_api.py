@@ -1,8 +1,13 @@
 """The package's public names and signatures, pinned so that any change shows in review."""
 
 import inspect
+import json
+import subprocess
+import sys
 
 import liftspectra
+
+from helpers import package_env
 
 PUBLIC_NAMES = [
     "Arc",
@@ -67,6 +72,61 @@ def test_exports_match_the_pinned_list():
 def test_every_export_resolves():
     for name in liftspectra.__all__:
         assert getattr(liftspectra, name) is not None
+
+
+# Run in a fresh process, where nothing but the package itself is loaded yet.
+LAZY_PROBE = """
+import json, sys
+import liftspectra
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("liftspectra."))
+
+report = {"after_import": loaded()}
+report["spectral_is_module"] = liftspectra.spectral is sys.modules["liftspectra.spectral"]
+report["after_spectral"] = loaded()
+namespace = {}
+exec("from liftspectra import *", namespace)
+report["star_binds_all"] = all(name in namespace for name in liftspectra.__all__)
+report["same_objects"] = all(
+    namespace[name] is getattr(liftspectra, name)
+    and namespace[name] is getattr(sys.modules[namespace[name].__module__], name)
+    for name in liftspectra.__all__
+)
+report["exports_in_dir"] = set(liftspectra.__all__) <= set(dir(liftspectra))
+try:
+    liftspectra.no_such_name
+except AttributeError as exc:
+    report["missing"] = str(exc)
+print(json.dumps(report))
+"""
+
+
+def test_a_plain_import_loads_submodules_on_first_read():
+    result = subprocess.run(
+        [sys.executable, "-c", LAZY_PROBE],
+        env=package_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert json.loads(result.stdout) == {
+        "after_import": [],
+        "spectral_is_module": True,
+        # spectral's own imports, and nothing of characters.
+        "after_spectral": [
+            "liftspectra.errors",
+            "liftspectra.irreps",
+            "liftspectra.permgroup",
+            "liftspectra.spectral",
+            "liftspectra.voltage",
+        ],
+        "star_binds_all": True,
+        "same_objects": True,
+        "exports_in_dir": True,
+        "missing": "module 'liftspectra' has no attribute 'no_such_name'",
+    }
 
 
 # Parameter names and defaults of every exported function, and of every

@@ -126,6 +126,44 @@ class TestIrrepImage:
         with pytest.raises(ConsistencyError, match="MAX_IMAGE_WIDTH"):
             lift_spectrum(dumbbell_base, sym3_catalog, right_cosets(sym3_catalog.group, {0}))
 
+    @pytest.mark.parametrize("route", [lift_spectrum, lift_eigenvectors])
+    def test_lift_routes_refuse_a_wide_image_before_any_eigensolve(
+        self, sym3, sym3_catalog, trivial_ctx, route, monkeypatch
+    ):
+        # The two 1-dimensional images (2049 wide) come first in irrep order;
+        # the plane's (4098 wide) is refused before either is solved.
+        k = 2049
+        edges = [(str(i), str((i + 1) % k), sym3.identity) for i in range(k)]
+        base = build_base_matrix(VoltageGraph.build(sym3, [str(i) for i in range(k)], edges))
+        solves = []
+        monkeypatch.setattr(spectral, "eig_dense", lambda *args, **kw: solves.append(args))
+        with pytest.raises(ConsistencyError) as caught:
+            route(base, sym3_catalog, trivial_ctx)
+        assert str(caught.value) == (
+            "irrep image of a 2-dimensional irrep on k = 2049 base vertices is "
+            "d*k = 4098 wide, above MAX_IMAGE_WIDTH = 4096"
+        )
+        assert solves == []
+
+    def test_only_the_images_a_route_solves_are_held_to_the_cap(
+        self, dumbbell_base, sym3_catalog, full_ctx, monkeypatch
+    ):
+        # Over the full group only the trivial irrep has nonzero rank, so the
+        # spectrum never images the plane; the eigenvector route images all.
+        monkeypatch.setattr(spectral, "MAX_IMAGE_WIDTH", 3)
+        assert lift_spectrum(dumbbell_base, sym3_catalog, full_ctx).total == 2
+        original = spectral.eig_dense
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eig_dense", counting)
+        with pytest.raises(ConsistencyError, match="d\\*k = 4 wide, above MAX_IMAGE_WIDTH = 3"):
+            lift_eigenvectors(dumbbell_base, sym3_catalog, full_ctx)
+        assert solves == []
+
 
 # (trivial, plane, sign), and S5's dimensions as 4, 4, 1, 6, 5, 1, 5.
 UNSORTED = {"sym3 unsorted": ("sym3", (0, 2, 1)), "S5 shuffled": ("S5", (2, 3, 0, 6, 4, 1, 5))}

@@ -3,10 +3,8 @@
 import contextlib
 import io
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -28,6 +26,8 @@ from liftspectra import (
     lift_eigenvectors,
 )
 from liftspectra.cli import load_instance
+
+from helpers import package_env
 
 # Every float ``json`` writes in its own way, and a few ordinary ones.
 FLOATS = st.one_of(
@@ -188,12 +188,9 @@ def test_eigvecs_through_a_pipe(tmp_path):
     }
     path = tmp_path / "s4.json"
     path.write_text(json.dumps(doc))
-    src = str(Path(liftspectra.__file__).resolve().parent.parent)
-    path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
     result = subprocess.run(
         [sys.executable, "-m", "liftspectra.cli", "eigvecs", str(path)],
-        env=env,
+        env=package_env(),
         capture_output=True,
         timeout=120,
         check=True,

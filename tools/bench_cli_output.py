@@ -1,33 +1,50 @@
-"""Output-step time and memory of every CLI command on a parent tree and this one, as JSON.
+"""CLI output steps, or whole CLI processes, on a parent tree and this one, as JSON.
 
 Usage, from the root of a checkout::
 
-    python3 tools/bench_cli_output.py --parent PARENT [--out FILE] \\
-        [--ab-parent RUN ...] [--ab-change RUN ...]
+    python3 tools/bench_cli_output.py --parent PARENT [--subject output|process] \\
+        [--out FILE] [--ab-parent RUN ...] [--ab-change RUN ...]
 
 ``PARENT`` is the root of a checkout of the parent commit; the checkout that
 holds this script is the change.  ``FILE`` defaults to
-``BENCH_cli_output.json``.  Each tree runs in fresh child processes that
+``BENCH_cli_<subject>.json``.  Each tree runs in fresh child processes that
 import ``liftspectra`` from its ``src/`` with one BLAS thread.
 
-The ladder is the ``cli_cold`` A5/stab/k=6 document and an S5/mid/k=12
-document, both generated by ``perfbench/instances.py`` at pool seed
-``SEED``, and the six ``instances/*.json``.  On each document a child runs
-every command through ``liftspectra.cli.main`` with stdout on
-``os.devnull``.  The output step starts when the last call that makes the
-command's result returns (``load_instance``, then the library call, or the
-last ``verify_against_oracle``) and ends when ``main`` returns.  The child
-records its fastest time over the reps, and the ``tracemalloc`` peak of one
-more run, traced from the start of the output step.  A first, untimed run
-counts the stdout bytes and hashes them, and the file records whether both
-trees wrote the same bytes.  Children run in ``ROUNDS`` alternating rounds,
-and the fastest time is kept.
+Subject ``output`` (the default) measures the output step.  The ladder is
+the ``cli_cold`` A5/stab/k=6 document and an S5/mid/k=12 document, both
+generated by ``perfbench/instances.py`` at pool seed ``SEED``, and the six
+``instances/*.json``.  On each document a child runs every command through
+``liftspectra.cli.main`` with stdout on ``os.devnull``.  The output step
+starts when the last call that makes the command's result returns
+(``load_instance``, a generator document's ``compute_irreps``, then the
+library call, or the last ``verify_against_oracle``) and ends when ``main``
+returns.  The child records its fastest time over the reps, and the
+``tracemalloc`` peak of one more run, traced from the start of the output
+step.  A first, untimed run counts the stdout bytes and hashes them, and the
+file records whether both trees wrote the same bytes.  Children run in
+``ROUNDS`` alternating rounds, and the fastest time is kept.
 
 Each of the ten ``cli_cold`` calls (``perfbench/workloads.py`` ``CliCold``,
 pool seed ``SEED``) is also launched alone, ``ROUNDS`` times per tree, from
 a small launcher process, and the file keeps the largest and smallest peak
 RSS of each.  A child's ``ru_maxrss`` starts from that of the process that
 launched it, so a launcher that holds little leaves the CLI's own peak.
+
+Subject ``process`` measures each of the ten ``cli_cold`` calls as a whole
+process.  No child writes bytecode, so an import compiles its sources unless
+a tree already holds a ``__pycache__`` (the file records which do).  In
+``PROCESS_ROUNDS`` rounds that alternate the trees, every call is launched
+as ``python -m liftspectra.cli``, the path a user's process takes, on one
+tree and then the other, and its wall time from launch to exit is kept; the
+file records in how many rounds the change was faster, and whether every run
+of a call wrote the same stdout and exit code on both trees.  In the first
+``ROUNDS`` rounds each call also runs once in a probe process (``PROBE``),
+which goes through ``liftspectra.cli.entry`` as the CLI does, with stdout on
+``os.devnull``.  It gives the median of each stage: the interpreter's start
+(launch to the probe's first line), ``import liftspectra.cli``,
+``load_instance``, the command handler, and the exit (``entry`` returned to
+the process reaped); and it lists the ``liftspectra`` modules the call
+loaded.
 
 ``--ab-parent`` and ``--ab-change`` take saved outputs of
 ``perfbench/run.py``, as for ``tools/bench_compute_irreps.py``.
@@ -40,6 +57,7 @@ import hashlib
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -50,6 +68,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 613
 ROUNDS = 3
+PROCESS_ROUNDS = 10
+# A probe's stages, in the order a call runs them.
+STAGES = ("start_ms", "import_ms", "load_ms", "command_ms", "exit_ms")
 COMMANDS = {
     "spectrum": ["spectrum"],
     "eigvecs": ["eigvecs"],
@@ -63,6 +84,7 @@ COMMANDS = {
 # The calls whose return starts the output step.
 PRODUCERS = (
     "load_instance",
+    "compute_irreps",
     "lift_spectrum",
     "lift_eigenvectors",
     "build_lift",
@@ -75,6 +97,35 @@ LAUNCH = (
     " stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)\n"
     "proc.stdout.read()\n"
     "print(os.wait4(proc.pid, 0)[2].ru_maxrss)\n"
+)
+
+PROBE = (
+    "import time\n"
+    "started = time.perf_counter()\n"
+    "import liftspectra.cli as cli\n"
+    "stages = {'started': started, 'import_ms': 1e3 * (time.perf_counter() - started)}\n"
+    "import json, os, sys\n"
+    "def timed(stage, fn):\n"
+    "    def wrapped(*args, **kwargs):\n"
+    "        begun = time.perf_counter()\n"
+    "        try:\n"
+    "            return fn(*args, **kwargs)\n"
+    "        finally:\n"
+    "            stages[stage] = 1e3 * (time.perf_counter() - begun)\n"
+    "    return wrapped\n"
+    "cli.load_instance = timed('load_ms', cli.load_instance)\n"
+    "for name in [n for n in vars(cli) if n.startswith('cmd_')]:\n"
+    "    setattr(cli, name, timed('command_ms', getattr(cli, name)))\n"
+    "stdout, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+    "sys.stderr = sys.stdout\n"
+    "try:\n"
+    "    cli.entry()\n"
+    "except SystemExit as exc:\n"
+    "    stages['exit'] = exc.code\n"
+    "sys.stdout.flush()\n"
+    "stages['modules'] = sorted(m for m in sys.modules if m.startswith('liftspectra'))\n"
+    "stages['ended'] = time.perf_counter()\n"
+    "print(json.dumps(stages), file=stdout, flush=True)\n"
 )
 
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tools")]
@@ -96,6 +147,7 @@ class _Digest(io.TextIOBase):
 
 def _child(path, reps):
     import liftspectra.cli as cli
+    from liftspectra import characters, spectral, voltage
 
     started = [0.0]
     traced = [False]
@@ -111,8 +163,15 @@ def _child(path, reps):
 
         return wrapped
 
+    # A command may read a producer from ``cli`` or import it from its home
+    # module when it runs, so the wrapper replaces it in both.
+    owners = (cli, spectral, characters, voltage)
     for name in PRODUCERS:
-        setattr(cli, name, producer(getattr(cli, name)))
+        fn = next(getattr(owner, name) for owner in owners if hasattr(owner, name))
+        wrapped = producer(fn)
+        for owner in owners:
+            if getattr(owner, name, None) is fn:
+                setattr(owner, name, wrapped)
 
     def run(argv, stdout):
         sys.stdout = stdout
@@ -232,10 +291,99 @@ def _peak_rss(trees, calls):
     }
 
 
+def _launch(tree, argv):
+    """``(wall ms, exit code, stdout SHA-256)`` of one ``python -m liftspectra.cli`` process."""
+    started = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liftspectra.cli", *argv],
+        env=_env(tree),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+    )
+    out = proc.stdout.read()
+    proc.stdout.close()
+    code = proc.wait()
+    return 1e3 * (time.perf_counter() - started), code, hashlib.sha256(out).hexdigest()
+
+
+def _spread(values):
+    return {"min": min(values), "median": statistics.median(values), "max": max(values)}
+
+
+def _probe(tree, argv):
+    """One call's stages in ms, from a probe process that runs ``entry()``."""
+    launched = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv],
+        env=_env(tree),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    reaped = time.perf_counter()
+    probe = json.loads(proc.stdout)
+    # perf_counter is the system-wide monotonic clock, so the probe's stamps
+    # and this process's compare.
+    probe["start_ms"] = 1e3 * (probe.pop("started") - launched)
+    probe["exit_ms"] = 1e3 * (reaped - probe.pop("ended"))
+    return probe
+
+
+def _processes(trees, calls):
+    runs = {label: {side: [] for side in trees} for label in calls}
+    probes = {label: {side: [] for side in trees} for label in calls}
+    for rnd in range(PROCESS_ROUNDS):
+        for label, argv in calls.items():
+            for side, tree in list(trees.items())[:: 1 if rnd % 2 == 0 else -1]:
+                runs[label][side].append(_launch(tree, argv))
+                if rnd < ROUNDS:
+                    probes[label][side].append(_probe(tree, argv))
+    rows = {}
+    for label in calls:
+        row = rows[label] = {}
+        outcomes = {(code, sha) for side in trees for _, code, sha in runs[label][side]}
+        row["same_stdout_and_exit"] = len(outcomes) == 1
+        pairs = zip(*(runs[label][side] for side in trees))
+        row["rounds_change_faster"] = sum(change[0] < parent[0] for parent, change in pairs)
+        for side in trees:
+            seen = probes[label][side]
+            row[side] = {
+                "exit": runs[label][side][0][1],
+                "wall_ms": {
+                    **_spread([wall for wall, _, _ in runs[label][side]]),
+                    "runs": [wall for wall, _, _ in runs[label][side]],
+                },
+                **{
+                    key: statistics.median(probe.get(key, 0.0) for probe in seen)
+                    for key in STAGES
+                },
+                "modules": seen[0]["modules"],
+            }
+    return {
+        "bytecode_cached": {
+            side: (Path(tree) / "src" / "liftspectra" / "__pycache__").is_dir()
+            for side, tree in trees.items()
+        },
+        "import_cli_ms": {
+            side: _spread([p["import_ms"] for row in probes.values() for p in row[side]])
+            for side in trees
+        },
+        "pass_ms": {
+            side: {
+                stat: sum(rows[label][side]["wall_ms"][stat] for label in calls)
+                for stat in ("min", "median")
+            }
+            for side in trees
+        },
+        "calls": rows,
+    }
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", help="root of a checkout of the parent commit")
-    p.add_argument("--out", default="BENCH_cli_output.json", help="output file")
+    p.add_argument("--subject", choices=("output", "process"), default="output")
+    p.add_argument("--out", help="output file (default BENCH_cli_<subject>.json)")
     p.add_argument("--ab-parent", nargs="*", default=[], metavar="RUN")
     p.add_argument("--ab-change", nargs="*", default=[], metavar="RUN")
     p.add_argument("--child", nargs=2, help=argparse.SUPPRESS)
@@ -251,22 +399,34 @@ def main(argv=None):
     trees = {"parent": args.parent, "change": str(ROOT)}
     with tempfile.TemporaryDirectory() as work:
         ladder, calls = _documents(Path(work))
-        doc = {
-            "what": "output step of every CLI command, and the peak RSS of each cli_cold "
-            "call, parent against change",
-            "machine": _machine(),
-            "pool_seed": SEED,
-            "timing": f"in-process wall clock of the output step, fastest of the reps in "
-            f"each of {ROUNDS} alternating children; tracemalloc peak of the output step",
-            "ladder": _ladder(trees, ladder),
-            "cli_cold_peak_rss": _peak_rss(trees, calls),
-        }
+        if args.subject == "process":
+            doc = {
+                "what": "whole python -m liftspectra.cli processes of the cli_cold calls, "
+                "parent against change",
+                "machine": _machine(),
+                "pool_seed": SEED,
+                "timing": f"wall clock from launch to exit of each call, {PROCESS_ROUNDS} "
+                f"alternating rounds; stages in-process, median of {ROUNDS} probe processes",
+                **_processes(trees, calls),
+            }
+        else:
+            doc = {
+                "what": "output step of every CLI command, and the peak RSS of each "
+                "cli_cold call, parent against change",
+                "machine": _machine(),
+                "pool_seed": SEED,
+                "timing": f"in-process wall clock of the output step, fastest of the reps "
+                f"in each of {ROUNDS} alternating children; tracemalloc peak of the "
+                "output step",
+                "ladder": _ladder(trees, ladder),
+                "cli_cold_peak_rss": _peak_rss(trees, calls),
+            }
     if args.ab_parent or args.ab_change:
         doc["perfbench_ab"] = {
             "parent": _ab_summary(args.ab_parent),
             "change": _ab_summary(args.ab_change),
         }
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(args.out or f"BENCH_cli_{args.subject}.json").write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
 
