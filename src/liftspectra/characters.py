@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConsistencyError, NumericalError
 from .irreps import IrrepSet
-from .spectral import eig_dense, irrep_image, is_hermitian
+from .spectral import _check_image_width, eig_dense, irrep_image, is_hermitian
 from .voltage import BaseMatrix, GroupAlgebraElement, _json_value, _powers
 
 MAX_NEWTON_DEGREE = 32
@@ -146,7 +146,8 @@ def regular_spectrum_via_characters(
     from its transformed trace power sums, repeated ``d`` times.  For
     one-dimensional irreps the roots are computed directly as eigenvalues of
     the base-matrix image, which is both cheaper and better conditioned.  An
-    irrep of higher dimension with ``d * k > MAX_NEWTON_DEGREE`` raises
+    irrep of higher dimension with ``d * k > MAX_NEWTON_DEGREE``, and then
+    any irrep whose image would be wider than ``MAX_IMAGE_WIDTH``, raises
     :class:`ConsistencyError` before any base-matrix power is formed.
     """
     if base.group is not irrep_set.group:
@@ -159,6 +160,11 @@ def regular_spectrum_via_characters(
                 f"dim*k = {irrep.dim * k} power sums, above MAX_NEWTON_DEGREE = "
                 f"{MAX_NEWTON_DEGREE}; use the blockwise spectral route"
             )
+    # The 1-dimensional irreps are solved from their images, so an image too
+    # wide to build is refused here, before the k powers of B, whose cost
+    # grows as about k**3.
+    for irrep in irrep_set:
+        _check_image_width(irrep.dim, k)
     traces = [power.trace() for power in _powers(base, k * max(irrep_set.dims))]
 
     profiles = []

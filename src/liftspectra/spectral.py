@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -279,8 +280,13 @@ def is_hermitian(matrix: np.ndarray) -> bool | np.ndarray:
     ``max|M|``.
     """
     skew = np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    scale = np.abs(matrix).max(axis=(-2, -1), initial=0.0)
-    flags = skew <= HERMITIAN_TOL * np.maximum(1.0, scale)
+    flags = skew <= HERMITIAN_TOL
+    # A skew within HERMITIAN_TOL passes whatever the scale, so ``max|M|`` is
+    # taken only when some skew is above it or is NaN; a non-finite entry
+    # always gives a non-finite skew, so it takes this path too.
+    if not flags.all():
+        scale = np.abs(matrix).max(axis=(-2, -1), initial=0.0)
+        flags = skew <= HERMITIAN_TOL * np.maximum(1.0, scale)
     return bool(flags) if flags.ndim == 0 else flags
 
 
@@ -589,7 +595,7 @@ def _column_norms(matrix: np.ndarray) -> np.ndarray:
 
 def _check_residuals(
     idx: int, terms: list, pulled: np.ndarray, values: np.ndarray, picked: tuple, tol: float
-) -> None:
+) -> np.ndarray:
     """Residual-check the columns of the picked rows in one irrep's ``(k, n, d, dk)`` block.
 
     Each checked column ``v`` is read as returned: ``A v - lambda v`` starts
@@ -597,11 +603,12 @@ def _check_residuals(
     arc ``u -> v`` with voltage ``a`` joins ``(u, J)`` to ``(v, J a)``, so
     row ``(u, J)`` gathers row ``(v, J a)`` of the columns.  A column fails
     unless its residual's norm is within ``tol * max(1, |v|)``, so a NaN
-    fails.
+    fails.  Returns the norms ``|v|`` of the checked columns, in block order.
 
     The block is C-contiguous (:func:`_pull_back`), so when every row is
     picked the columns are read in place; otherwise ``take`` copies the
-    picked rows once.  Every later reshape is a view.
+    picked rows once, which the many small gathers read faster than a
+    strided view of one run of rows.  Every later reshape is a view.
     """
     k, n, d, dk = pulled.shape
     chosen = pulled if len(picked) == d else pulled.take(picked, axis=2)
@@ -613,14 +620,70 @@ def _check_residuals(
             gathered *= c
         residual[u] += gathered
     residuals = _column_norms(residual.reshape(k * n, -1))
-    bounds = tol * np.maximum(1.0, _column_norms(vectors.reshape(k * n, -1)))
-    failed = np.flatnonzero(~(residuals <= bounds))
+    norms = _column_norms(vectors.reshape(k * n, -1))
+    failed = np.flatnonzero(~(residuals <= tol * np.maximum(1.0, norms)))
     if failed.size:
         j, c = divmod(int(failed[0]), dk)
         raise NumericalError(
             f"residual: irrep {idx}, column j={picked[j]} w={c // d} i={c % d} "
             f"fails the eigenvector residual bound ({residuals[failed[0]]:.3e})"
         )
+    return norms
+
+
+def _peak_zero_flags(blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """The ``zero`` flags of ``(kn, cols)`` blocks by the peak rule, block by block.
+
+    A column is zero when its largest entry ``max_i |v_i|`` is at most
+    ``ZERO_TOL`` times the largest entry of every block.
+    """
+    peaks = [np.max(np.abs(pulled), axis=0, initial=0.0) for pulled in blocks]
+    global_peak = max((float(peak.max(initial=0.0)) for peak in peaks), default=0.0)
+    return [peak <= ZERO_TOL * global_peak for peak in peaks]
+
+
+def _zero_flags(blocks: list[np.ndarray], norms: list[np.ndarray], kn: int) -> list[np.ndarray]:
+    """The flags of :func:`_peak_zero_flags`, decided from the blocks' column norms.
+
+    ``norms[b]`` holds block ``b``'s column norms as :func:`_column_norms`
+    computes them over the ``kn`` entries of each column.  A column's peak
+    ``p = max_i |v_i|`` and its exact norm ``|v|`` satisfy
+    ``p <= |v| <= sqrt(kn) p``.  With ``u = 2**-53``, the computed norm ``N``
+    is within a relative ``(kn/2 + 2) u`` of ``|v|`` (``2 kn`` rounded
+    squares summed in any order, one addition and ``sqrt``), plus an
+    absolute ``sqrt(kn) 2**-537`` for squares that underflow.  The peak
+    rule's complex ``abs`` (``hypot``, within an ulp) and its product with
+    ``ZERO_TOL`` add ``2 u`` and ``u``, and each step of the bounds below a
+    few ``u`` more.  The slack ``s = (kn + 16) 2**-52`` and the absolute
+    ``TINY = 2**-500`` cover all of that at least twice over.
+
+    With ``top`` the largest ``N``, the threshold that the peak rule
+    computes, ``ZERO_TOL`` times its largest computed peak, lies between
+    ``low = ZERO_TOL ((top (1-s) - TINY) (1-s) / sqrt(kn)) (1-s) - TINY``
+    and ``high = ZERO_TOL (top (1+s) + TINY) (1+s) + TINY``.  A column with
+    ``N (1+s) + TINY <= low`` has a computed peak at most ``low``, so the
+    peak rule flags it; one with ``(N (1-s) - TINY) (1-s) / sqrt(kn) > high``
+    has a computed peak above ``high``, so the rule does not.  No flag
+    decided here can therefore differ from the rule's.  If any column lies
+    between the two bounds, or any norm is not finite, or every norm is 0,
+    the flags of the whole call come from :func:`_peak_zero_flags`.  The
+    columns of a killed row hold rounding noise and those of a picked row
+    are of order 1, so the fallback is rare: no ``eigvecs_sweep`` instance
+    takes it.
+    """
+    every = np.concatenate(norms)
+    top = float(every.max(initial=0.0))
+    if 0.0 < top < math.inf:
+        tiny = 2.0**-500
+        up = 1.0 + (kn + 16) * 2.0**-52
+        down = 2.0 - up
+        low = ZERO_TOL * ((top * down - tiny) * down / math.sqrt(kn)) * down - tiny
+        high = ZERO_TOL * (top * up + tiny) * up + tiny
+        zero = every * up + tiny <= low
+        if (zero | ((every * down - tiny) * (down / math.sqrt(kn)) > high)).all():
+            edges = [0, *itertools.accumulate(n.size for n in norms)]
+            return [zero[start:end] for start, end in itertools.pairwise(edges)]
+    return _peak_zero_flags(blocks)
 
 
 def lift_eigenvectors(
@@ -640,7 +703,10 @@ def lift_eigenvectors(
     :attr:`EigenvectorBundle.columns` is read.  A column is flagged ``zero``
     when its largest entry is within ``ZERO_TOL`` of the largest entry over
     all columns, which happens exactly on the rows ``j`` that
-    ``P = (1/|H|) sum_{h in H} rho(h)`` kills.
+    ``P = (1/|H|) sum_{h in H} rho(h)`` kills.  The flags are decided from
+    the column norms by a certified bound, with that peak rule as the
+    fallback (:func:`_zero_flags`); the residual check supplies the norms
+    of every block whose rows are all picked.
 
     The rank of ``P`` is its trace (Frobenius reciprocity), and the
     dimension-weighted ranks must add up to ``n``.  Greedy pivoted
@@ -675,38 +741,38 @@ def lift_eigenvectors(
     terms = _lift_terms(base, ctx)
 
     parts = []
+    norms = []
     for idx, values, eigenvectors in _image_eigensystems(base, irrep_set, range(len(irrep_set))):
         eigenvalues = np.asarray(values, dtype=complex)
         pulled = _pull_back(plan.sums[idx], eigenvectors, k)
         picked = plan.picked[idx]
+        dim = irrep_set[idx].dim
         if picked:
-            _check_residuals(idx, terms, pulled, eigenvalues, picked, residual_tol)
+            checked = _check_residuals(idx, terms, pulled, eigenvalues, picked, residual_tol)
         pulled = pulled.reshape(kn, -1)
-        peak = np.max(np.abs(pulled), axis=0, initial=0.0)
-        parts.append((irrep_set[idx].dim, eigenvalues, pulled, picked, peak))
-    global_peak = max((float(peak.max(initial=0.0)) for *_, peak in parts), default=0.0)
+        # The residual check took the norm of every column if every row is picked.
+        norms.append(checked if len(picked) == dim else _column_norms(pulled))
+        parts.append((dim, eigenvalues, pulled, picked))
+    zero_flags = _zero_flags([pulled for _, _, pulled, _ in parts], norms, kn)
 
     blocks: list[IrrepColumns] = []
     selected: list[int] = []
     offset = 0
-    for idx, (dim, eigenvalues, pulled, picked, peak) in enumerate(parts):
-        block = IrrepColumns(
-            dim=dim,
-            pulled=pulled,
-            eigenvalues=eigenvalues,
-            picked=picked,
-            zero=peak <= ZERO_TOL * global_peak,
-        )
-        flags = block.selected
-        vanishing = np.flatnonzero(flags & block.zero)
-        if vanishing.size:
-            j = int(vanishing[0]) // eigenvalues.size
-            raise NumericalError(
-                f"basis selection: irrep {idx}, picked row j={j} pulls back to zero columns"
-            )
-        selected.extend((offset + np.flatnonzero(flags)).tolist())
+    for idx, ((dim, eigenvalues, pulled, picked), zero) in enumerate(zip(parts, zero_flags)):
+        dk = eigenvalues.size
+        if picked:
+            vanishing = zero.reshape(dim, dk)[list(picked)].any(axis=1)
+            if vanishing.any():
+                raise NumericalError(
+                    f"basis selection: irrep {idx}, picked row "
+                    f"j={picked[int(vanishing.argmax())]} pulls back to zero columns"
+                )
+        for j in picked:
+            selected.extend(range(offset + j * dk, offset + (j + 1) * dk))
         offset += pulled.shape[1]
-        blocks.append(block)
+        blocks.append(
+            IrrepColumns(dim=dim, pulled=pulled, eigenvalues=eigenvalues, picked=picked, zero=zero)
+        )
     return EigenvectorBundle(blocks=tuple(blocks), selected_basis=tuple(selected), kn=kn)
 
 

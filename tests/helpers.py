@@ -257,6 +257,48 @@ def reference_bundle_columns(base, irrep_set, ctx):
     return tuple(columns), tuple(selected), kn
 
 
+def reference_flags_and_selection(parts):
+    """The peak-rule ``zero`` flags and the selected basis, as ``lift_eigenvectors`` built them.
+
+    ``parts`` holds ``(dim, dk, pulled, picked)`` per irrep, ``pulled`` the
+    ``(kn, dim * dk)`` block.  Returns ``(flags, selected_basis)``, or raises
+    the ``basis selection:`` error of the first picked row with a zero column.
+    """
+    from liftspectra import NumericalError
+    from liftspectra.spectral import ZERO_TOL
+
+    peaks = [np.max(np.abs(pulled), axis=0, initial=0.0) for _, _, pulled, _ in parts]
+    global_peak = max((float(peak.max(initial=0.0)) for peak in peaks), default=0.0)
+    flags = []
+    selected = []
+    offset = 0
+    for idx, ((dim, dk, pulled, picked), peak) in enumerate(zip(parts, peaks)):
+        zero = peak <= ZERO_TOL * global_peak
+        rows = np.zeros(dim, dtype=bool)
+        rows[list(picked)] = True
+        chosen = np.repeat(rows, dk)
+        vanishing = np.flatnonzero(chosen & zero)
+        if vanishing.size:
+            j = int(vanishing[0]) // dk
+            raise NumericalError(
+                f"basis selection: irrep {idx}, picked row j={j} pulls back to zero columns"
+            )
+        selected.extend((offset + np.flatnonzero(chosen)).tolist())
+        offset += pulled.shape[1]
+        flags.append(zero)
+    return flags, tuple(selected)
+
+
+def reference_is_hermitian(matrix):
+    """``is_hermitian`` with ``max|M|`` taken on every call: the reference."""
+    from liftspectra.spectral import HERMITIAN_TOL
+
+    skew = np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    scale = np.abs(matrix).max(axis=(-2, -1), initial=0.0)
+    flags = skew <= HERMITIAN_TOL * np.maximum(1.0, scale)
+    return bool(flags) if flags.ndim == 0 else flags
+
+
 def reference_bundle_json(columns, selected_basis, kn):
     """``EigenvectorBundle.to_json`` written column by column from tagged columns.
 

@@ -251,6 +251,30 @@ class TestRegularSpectrumViaCharacters:
             regular_spectrum_via_characters(base, irrep_set)
         assert products == []
 
+    def test_image_wider_than_the_cap_is_refused_before_any_power(self, monkeypatch):
+        # A 4097-vertex path over the trivial group has one 1-dimensional
+        # irrep, which no Newton cap covers; its image would be 4097 wide.
+        irrep_set = builtin_irreps("cyclic", 1)
+        group = irrep_set.group
+        labels = [str(v) for v in range(4097)]
+        edges = [(a, b, group.identity) for a, b in zip(labels, labels[1:])]
+        base = build_base_matrix(VoltageGraph.build(group, labels, edges))
+        products = []
+        matmul = BaseMatrix.__matmul__
+
+        def spy(left, right):
+            products.append(1)
+            return matmul(left, right)
+
+        monkeypatch.setattr(BaseMatrix, "__matmul__", spy)
+        with pytest.raises(ConsistencyError) as caught:
+            regular_spectrum_via_characters(base, irrep_set)
+        assert str(caught.value) == (
+            "irrep image of a 1-dimensional irrep on k = 4097 base vertices is "
+            "d*k = 4097 wide, above MAX_IMAGE_WIDTH = 4096"
+        )
+        assert products == []
+
     def test_group_mismatch(self, dumbbell_base):
         other = builtin_irreps("cyclic", 2)
         with pytest.raises(ConsistencyError):

@@ -598,7 +598,7 @@ def test_degree_at_the_cap_is_accepted(tmp_path):
     assert (loaded.group.degree, loaded.group.order) == (1000, 6)
 
 
-@pytest.mark.parametrize("command", ["spectrum", "eigvecs"])
+@pytest.mark.parametrize("command", ["spectrum", "eigvecs", "characters"])
 def test_image_wider_than_the_cap_exits_three(tmp_path, capsys, command):
     # A 4097-vertex path over the trivial group: its one image is 4097 wide.
     k = 4097

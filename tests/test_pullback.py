@@ -10,9 +10,13 @@ projector kills.
 import dataclasses
 import functools
 import gc
+import importlib.util
 import json
+import math
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,9 +45,15 @@ from liftspectra import (
 )
 from liftspectra.voltage import VoltageTable
 
-from helpers import reference_bundle_columns, reference_bundle_json, reference_column_norms
+from helpers import (
+    reference_bundle_columns,
+    reference_bundle_json,
+    reference_column_norms,
+    reference_flags_and_selection,
+)
 
 TOL_RESIDUAL = 1e-8
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Both lift routes share the rank rule and the image eigensolve, so they
 # refuse the same out-of-contract input with the same stage names.
@@ -229,10 +239,7 @@ def pull_back_lifts(draw):
     return irrep_set, ctx, graph
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(pull_back_lifts())
-def test_blocks_match_the_tensordot_pull_back_byte_for_byte(lift):
-    irrep_set, ctx, graph = lift
+def assert_blocks_match_reference(irrep_set, ctx, graph):
     base = build_base_matrix(graph)
     bundle = lift_eigenvectors(base, irrep_set, ctx, residual_tol=TOL_RESIDUAL)
     columns, selected, kn = reference_bundle_columns(base, irrep_set, ctx)
@@ -252,6 +259,36 @@ def test_blocks_match_the_tensordot_pull_back_byte_for_byte(lift):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pull_back_lifts())
+def test_blocks_match_the_tensordot_pull_back_byte_for_byte(lift):
+    assert_blocks_match_reference(*lift)
+
+
+def _perfbench(monkeypatch, name):
+    """``perfbench/<name>.py``, loaded from the checkout without changing it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the class body
+    # runs, and workloads.py imports its siblings by their plain names.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_eigvecs_sweep_mix_matches_the_per_column_loop(monkeypatch):
+    instances = _perfbench(monkeypatch, "instances")
+    _perfbench(monkeypatch, "checks")
+    composition = _perfbench(monkeypatch, "workloads").EigvecsSweep.composition
+    seed = 11
+    catalogs, contexts = instances.setup(composition, seed)
+    pool = instances.make_pool(composition, catalogs, contexts, seed)
+    assert pool
+    for inst in pool:
+        assert_blocks_match_reference(inst.irrep_set, inst.ctx, inst.graph)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     shape=st.tuples(st.integers(0, 800), st.integers(1, 240)),
     scale=st.sampled_from((0.0, 1e-200, 1e-8, 1.0, 1e8, 1e150)),
@@ -261,6 +298,136 @@ def test_column_norms_match_the_two_einsum_reference(shape, scale, seed):
     rng = np.random.default_rng(seed)
     matrix = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     assert spectral._column_norms(matrix).tobytes() == reference_column_norms(matrix).tobytes()
+
+
+NON_FINITE = (np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(0.0, -np.inf))
+
+
+@st.composite
+def planted_blocks(draw):
+    """Blocks of planted columns around the ``ZERO_TOL`` band, and whether the rule must fall back.
+
+    Each column is one spike (peak = norm), flat (peak = norm / sqrt(kn)) or
+    Gaussian, scaled to a multiple of the largest norm ``top``: 0, at most
+    ``ZERO_TOL / (4 sqrt(kn))`` (zero under the peak rule for any shape),
+    or at least ``4 ZERO_TOL sqrt(kn)`` (nonzero for any shape), so the norm
+    bound decides it.  A planted undecided column has a norm of
+    ``ZERO_TOL * top * kn**t`` with ``|t| <= 0.4``, inside the band where
+    only the peaks decide; a planted entry may be NaN or infinite.
+    """
+    kn = draw(st.integers(4, 200))
+    widths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    top = draw(st.sampled_from((0.0, 1e-100, 1e-8, 1.0, 1e50, 1e150)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero_side = spectral.ZERO_TOL / (4 * math.sqrt(kn))
+    nonzero_side = 4 * spectral.ZERO_TOL * math.sqrt(kn)
+    ratio = st.one_of(
+        st.just(0.0),
+        st.sampled_from((1.0, 1e-3, 1e-10, 1e-100)).map(lambda f: zero_side * f),
+        st.sampled_from((1.0, 1e2, 1e5, 1e8)).map(lambda f: min(1.0, nonzero_side * f)),
+    )
+
+    def gaussian():
+        return rng.standard_normal(kn) + 1j * rng.standard_normal(kn)
+
+    blocks = []
+    for width in widths:
+        block = np.zeros((kn, width), dtype=complex)
+        for c in range(width):
+            shape = draw(st.sampled_from(("spike", "flat", "gaussian")))
+            if shape == "spike":
+                block[rng.integers(kn), c] = np.exp(2j * np.pi * rng.random())
+            elif shape == "flat":
+                block[:, c] = np.exp(2j * np.pi * rng.random(kn))
+            else:
+                block[:, c] = gaussian()
+            block[:, c] *= top * draw(ratio) / np.linalg.norm(block[:, c])
+        blocks.append(block)
+    columns = [(b, c) for b, width in enumerate(widths) for c in range(width)]
+    b, c = columns[draw(st.integers(0, len(columns) - 1))]
+    vector = gaussian()
+    blocks[b][:, c] = vector * (top / np.linalg.norm(vector))
+    undecided = top > 0 and len(columns) > 1 and draw(st.booleans())
+    if undecided:
+        others = [col for col in columns if col != (b, c)]
+        ub, uc = others[draw(st.integers(0, len(others) - 1))]
+        norm = spectral.ZERO_TOL * top * kn ** draw(st.floats(-0.4, 0.4))
+        vector = gaussian()
+        blocks[ub][:, uc] = vector * (norm / np.linalg.norm(vector))
+    non_finite = draw(st.sampled_from(NON_FINITE)) if draw(st.integers(0, 3)) == 0 else None
+    if non_finite is not None:
+        nb, nc = columns[draw(st.integers(0, len(columns) - 1))]
+        blocks[nb][rng.integers(kn), nc] = non_finite
+    fallback = top == 0 or undecided or non_finite is not None
+    return [np.ascontiguousarray(block) for block in blocks], kn, fallback
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(planted_blocks())
+def test_zero_flags_equal_the_peak_rule_and_fall_back_only_when_undecided(planted):
+    blocks, kn, fallback = planted
+    norms = [spectral._column_norms(block) for block in blocks]
+    fallbacks = []
+    original = spectral._peak_zero_flags
+    spectral._peak_zero_flags = lambda blocks: fallbacks.append(1) or original(blocks)
+    try:
+        flags = spectral._zero_flags(blocks, norms, kn)
+    finally:
+        spectral._peak_zero_flags = original
+    want, _ = reference_flags_and_selection([(1, b.shape[1], b, ()) for b in blocks])
+    assert [(f.dtype, f.shape, f.tobytes()) for f in flags] == [
+        (f.dtype, f.shape, f.tobytes()) for f in want
+    ]
+    assert len(fallbacks) == int(fallback)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(lift=pull_back_lifts(), data=st.data())
+def test_planted_blocks_keep_the_peak_rule_flags_selection_and_errors(lift, data):
+    # A row's columns are scaled by one factor, which keeps a picked row's
+    # residual within its bound.  Every unpicked row is scaled, and may get a
+    # NaN or infinite entry, since no residual check reads it; so is one
+    # picked row.  Factors near 1e-10 put columns near the ZERO_TOL
+    # threshold, and a picked row scaled to (near) zero raises the basis
+    # selection error.
+    irrep_set, ctx, graph = lift
+    base = build_base_matrix(graph)
+    picked = spectral._pullback_plan(irrep_set, ctx).picked
+    victim = data.draw(st.sampled_from([(idx, j) for idx, rows in enumerate(picked) for j in rows]))
+    factors = st.sampled_from((1.0, 1e8, 1e-4, 1e-9, 1e-10, 1e-12, 1e-30, 0.0))
+    planted = []
+    original = spectral._pull_back
+
+    def planting(sums, eigenvectors, k):
+        out = original(sums, eigenvectors, k)
+        idx = len(planted)
+        for j in range(out.shape[2]):
+            if j not in picked[idx] or (idx, j) == victim:
+                out[:, :, j] *= data.draw(factors)
+            if j not in picked[idx] and data.draw(st.integers(0, 7)) == 0:
+                out[0, 0, j, 0] = data.draw(st.sampled_from(NON_FINITE))
+        planted.append(out)
+        return out
+
+    spectral._pull_back = planting
+    try:
+        bundle = lift_eigenvectors(base, irrep_set, ctx, residual_tol=TOL_RESIDUAL)
+        got = ([b.zero.tobytes() for b in bundle.blocks], bundle.selected_basis)
+    except NumericalError as exc:
+        got = str(exc)
+    finally:
+        spectral._pull_back = original
+    kn = base.k * ctx.index_n
+    parts = [
+        (irrep.dim, irrep.dim * base.k, out.reshape(kn, -1), rows)
+        for irrep, out, rows in zip(irrep_set, planted, picked)
+    ]
+    try:
+        flags, selected = reference_flags_and_selection(parts)
+        want = ([f.tobytes() for f in flags], selected)
+    except NumericalError as exc:
+        want = str(exc)
+    assert got == want
 
 
 def test_pull_back_writes_each_block_once(monkeypatch):

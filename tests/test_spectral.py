@@ -40,6 +40,7 @@ from helpers import (
     reference_eig_dense,
     reference_expand,
     reference_irrep_image,
+    reference_is_hermitian,
     reference_merge,
     reference_report_json,
     reference_spectrum_entries,
@@ -404,6 +405,56 @@ def test_is_hermitian_holds_each_matrix_to_its_own_scale():
     assert spectral.is_hermitian(stack).tolist() == [True, False]
     assert spectral.is_hermitian(stack[0]) is True
     assert spectral.is_hermitian(stack[1]) is False
+
+
+# A skew planted at an entry: exactly HERMITIAN_TOL, one ulp either side of
+# it, or of HERMITIAN_TOL * max|M|, so that the scale decides; and the
+# non-finite entries that must still reach the scale.
+_PLANTS = ("none", "tol", "tol+", "tol-", "scaled+", "scaled-", "nan", "inf", "-inf", "inf pair")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 5)),
+    scale=st.sampled_from((0.0, 1e-3, 1.0, 2.0, 1e6, 1e300)),
+    plants=st.lists(
+        st.tuples(st.sampled_from(_PLANTS), st.integers(0, 3), st.integers(0, 4), st.integers(0, 4)),
+        max_size=3,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_is_hermitian_matches_the_expression_that_always_takes_the_scale(shape, scale, plants, seed):
+    b, n = shape
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((b, n, n)) + 1j * rng.standard_normal((b, n, n))
+    stack = scale * (raw + raw.conj().swapaxes(-1, -2)) / 2
+    tol = spectral.HERMITIAN_TOL
+    for kind, m, i, j in plants:
+        m, i, j = m % b, i % n, j % n
+        big = tol * max(1.0, float(np.abs(stack[m]).max()))
+        skew = {
+            "tol": tol,
+            "tol+": np.nextafter(tol, 1.0),
+            "tol-": np.nextafter(tol, 0.0),
+            "scaled+": np.nextafter(big, np.inf),
+            "scaled-": np.nextafter(big, 0.0),
+        }
+        if i == j and kind in skew:
+            stack[m, i, i] = stack[m, i, i].real + 0.5j * skew[kind]
+        elif kind in skew:
+            # The pair's skew is then exactly the planted value.
+            stack[m, i, j], stack[m, j, i] = skew[kind], 0.0
+        elif kind == "inf pair":
+            stack[m, i, j] = stack[m, j, i] = np.inf
+        elif kind != "none":
+            stack[m, i, j] = float(kind)
+    # An infinite entry facing an infinite one gives inf - inf = NaN on purpose.
+    with np.errstate(invalid="ignore"):
+        got = spectral.is_hermitian(stack)
+        want = reference_is_hermitian(stack)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        for m in range(b):
+            assert spectral.is_hermitian(stack[m]) is reference_is_hermitian(stack[m])
 
 
 class TestLiftSpectrum:
