@@ -349,13 +349,13 @@ def _catalog_slices(basis: np.ndarray, table: np.ndarray, sub: np.ndarray):
         yield part, shifted
 
 
-def _decompose_regular(
-    group: FiniteGroup, classes: list[ConjugacyClass], rng: np.random.Generator
-):
-    """Images of each irrep, built from the first eigenvalue cluster that carries it."""
-    n = group.order
-    table = group.mult_table
-    seed_matrix = _random_hermitian(rng, n)
+def _average_conjugates(seed_matrix: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The mean of ``seed_matrix`` conjugated by every element of the regular representation.
+
+    ``table`` is the group's multiplication table, whose column ``g`` is the
+    permutation that right multiplication by ``g`` makes of the elements.
+    """
+    n = len(table)
     averaged = np.zeros((n, n), dtype=complex)
     # Conjugating by the regular representation permutes rows and columns by
     # right multiplication, so the average is a gather, not a matrix product.
@@ -374,9 +374,33 @@ def _decompose_regular(
             np.take(seed_matrix, col[lo:hi], axis=0, out=picked, mode="wrap")
             np.take(picked, col, axis=1, out=term, mode="wrap")
             acc += term
-    # Scratch arrays go once read, so the per-irrep loop holds only the eigenvectors.
-    del seed_matrix, rows, block, picked, term, acc
     averaged /= n
+    return averaged
+
+
+def _slice_residual(basis: np.ndarray, part: np.ndarray, shifted: np.ndarray):
+    """How far one slice of :func:`_catalog_slices` is from invariance.
+
+    That is the largest entry of ``basis @ part`` less the shifted basis,
+    read as ``(g, a, b)``; it is NaN if any entry is.
+    """
+    # One broadcast product and a transposed view keep the residual's bits,
+    # so the messages that report it; a gemm per slice would change them
+    # (test_residual_message_matches_the_whole_g_residual).
+    lifted = basis @ part
+    lifted -= shifted.transpose(0, 2, 1)
+    return np.max(np.abs(lifted))
+
+
+def _decompose_regular(
+    group: FiniteGroup, classes: list[ConjugacyClass], rng: np.random.Generator
+):
+    """Images of each irrep, built from the first eigenvalue cluster that carries it."""
+    n = group.order
+    table = group.mult_table
+    # The seed matrix is dropped once averaged, so the per-irrep loop holds
+    # only the eigenvectors.
+    averaged = _average_conjugates(_random_hermitian(rng, n), table)
     eigenvalues, eigenvectors = np.linalg.eigh(averaged)
     del averaged
     # One eigenspace's eigenvalues agree to ~1e-14 up to |G| = 720, while
@@ -407,14 +431,10 @@ def _decompose_regular(
         # run over 32 elements g at a time, so no |G| x |G| x d array is
         # held; each slice's einsum gives the bits of the whole-g call.
         sub = np.empty((n, hi - lo, hi - lo), dtype=complex)
-        peaks = []
-        for part, shifted in _catalog_slices(basis, table, sub):
-            # One broadcast product and a transposed view keep the residual's
-            # bits, so the messages that report it; a gemm per slice would
-            # change them (test_residual_message_matches_the_whole_g_residual).
-            lifted = basis @ part
-            lifted -= shifted.transpose(0, 2, 1)
-            peaks.append(np.max(np.abs(lifted)))
+        peaks = [
+            _slice_residual(basis, part, shifted)
+            for part, shifted in _catalog_slices(basis, table, sub)
+        ]
         # A NaN peak carries through ``np.max`` and fails the test below.
         residual = np.max(peaks)
         if not residual <= DEFAULT_VERIFY_TOL:

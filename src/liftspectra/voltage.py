@@ -56,7 +56,8 @@ def _integer_counts(values, elements, stage: str) -> np.ndarray:
 
     Otherwise, NaN included, :class:`NumericalError`, prefixed by ``stage``,
     names the first value off and its entry in the parallel sequence of group
-    ``elements``.
+    ``elements``.  A value of magnitude ``2**53`` or more raises too: a float
+    there may already be a rounded count, so no integer read from it is sure.
     """
     values = np.asarray(values, dtype=complex)
     nearest = np.round(values.real)
@@ -66,6 +67,13 @@ def _integer_counts(values, elements, stage: str) -> np.ndarray:
         raise NumericalError(
             f"{stage}: coefficient {complex(values[i])} of element "
             f"{int(elements[i])} is not an integer within {INTEGER_TOL}"
+        )
+    big = np.flatnonzero(np.abs(nearest) >= 2**53)
+    if big.size:
+        i = big[0]
+        raise NumericalError(
+            f"{stage}: coefficient {complex(values[i])} of element "
+            f"{int(elements[i])} is 2**53 or more, past the integers a float holds exactly"
         )
     return nearest
 

@@ -333,19 +333,44 @@ def test_table_product_and_trace_match_the_dict_loops_bit_for_bit(pair):
     _assert_exact_trace(product, cells)
 
 
-def test_walk_counts_past_two_to_the_53_stay_exact():
-    # Counts pass 2^53 from B^22 on, where float counts would round a trace
-    # coefficient and move the character route's power sums.
+def _dihedral5_circulant16():
+    """D5 voltages on the 16-vertex circulant with offsets 1, 2 and 5, drawn at seed 3."""
     group = builtin_irreps("dihedral", 5).group
     rng = np.random.default_rng(3)
     edges = [(i, (i + s) % 16, int(rng.integers(10))) for i in range(16) for s in (1, 2, 5)]
-    graph = VoltageGraph.build(group, range(16), edges)
+    return VoltageGraph.build(group, range(16), edges)
+
+
+def test_walk_counts_past_two_to_the_53_stay_exact():
+    # Counts pass 2^53 from B^22 on, where float counts would round a trace
+    # coefficient and move the character route's power sums.
+    graph = _dihedral5_circulant16()
+    group = graph.group
     start = cells = reference_arc_cells(graph)
     for ell, power in enumerate(voltage._powers(build_base_matrix(graph), 32), 1):
         assert ordered_cells(reference_cells(power)) == ordered_cells(cells), ell
         _assert_exact_trace(power, cells)
         cells = reference_int_matmul(group, 16, cells, start)
     assert max(c for cell in cells.values() for c in cell.values()) > 2**53
+
+
+def test_integer_coefficients_refuse_counts_a_float_cannot_hold():
+    # B^23's trace holds counts past 2^53, such as 79260071946982706, that
+    # come back rounded as complex numbers; reading them as integers refuses.
+    trace = base_matrix_power(build_base_matrix(_dihedral5_circulant16()), 23).trace()
+    assert max(abs(c) for c in trace.coefficients.values()) >= 2**53
+    with pytest.raises(NumericalError, match=r"^walk counts: coefficient .* is 2\*\*53 or more"):
+        trace.integer_coefficients()
+
+
+@pytest.mark.parametrize("count, refused", [(2**53 - 1, False), (2**53, True), (-(2**53), True)])
+def test_integer_counts_stop_at_two_to_the_53(count, refused):
+    values = [1.0, float(count)]
+    if refused:
+        with pytest.raises(NumericalError, match=r"^base matrix: coefficient .* of element 4 "):
+            voltage._integer_counts(values, [3, 4], "base matrix")
+    else:
+        assert voltage._integer_counts(values, [3, 4], "base matrix").tolist() == values
 
 
 class TestLifts:
