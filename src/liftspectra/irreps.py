@@ -88,23 +88,8 @@ class IrrepSet:
         return table
 
     @cached_property
-    def pullback_plans(self) -> weakref.WeakKeyDictionary:
-        """Eigenvector pull-back plans of this set, one per subgroup context.
-
-        Filled by :func:`~liftspectra.spectral.lift_eigenvectors`, which
-        builds a plan on its first call for a context and reuses it after.
-        Contexts are held weakly, so a plan goes when its context does, and
-        all of them go with this set.
-        """
-        return weakref.WeakKeyDictionary()
-
-    @cached_property
-    def checked_ranks(self) -> weakref.WeakKeyDictionary:
-        """Projector ranks of this set, one tuple per subgroup context.
-
-        Filled by :func:`subgroup_ranks` once a context's ranks pass their
-        checks; held weakly by context, like :attr:`pullback_plans`.
-        """
+    def image_sources(self) -> weakref.WeakKeyDictionary:
+        """The lift routes' image sources over this set, held weakly by subgroup context."""
         return weakref.WeakKeyDictionary()
 
 
@@ -525,23 +510,18 @@ def subgroup_ranks(irrep_set: IrrepSet, ctx: SubgroupContext) -> list[int]:
     trace further than ``RANK_TRACE_TOL`` from an integer raises
     :class:`NumericalError` naming the first irrep that is off.  A violated
     identity means the irrep list is incomplete or duplicated and raises
-    :class:`NumericalError` naming the rank-identity stage.  Ranks that pass
-    are kept in :attr:`IrrepSet.checked_ranks` and read back on later calls
-    for the same context; a failing pair raises on every call.
+    :class:`NumericalError` naming the rank-identity stage.
     """
     if irrep_set.group is not ctx.group:
         raise ConsistencyError("irrep and subgroup context belong to different groups")
-    ranks = irrep_set.checked_ranks.get(ctx)
-    if ranks is None:
-        ranks = tuple(_projector_ranks(irrep_set.character_table, ctx, "irrep {}"))
-        weighted = sum(r.dim * rank for r, rank in zip(irrep_set, ranks))
-        if weighted != ctx.index_n:
-            raise NumericalError(
-                f"rank identity: dimension-weighted ranks sum to {weighted}, "
-                f"expected {ctx.index_n}; irrep list is incomplete or duplicated"
-            )
-        irrep_set.checked_ranks[ctx] = ranks
-    return list(ranks)
+    ranks = _projector_ranks(irrep_set.character_table, ctx, "irrep {}")
+    weighted = sum(r.dim * rank for r, rank in zip(irrep_set, ranks))
+    if weighted != ctx.index_n:
+        raise NumericalError(
+            f"rank identity: dimension-weighted ranks sum to {weighted}, "
+            f"expected {ctx.index_n}; irrep list is incomplete or duplicated"
+        )
+    return ranks
 
 
 def subgroup_sum(irrep: Irrep, ctx: SubgroupContext) -> SubgroupSumImage:

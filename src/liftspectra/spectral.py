@@ -341,12 +341,12 @@ def _check_lift_inputs(base: BaseMatrix, irrep_set: IrrepSet, ctx: SubgroupConte
         )
 
 
-def _image_eigensystems(base: BaseMatrix, irrep_set: IrrepSet, indices):
-    """Yield ``(idx, eigenvalues, eigenvectors)`` of the images of ``indices``, in order.
+def _image_eigensystems(base: BaseMatrix, source, indices):
+    """Yield ``(idx, eigenvalues, eigenvectors)`` of the source's images of ``indices``, in order.
 
     Each run of consecutive irreps of one dimension is cut into slices of at
     most ``IMAGE_STACK_ENTRIES`` image entries (at least one irrep each).  A
-    slice's images come from one :func:`irrep_image` call, are tested for
+    slice's images come from one ``source.images`` call, are tested for
     Hermitian symmetry together and are solved by one :func:`eig_dense`
     call, and every image gets the real ascending eigenvalues and the bits
     of a solve of it alone.  Slices are taken in irrep order, and a slice is
@@ -358,13 +358,13 @@ def _image_eigensystems(base: BaseMatrix, irrep_set: IrrepSet, indices):
     is built, with :func:`irrep_image`'s error for the first such irrep.
     """
     for idx in indices:
-        _check_image_width(irrep_set[idx].dim, base.k)
-    for d, run in itertools.groupby(indices, lambda idx: irrep_set[idx].dim):
+        _check_image_width(source.dims[idx], base.k)
+    for d, run in itertools.groupby(indices, source.dims.__getitem__):
         run = list(run)
         size = max(1, IMAGE_STACK_ENTRIES // max(1, (d * base.k) ** 2))
         for start in range(0, len(run), size):
             part = run[start : start + size]
-            images = irrep_image(base, [irrep_set[idx] for idx in part]).matrix
+            images = source.images(base, part)
             hermitian = is_hermitian(images)
             if not hermitian.all():
                 raise NumericalError(
@@ -458,16 +458,21 @@ def lift_spectrum(
     raised.
     """
     _check_lift_inputs(base, irrep_set, ctx)
-    ranks = subgroup_ranks(irrep_set, ctx)
+    return _lift_spectrum(base, _image_source(irrep_set, ctx), match_tol)
+
+
+def _lift_spectrum(base: BaseMatrix, source, match_tol: float) -> SpectrumReport:
+    """:func:`lift_spectrum` on an image source; of ``base`` it reads ``voltage_table`` and ``k``."""
+    ranks = source.ranks
     used = [idx for idx, rank in enumerate(ranks) if rank]
-    spectra = [values for _, values, _ in _image_eigensystems(base, irrep_set, used)]
-    tags = [(idx, irrep_set[idx].dim, ranks[idx]) for idx in used]
+    spectra = [values for _, values, _ in _image_eigensystems(base, source, used)]
+    tags = [(idx, source.dims[idx], ranks[idx]) for idx in used]
     values, counts, provenance = _merge_spectra(spectra, tags, match_tol)
     total = int(counts.sum())
-    if total != base.k * ctx.index_n:
+    if total != base.k * source.n:
         raise NumericalError(
             f"spectrum merge: spectrum size {total} does not match lift order "
-            f"{base.k * ctx.index_n}"
+            f"{base.k * source.n}"
         )
     return SpectrumReport(values=values, counts=counts, provenance=provenance, total=total)
 
@@ -513,36 +518,49 @@ def _select_rows(idx: int, sums: np.ndarray, projector: np.ndarray, rank: int) -
     return picked
 
 
-@dataclass(frozen=True, eq=False)
-class _PullbackPlan:
-    """What :func:`lift_eigenvectors` needs from an irrep set and a subgroup, whatever the graph.
+@dataclass(eq=False)
+class _IrrepSource:
+    """An irrep set over a subgroup as both lift routes read it, through these names only.
 
-    Per irrep, in set order: its coset sums (:func:`_coset_sums`) laid out
-    for the pull-back product as one read-only ``(d, n*d)`` array, whose
-    entry ``[m, J*d + j]`` is ``sums[J, j, m]``, and the rows picked by
-    :func:`_select_rows`, as many as the irrep's projector rank.
+    ``n`` is the lift index, ``dims`` and ``ranks`` give each irrep's
+    dimension and projector rank, and :meth:`images` its images.  The
+    eigenvector half is ``None`` until :func:`_image_source` fills it: the
+    ``coset_action`` table and, per irrep, the rows picked by
+    :func:`_select_rows` and its coset sums as one read-only ``(d, n*d)``
+    array whose entry ``[m, J*d + j]`` is ``_coset_sums(...)[J, j, m]``.
     """
 
-    sums: tuple[np.ndarray, ...]
-    picked: tuple[tuple[int, ...], ...]
+    irreps: tuple[Irrep, ...]
+    dims: tuple[int, ...]
+    n: int
+    ranks: tuple[int, ...]
+    coset_action: np.ndarray | None = None
+    sums: tuple[np.ndarray, ...] | None = None
+    picked: tuple[tuple[int, ...], ...] | None = None
+
+    def images(self, base: BaseMatrix, indices: Sequence[int]) -> np.ndarray:
+        """The ``(b, dk, dk)`` images of irreps ``indices``, of one dimension, in order."""
+        return irrep_image(base, [self.irreps[idx] for idx in indices]).matrix
 
 
-def _pullback_plan(irrep_set: IrrepSet, ctx: SubgroupContext) -> _PullbackPlan:
-    """The pull-back plan of ``(irrep_set, ctx)``, built on first use and then reused.
+def _image_source(irrep_set: IrrepSet, ctx: SubgroupContext, pull_back: bool = False):
+    """The image source of ``(irrep_set, ctx)``, kept in ``irrep_set.image_sources``.
 
-    It lives in ``irrep_set.pullback_plans`` under a weak key on ``ctx`` and
-    holds no reference to either object.  Every irrep's coset sums must be
-    finite, whatever its rank, or :class:`NumericalError` names the irrep.  A
-    plan is stored only once every check in it has passed, so a failing one
-    raises on every call.
+    Built on first use, with its ranks checked by :func:`subgroup_ranks`;
+    it holds neither object.  With ``pull_back`` its eigenvector half is
+    filled if it is not yet: every irrep's coset sums must be finite,
+    whatever its rank, or :class:`NumericalError` names the irrep.  Nothing
+    that fails a check is kept, so a failing pair raises on every call.
     """
-    plans = irrep_set.pullback_plans
-    plan = plans.get(ctx)
-    if plan is None:
-        ranks = subgroup_ranks(irrep_set, ctx)
+    source = irrep_set.image_sources.get(ctx)
+    if source is None:
+        ranks = tuple(subgroup_ranks(irrep_set, ctx))
+        source = _IrrepSource(irrep_set.irreps, irrep_set.dims, ctx.index_n, ranks)
+        irrep_set.image_sources[ctx] = source
+    if pull_back and source.picked is None:
         sums = []
         picked = []
-        for idx, (irrep, rank) in enumerate(zip(irrep_set, ranks)):
+        for idx, (irrep, rank) in enumerate(zip(irrep_set, source.ranks)):
             coset_sums = _coset_sums(irrep, ctx)
             if not np.isfinite(coset_sums).all():
                 raise NumericalError(f"basis selection: irrep {idx}, coset sums are not finite")
@@ -551,15 +569,15 @@ def _pullback_plan(irrep_set: IrrepSet, ctx: SubgroupContext) -> _PullbackPlan:
             laid_out = coset_sums.transpose(2, 0, 1).reshape(irrep.dim, -1)
             laid_out.flags.writeable = False
             sums.append(laid_out)
-        plan = _PullbackPlan(sums=tuple(sums), picked=tuple(picked))
-        plans[ctx] = plan
-    return plan
+        source.coset_action, source.sums = ctx.coset_action, tuple(sums)
+        source.picked = tuple(picked)
+    return source
 
 
 def _pull_back(sums: np.ndarray, eigenvectors: np.ndarray, k: int) -> np.ndarray:
     """Pulled-back columns of one irrep as a C-contiguous ``(k, n, d, dk)`` array.
 
-    ``sums`` is the plan's ``(d, n*d)`` layout of the coset sums.  Entry
+    ``sums`` is the source's ``(d, n*d)`` layout of the coset sums.  Entry
     ``[u, J, j, c]`` is ``sum_m sums[J, j, m] * U[u*d + m, c]``: row
     ``u*n + J`` of the lift, column ``(j, c)`` of the irrep's block.  The
     product is the one ``np.tensordot`` would form, row ``u*dk + c`` by
@@ -719,13 +737,10 @@ def lift_eigenvectors(
     raises :class:`NumericalError` naming its stage and irrep.
 
     The ranks, coset sums and picked rows depend on the irrep set and the
-    subgroup only, never on the base graph.  They form a plan that the first
-    call for an ``(irrep_set, ctx)`` pair builds and checks, before any
-    image is solved, and that later calls over the same pair reuse; it is
-    kept in :attr:`IrrepSet.pullback_plans` for as long as ``ctx`` lives.  A
-    plan whose checks fail is not kept, so its error comes back on every
-    call.  The image eigensolves, the pull-back, the zero flags and the
-    residual checks run on every call.  The images are solved in slices of
+    subgroup only, never on the base graph: they come from the pair's image
+    source (:func:`_image_source`), checked before any image is solved.
+    The image eigensolves, the pull-back, the zero flags and the residual
+    checks run on every call.  The images are solved in slices of
     consecutive irreps of one dimension, taken in irrep order, and a slice
     with an image that is not Hermitian or fails its eigensolve is refused
     whole (:func:`_image_eigensystems`), once every irrep of the slices
@@ -735,18 +750,22 @@ def lift_eigenvectors(
     ``(kn, d * dk)`` array returned read it in place.
     """
     _check_lift_inputs(base, irrep_set, ctx)
-    plan = _pullback_plan(irrep_set, ctx)
+    return _lift_eigenvectors(base, _image_source(irrep_set, ctx, pull_back=True), residual_tol)
+
+
+def _lift_eigenvectors(base: BaseMatrix, source, residual_tol: float) -> EigenvectorBundle:
+    """:func:`lift_eigenvectors` on an image source whose eigenvector half is filled."""
     k = base.k
-    kn = k * ctx.index_n
-    terms = _lift_terms(base, ctx)
+    kn = k * source.n
+    terms = _lift_terms(base, source.coset_action)
 
     parts = []
     norms = []
-    for idx, values, eigenvectors in _image_eigensystems(base, irrep_set, range(len(irrep_set))):
+    for idx, values, eigenvectors in _image_eigensystems(base, source, range(len(source.dims))):
         eigenvalues = np.asarray(values, dtype=complex)
-        pulled = _pull_back(plan.sums[idx], eigenvectors, k)
-        picked = plan.picked[idx]
-        dim = irrep_set[idx].dim
+        pulled = _pull_back(source.sums[idx], eigenvectors, k)
+        picked = source.picked[idx]
+        dim = source.dims[idx]
         if picked:
             checked = _check_residuals(idx, terms, pulled, eigenvalues, picked, residual_tol)
         pulled = pulled.reshape(kn, -1)

@@ -434,16 +434,15 @@ class LiftGraph:
         return _json_value(self._document())
 
 
-def _lift_terms(base: BaseMatrix, ctx: SubgroupContext) -> list:
+def _lift_terms(base: BaseMatrix, actions: np.ndarray) -> list:
     """The lift's arcs as ``(u, v, count, coset action)`` rows, one per base-matrix voltage.
 
     The ``count`` arcs ``u -> v`` with voltage ``g`` join ``(u, J)`` to
     ``(v, J g)`` for every coset ``J``, and ``J g`` is entry ``J`` of row
-    ``g`` of :attr:`SubgroupContext.coset_action`.  Rows with count 0 are
-    dropped.
+    ``g`` of ``actions``, a :attr:`SubgroupContext.coset_action` table.
+    Rows with count 0 are dropped.
     """
     table = base.voltage_table
-    actions = ctx.coset_action
     keep = np.flatnonzero(table.c)
     columns = (column[keep].tolist() for column in table)
     return [(u, v, c, actions[g]) for u, v, g, c in zip(*columns)]
@@ -471,7 +470,7 @@ def build_lift(graph: VoltageGraph, ctx: SubgroupContext) -> LiftGraph:
     adjacency = np.zeros((k * n, k * n), dtype=np.int64)
     cosets = np.arange(n)
     # An action is a permutation of the cosets, so no row repeats an index.
-    for u, v, count, action in _lift_terms(build_base_matrix(graph), ctx):
+    for u, v, count, action in _lift_terms(build_base_matrix(graph), ctx.coset_action):
         adjacency[u * n + cosets, v * n + action] += count
     labels = tuple(
         (label, coset) for label in graph.vertices for coset in range(n)

@@ -95,8 +95,8 @@ def test_tracing_sees_the_spectrum_layers(tracing, dumbbell, sym3_catalog, point
 def test_tracing_sees_the_eigenvector_layers(tracing, dumbbell_base, sym3, sym3_catalog):
     # perfbench reports spectral.lift_eigenvectors_self_s as lift_eigenvectors'
     # time minus its irrep_image and eig_dense children.  The first call on a
-    # fresh context builds the pull-back plan and the second reuses it; both
-    # must still call those two layers through their public names.
+    # fresh context builds the pair's image source and the second reuses it;
+    # both must still call those two layers through their public names.
     ctx = liftspectra.right_cosets(sym3, liftspectra.stabilizer(sym3, 1))
     rec = tracing.Recorder()
     undo = tracing.install(rec)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liftspectra.irreps as irreps_module
+import liftspectra.spectral as spectral
 from liftspectra import (
     ConsistencyError,
     Irrep,
@@ -671,28 +672,33 @@ def test_ranks_match_the_per_irrep_trace_rule(name, data):
     assert [subgroup_sum(r, ctx).rank for r in irrep_set] == want
 
 
-def test_checked_ranks_are_kept_per_context_and_go_with_it(sym3, sym3_catalog):
+def test_checked_ranks_are_kept_per_context_and_go_with_it(sym3, sym3_catalog, dumbbell_base):
     ctx = right_cosets(sym3, stabilizer(sym3, 1))
-    kept = sym3_catalog.checked_ranks
+    kept = sym3_catalog.image_sources
+    spectral.lift_spectrum(dumbbell_base, sym3_catalog, ctx)
+    source = kept[ctx]
+    assert source.ranks == (1, 0, 1)
+    assert spectral._image_source(sym3_catalog, ctx) is source
+    # Each call gets its own list; the kept tuple does not change.
     ranks = irreps_module.subgroup_ranks(sym3_catalog, ctx)
     assert ranks == [1, 0, 1]
-    assert kept[ctx] == (1, 0, 1)
-    # Each call gets its own list; the kept tuple does not change.
     ranks.append(7)
     assert irreps_module.subgroup_ranks(sym3_catalog, ctx) == [1, 0, 1]
+    assert source.ranks == (1, 0, 1)
+    del source
     before = len(kept)
     del ctx
     gc.collect()
     assert len(kept) == before - 1
 
 
-def test_failing_ranks_are_not_kept(sym3, sym3_catalog):
+def test_failing_ranks_are_not_kept(sym3, sym3_catalog, dumbbell_base):
     partial = IrrepSet(group=sym3, irreps=sym3_catalog.irreps[:2])
     ctx = right_cosets(sym3, stabilizer(sym3, 1))
-    for _ in range(2):
+    for route in (spectral.lift_spectrum, spectral.lift_eigenvectors) * 2:
         with pytest.raises(NumericalError, match="^rank identity: dimension-weighted ranks"):
-            irreps_module.subgroup_ranks(partial, ctx)
-    assert ctx not in partial.checked_ranks
+            route(dumbbell_base, partial, ctx)
+        assert ctx not in partial.image_sources
 
 
 def test_nan_character_fails_the_rank_check(sym3, sym3_catalog):

@@ -166,6 +166,12 @@ def _typed_json(value):
     return type(value), value
 
 
+def assert_pull_back_half_not_kept(source):
+    """The pair's image source is kept with its ranks, but without an eigenvector half."""
+    assert source.ranks is not None
+    assert (source.coset_action, source.sums, source.picked) == (None, None, None)
+
+
 def assert_bundle_matches_reference(irrep_set, ctx, graph):
     base = build_base_matrix(graph)
     bundle = lift_eigenvectors(base, irrep_set, ctx, residual_tol=TOL_RESIDUAL)
@@ -392,7 +398,7 @@ def test_planted_blocks_keep_the_peak_rule_flags_selection_and_errors(lift, data
     # selection error.
     irrep_set, ctx, graph = lift
     base = build_base_matrix(graph)
-    picked = spectral._pullback_plan(irrep_set, ctx).picked
+    picked = spectral._image_source(irrep_set, ctx, pull_back=True).picked
     victim = data.draw(st.sampled_from([(idx, j) for idx, rows in enumerate(picked) for j in rows]))
     factors = st.sampled_from((1.0, 1e8, 1e-4, 1e-9, 1e-10, 1e-12, 1e-30, 0.0))
     planted = []
@@ -569,7 +575,7 @@ class TestErrorMessages:
             return [0] if idx == 1 else select_rows(idx, sums, projector, rank)
 
         monkeypatch.setattr(spectral, "_select_rows", pick_a_killed_row)
-        # A fresh context, so that no stored plan bypasses the patched selection.
+        # A fresh context, so that no cached source bypasses the patched selection.
         ctx = right_cosets(sym3, stabilizer(sym3, 1))
         message = r"^basis selection: irrep 1, picked row j=0 pulls back to zero columns$"
         with pytest.raises(NumericalError, match=message):
@@ -591,7 +597,7 @@ class TestErrorMessages:
         for _ in range(2):
             with pytest.raises(NumericalError, match=message):
                 lift_eigenvectors(dumbbell_base, irreps, ctx)
-            assert ctx not in irreps.pullback_plans
+            assert_pull_back_half_not_kept(irreps.image_sources[ctx])
 
     def test_non_finite_coset_sums_of_a_killed_irrep(self, dumbbell_base, sym3, sym3_catalog):
         # The sign irrep has rank 0 over Stab(1) and no dumbbell arc carries
@@ -610,7 +616,11 @@ class TestErrorMessages:
         for _ in range(2):
             with pytest.raises(NumericalError, match=message):
                 lift_eigenvectors(dumbbell_base, irreps, ctx)
-            assert ctx not in irreps.pullback_plans
+            assert_pull_back_half_not_kept(irreps.image_sources[ctx])
+        # The spectrum route still answers from the same source.
+        assert json.dumps(lift_spectrum(dumbbell_base, irreps, ctx).to_json()) == json.dumps(
+            want.to_json()
+        )
 
     def test_residual_bound(self, dumbbell_base, sym3_catalog, point_stabilizer_ctx):
         message = r"^residual: irrep \d+, column j=\d+ w=\d+ i=\d+"
@@ -811,21 +821,21 @@ def test_a_dimension_solved_in_several_slices_keeps_its_bits(monkeypatch):
 
 
 def test_interleaved_calls_reuse_plans_and_match_the_reference(dumbbell, sym3, sym3_catalog):
-    # A second irrep set of the same group, in another basis, so that a plan
+    # A second irrep set of the same group, in another basis, so that a source
     # filed under the wrong irrep set or context gives wrong columns.
     computed = compute_irreps(sym3, seed=0)
     assert not np.allclose(computed[2].matrices, sym3_catalog[2].matrices)
     contexts = [right_cosets(sym3, stabilizer(sym3, 1)), right_cosets(sym3, frozenset({0}))]
     graphs = [dumbbell, _loop_graph(sym3)]
-    plans = {}
+    sources = {}
     for graph in graphs * 2:
         for ctx in contexts:
             for irrep_set in (sym3_catalog, computed):
                 assert_bundle_matches_reference(irrep_set, ctx, graph)
-                plan = irrep_set.pullback_plans[ctx]
-                assert plans.setdefault((id(irrep_set), id(ctx)), plan) is plan
-                assert not any(sums.flags.writeable for sums in plan.sums)
-    assert len({id(plan) for plan in plans.values()}) == 4
+                source = irrep_set.image_sources[ctx]
+                assert sources.setdefault((id(irrep_set), id(ctx)), source) is source
+                assert not any(sums.flags.writeable for sums in source.sums)
+    assert len({id(source) for source in sources.values()}) == 4
 
 
 def test_failed_basis_selection_raises_on_every_call(
@@ -838,20 +848,22 @@ def test_failed_basis_selection_raises_on_every_call(
     for _ in range(3):
         with pytest.raises(NumericalError, match=message):
             lift_eigenvectors(dumbbell_base, sym3_catalog, ctx)
-        assert ctx not in sym3_catalog.pullback_plans
+        assert_pull_back_half_not_kept(sym3_catalog.image_sources[ctx])
+    source = sym3_catalog.image_sources[ctx]
     monkeypatch.undo()
     lift_eigenvectors(dumbbell_base, sym3_catalog, ctx)
-    assert ctx in sym3_catalog.pullback_plans
+    assert sym3_catalog.image_sources[ctx] is source
+    assert [len(rows) for rows in source.picked] == list(source.ranks) == [1, 0, 1]
 
 
 def test_plan_goes_with_its_context(dumbbell_base, sym3, sym3_catalog):
-    plans = sym3_catalog.pullback_plans
+    sources = sym3_catalog.image_sources
     ctx = right_cosets(sym3, stabilizer(sym3, 1))
-    before = len(plans)
+    before = len(sources)
     lift_eigenvectors(dumbbell_base, sym3_catalog, ctx)
-    assert len(plans) == before + 1
-    plan = weakref.ref(plans[ctx])
+    assert len(sources) == before + 1
+    source = weakref.ref(sources[ctx])
     del ctx
     gc.collect()
-    assert plan() is None
-    assert len(plans) == before
+    assert source() is None
+    assert len(sources) == before

@@ -533,8 +533,8 @@ class TestLiftSpectrum:
     def test_spectrum_size_check_names_the_stage(
         self, monkeypatch, dumbbell_base, sym3_catalog, point_stabilizer_ctx
     ):
-        inflated = [2, 0, 2]
-        monkeypatch.setattr(spectral, "subgroup_ranks", lambda irrep_set, ctx: inflated)
+        source = spectral._image_source(sym3_catalog, point_stabilizer_ctx)
+        monkeypatch.setattr(source, "ranks", (2, 0, 2))
         with pytest.raises(
             NumericalError, match="^spectrum merge: spectrum size 12 does not match lift order 6"
         ):

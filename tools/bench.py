@@ -103,7 +103,9 @@ STAGES = {
     },
     "lift_spectrum": {
         "base_build": ("voltage.build_base_matrix",),
-        "ranks": ("irreps.subgroup_ranks",),
+        # The ranks come from the pair's cached image source, checked once;
+        # a side without that source reads them from ``subgroup_ranks``.
+        "ranks": ("spectral._image_source", "irreps.subgroup_ranks"),
         "images": ("spectral.irrep_image",),
         "hermitian": ("spectral.is_hermitian",),
         "eigensolve": ("spectral.eig_dense",),
