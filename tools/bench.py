@@ -96,6 +96,7 @@ STAGES = {
     "compute_irreps": {
         "seed_matrix": ("irreps._random_hermitian",),
         "averaging": ("irreps._average_conjugates",),
+        "gather": ("irreps._shift_slice",),
         "catalog": ("irreps._catalog_slices",),
         "invariance_residual": ("irreps._slice_residual",),
         "sort": ("irreps._sort_irreps",),
