@@ -33,8 +33,8 @@ DEFAULT_VERIFY_TOL = 1e-8
 CHARACTER_TOL = 1e-6
 RANK_TRACE_TOL = 1e-8
 MAX_RETRIES = 8
-# One compute_irreps call in a fresh process on one core takes about 2.4 s
-# and 84 MB peak RSS for S6 (order 720), and 7.1 s and 118 MB for S5 x C8
+# One compute_irreps call in a fresh process on one core takes about 1.9 s
+# and 84 MB peak RSS for S6 (order 720), and 5.2 s and 118 MB for S5 x C8
 # (order 960); its time grows as |G|^3 and its memory as |G|^2.
 MAX_COMPUTED_ORDER = 1000
 
@@ -170,29 +170,51 @@ def _validate_irrep_set(irrep_set: IrrepSet) -> None:
         raise NumericalError("irrep check: two listed irreps are equivalent")
 
 
+def _generator_walk(group: FiniteGroup):
+    """The breadth-first walk from the identity along right generator steps.
+
+    Returns its steps ``(x, slot, y)``, one for each element ``y = x *
+    generators[slot]`` that it reaches after the identity, in the order it
+    first reaches them, and its depth: the number of steps the farthest of
+    them takes from the identity.  It reaches every element only when the
+    stored generators generate the group, that is when it takes
+    ``group.order - 1`` steps.
+    """
+    columns = group.mult_table[:, list(group.generators)].tolist()
+    steps = []
+    seen = {group.identity}
+    frontier = [group.identity]
+    depth = 0
+    while True:
+        reached = []
+        for x in frontier:
+            for slot, y in enumerate(columns[x]):
+                if y not in seen:
+                    seen.add(y)
+                    reached.append(y)
+                    steps.append((x, slot, y))
+        if not reached:
+            return steps, depth
+        depth += 1
+        frontier = reached
+
+
 def _extend_from_generators(group: FiniteGroup, gen_images: np.ndarray) -> np.ndarray:
-    """Extend stacked generator images to the whole group in one breadth-first walk.
+    """Extend stacked generator images to the whole group along :func:`_generator_walk`.
 
     ``gen_images[i, slot]`` is irrep ``i``'s image of ``group.generators[slot]``,
-    so the stack is ``(r, s, d, d)``.  The walk starts at the identity and
-    takes right generator steps; each new element ``y = x * gen`` gets
-    ``mats[:, y] = mats[:, x] @ gen_images[:, slot]``.  Returns the
+    so the stack is ``(r, s, d, d)``.  Each step ``y = x * gen`` of the walk
+    gives ``mats[:, y] = mats[:, x] @ gen_images[:, slot]``.  Returns the
     ``(r, |G|, d, d)`` stack of all images.
     """
+    steps, _ = _generator_walk(group)
+    if len(steps) != group.order - 1:
+        raise ConsistencyError("stored generators do not generate the group")
     r, _, d, _ = gen_images.shape
     mats = np.zeros((r, group.order, d, d), dtype=complex)
     mats[:, group.identity] = np.eye(d)
-    seen = {group.identity}
-    order = [group.identity]
-    for x in order:
-        for slot, gen in enumerate(group.generators):
-            y = group.mul(x, gen)
-            if y not in seen:
-                seen.add(y)
-                order.append(y)
-                mats[:, y] = mats[:, x] @ gen_images[:, slot]
-    if len(order) != group.order:
-        raise ConsistencyError("stored generators do not generate the group")
+    for x, slot, y in steps:
+        mats[:, y] = mats[:, x] @ gen_images[:, slot]
     return mats
 
 
@@ -350,31 +372,39 @@ def _catalog_slices(basis: np.ndarray, table: np.ndarray, sub: np.ndarray):
 
 
 def _average_conjugates(seed_matrix: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """The mean of ``seed_matrix`` conjugated by every element of the regular representation.
+    """The lower triangle of the mean of ``seed_matrix`` conjugated by every
+    element of the regular representation.
 
     ``table`` is the group's multiplication table, whose column ``g`` is the
     permutation that right multiplication by ``g`` makes of the elements.
+    Only the entries on and below the diagonal are sure to be formed, and
+    most of those above it are left zero: ``np.linalg.eigh`` reads the lower
+    triangle alone, and the mean of Hermitian matrices is Hermitian anyway.
     """
     n = len(table)
     averaged = np.zeros((n, n), dtype=complex)
     # Conjugating by the regular representation permutes rows and columns by
-    # right multiplication, so the average is a gather, not a matrix product.
-    # It is gathered 32 rows at a time into two reused buffers.  No sum runs
-    # across rows, so the row order is free; within a block every entry still
-    # adds 0 + term_0 + term_1 + ... in g order, as one pass over whole
-    # matrices would, so every bit of ``averaged`` and of the catalog stays.
-    rows = np.empty((32, n), dtype=complex)
-    block = np.empty((32, n), dtype=complex)
-    for lo in range(0, n, 32):
-        acc = averaged[lo : lo + 32]
-        hi = lo + len(acc)
-        picked, term = rows[: len(acc)], block[: len(acc)]
+    # right multiplication, so the mean is a gather, not a matrix product.
+    # It is gathered 64 rows at a time, and each block's columns stop at its
+    # last row, so the block holds the triangle and a little above it.  No
+    # sum runs across entries, so the order of rows and columns is free;
+    # every entry still adds 0 + term_0 + term_1 + ... in g order into a
+    # contiguous accumulator, as one pass over whole matrices would, so every
+    # bit of the triangle, of ``eigh``'s output and of the catalog stays.
+    rows = np.empty((64, n), dtype=complex)
+    block = np.empty(64 * n, dtype=complex)
+    for lo in range(0, n, 64):
+        hi = min(lo + 64, n)
+        picked = rows[: hi - lo]
+        term = block[: (hi - lo) * hi].reshape(hi - lo, hi)
+        acc = np.zeros((hi - lo, hi), dtype=complex)
         for g in range(n):
             col = table[:, g]
             np.take(seed_matrix, col[lo:hi], axis=0, out=picked, mode="wrap")
-            np.take(picked, col, axis=1, out=term, mode="wrap")
+            np.take(picked, col[:hi], axis=1, out=term, mode="wrap")
             acc += term
-    averaged /= n
+        acc /= n
+        averaged[lo:hi, :hi] = acc
     return averaged
 
 
@@ -406,6 +436,81 @@ def _slice_residual(basis: np.ndarray, part: np.ndarray, shifted: np.ndarray):
     return np.max(np.abs(lifted))
 
 
+def _residual_norms(basis: np.ndarray, sub: np.ndarray, table: np.ndarray, elements):
+    """The Frobenius norms of ``basis @ sub[x] - R(x) basis`` for each ``x`` in ``elements``."""
+    elements = list(elements)
+    off = basis @ sub[elements]
+    off -= basis[table[:, elements]].transpose(1, 0, 2)
+    return np.linalg.norm(off, axis=(1, 2))
+
+
+def _invariance_certificate(basis: np.ndarray, sub: np.ndarray, group: FiniteGroup, depth: int):
+    """Whether the residuals at the identity and the generators prove every
+    slice's :func:`_slice_residual` at most ``DEFAULT_VERIFY_TOL / 2``.
+
+    ``sub`` is the catalog of :func:`_catalog_slices` and ``depth`` that of
+    :func:`_generator_walk`, which must reach every element.  A NaN anywhere
+    in ``sub`` or in the residuals, or a negative tolerance, fails it.
+    """
+    # For B = basis, S(g) = B^* R(g) B and E(g) = R(g) B - B S(g), since R is
+    # a homomorphism, E(gs) = E(g) S(s) + (I - B B^*) R(g) E(s) for any B.
+    # Both factors have norm at most 1 + eta, eta = ||B^* B - I||_2, so at
+    # the walk's depth D every E(g) has
+    #     ||E(g)||_2 <= (1 + eta)^D (||E(e)||_2 + D max_s ||E(s)||_2),
+    # and every entry of the exact residual B S(g) - R(g) B is below that.
+    # The rest is rounding, bounded by counting roundings generously: gamma
+    # covers an inner product of length n or d, and d * gamma is below 1e-10
+    # for every order compute_irreps admits.  The computed ``sub`` is off
+    # from S(g) by at most d gamma (1 + eta) in norm, and the slice residual
+    # adds gamma ||B row|| ||sub column|| per entry and the rounding of its
+    # subtraction, all within ``rounding`` and the last factor below.
+    n, d = basis.shape
+    gamma = 2 * (n + d + 4) * np.finfo(float).eps
+    gram = basis.conj().T @ basis - np.eye(d)
+    kappa = 1 + np.linalg.norm(gram) * (1 + 4 * d * gamma) + 2 * d * gamma
+    rounding = d * gamma * kappa * (kappa + np.sqrt(d) * np.abs(sub).max())
+    norms = _residual_norms(basis, sub, group.mult_table, (group.identity, *group.generators))
+    steps = norms * (1 + 2 * d * gamma) + rounding
+    bound = kappa**depth * (steps[0] + depth * max(steps[1:], default=0.0))
+    return (1 + gamma) * (bound + rounding) <= DEFAULT_VERIFY_TOL / 4
+
+
+def _invariant_catalog(
+    basis: np.ndarray, group: FiniteGroup, depth: int | None, idx: int
+) -> np.ndarray:
+    """Cluster ``idx``'s catalog ``sub[g] = basis^* R(g) basis``, once its
+    basis is shown to span an invariant subspace.
+
+    :func:`_invariance_certificate` shows it from the generators, when
+    ``depth`` is the depth of a walk that reaches every element.  Otherwise
+    the residual is the largest :func:`_slice_residual` over every slice,
+    and one above ``DEFAULT_VERIFY_TOL``, or NaN, raises
+    :class:`NumericalError`.
+    """
+    n, d = basis.shape
+    table = group.mult_table
+    # ``sub`` is the catalog: a BLAS product would change its bits.  It is
+    # built over 32 elements g at a time, so no |G| x |G| x d array is held;
+    # each slice's einsum gives the bits of the whole-g call.
+    sub = np.empty((n, d, d), dtype=complex)
+    for _ in _catalog_slices(basis, table, sub):
+        pass
+    if depth is not None and _invariance_certificate(basis, sub, group, depth):
+        return sub
+    # The slices again, with the same bits, each with its residual: a gemm
+    # first, and the exact broadcast matmul only for a slice that the gemm
+    # cannot pass.  A NaN peak carries through ``np.max`` and fails the test.
+    residual = np.max(
+        [_slice_residual(basis, part, shifted) for part, shifted in _catalog_slices(basis, table, sub)]
+    )
+    if not residual <= DEFAULT_VERIFY_TOL:
+        raise NumericalError(
+            f"irrep split: eigenvalue cluster {idx} is not an invariant subspace "
+            f"(residual {residual:.3e})"
+        )
+    return sub
+
+
 def _decompose_regular(
     group: FiniteGroup, classes: list[ConjugacyClass], rng: np.random.Generator
 ):
@@ -417,6 +522,11 @@ def _decompose_regular(
     averaged = _average_conjugates(_random_hermitian(rng, n), table)
     eigenvalues, eigenvectors = np.linalg.eigh(averaged)
     del averaged
+    # Generators that miss an element certify nothing, so every slice's
+    # residual is taken instead.
+    steps, depth = _generator_walk(group)
+    if len(steps) != n - 1:
+        depth = None
     # One eigenspace's eigenvalues agree to ~1e-14 up to |G| = 720, while
     # distinct ones come within ~1e-6; merging two costs a whole retry.
     spans = _cluster_spans(eigenvalues, 1e-10 * n)
@@ -440,24 +550,7 @@ def _decompose_regular(
         if np.any(np.max(np.abs(kept - class_char), axis=1) <= CHARACTER_TOL):
             continue
         kept = np.vstack([kept, class_char])
-        # ``sub`` is the catalog: a BLAS product would change its bits.  The
-        # residual only meets a tolerance, so it is a gemm first, and the
-        # exact broadcast matmul only for a slice that the gemm cannot pass.
-        # Both run over 32 elements g at a time, so no |G| x |G| x d array
-        # is held; each slice's einsum gives the bits of the whole-g call.
-        sub = np.empty((n, hi - lo, hi - lo), dtype=complex)
-        peaks = [
-            _slice_residual(basis, part, shifted)
-            for part, shifted in _catalog_slices(basis, table, sub)
-        ]
-        # A NaN peak carries through ``np.max`` and fails the test below.
-        residual = np.max(peaks)
-        if not residual <= DEFAULT_VERIFY_TOL:
-            raise NumericalError(
-                f"irrep split: eigenvalue cluster {idx} is not an invariant subspace "
-                f"(residual {residual:.3e})"
-            )
-        found.append(sub)
+        found.append(_invariant_catalog(basis, group, depth, idx))
     return found
 
 

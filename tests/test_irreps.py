@@ -95,7 +95,7 @@ def _times_six_mod_43():
 
 # Groups given by generators, for the bit-for-bit check against the
 # reference decomposition.  Orders 6, 8, 24, 60 and 120 are not multiples of
-# the 32-row averaging block, so its short last block runs too.
+# the 64-row averaging block, so its short last block runs too.
 REFERENCE_GROUPS = {
     "S3": (3, ["(1 2)", "(1 2 3)"]),
     "S4": (4, ["(1 2 3 4)", "(1 2)"]),
@@ -526,6 +526,176 @@ def test_slice_residual_bounds_the_exact_residual(n, d, seed, plant):
         if want > tol / 2:
             assert got == want
         assert (got <= tol) == (want <= tol)
+
+
+def _group_of(degree, gens):
+    return generate_group([parse_permutation(g, degree) for g in gens], degree=degree)
+
+
+# The groups of the invariance certificate's property: the reference groups,
+# S5 x C2, the trivial group (no generators), and C64.  Twisted by C64's
+# generating character, a cluster's largest residual entry over the group is
+# 2.55 times the residual norms at the identity and the generator added (1.83
+# times on C33), so only there would a bound without the walk's depth pass a
+# cluster that the whole-group residual fails.
+CERTIFICATE_GROUPS = {
+    **REFERENCE_GROUPS,
+    "S5 x C2": S5XC2,
+    "trivial": (1, []),
+    "C64": (64, ["(" + " ".join(map(str, range(1, 65))) + ")"]),
+}
+TOL = irreps_module.DEFAULT_VERIFY_TOL
+# Sizes of a planted fault, as the whole-group residual it aims at.  Half the
+# tolerance is hit from a hair below and a hair above.
+PLANT_SIZES = [0.0, 1e-13, TOL / 8, TOL / 2 * (1 - 1e-4), TOL / 2 * (1 + 1e-4), 4 * TOL, np.nan]
+
+
+@functools.cache
+def _true_clusters(name):
+    """The group, its walk's depth, the eigenvector clusters of one averaged
+    seed, and its nontrivial one-dimensional characters."""
+    group = _group_of(*CERTIFICATE_GROUPS[name])
+    n = group.order
+    steps, depth = irreps_module._generator_walk(group)
+    assert len(steps) == n - 1
+    seed_matrix = irreps_module._random_hermitian(np.random.default_rng(0), n)
+    eigenvalues, eigenvectors = np.linalg.eigh(
+        irreps_module._average_conjugates(seed_matrix, group.mult_table)
+    )
+    clusters = [
+        eigenvectors[:, lo:hi] for lo, hi in irreps_module._cluster_spans(eigenvalues, 1e-10 * n)
+    ]
+    characters = [r.matrices[:, 0, 0] for r in compute_irreps(group, 0) if r.dim == 1][1:]
+    return group, depth, clusters, characters
+
+
+def _whole_group_residual(basis, table):
+    """``reference_slice_residual`` over every slice, and the catalog."""
+    n, d = basis.shape
+    sub = np.empty((n, d, d), dtype=complex)
+    peaks = [
+        reference_slice_residual(basis, part, shifted)
+        for part, shifted in irreps_module._catalog_slices(basis, table, sub)
+    ]
+    return np.max(peaks), sub
+
+
+def _planted(basis, direction, size, table):
+    """``basis`` turned by an angle toward ``direction`` (or scaled by a factor
+    ``1 + angle`` when there is none), the angle chosen so that the
+    whole-group residual is about ``size``."""
+
+    def turn(angle):
+        if direction is None:
+            return basis * (1 + angle)
+        return basis * np.cos(angle) + direction * np.sin(angle)
+
+    if size == 0 or np.isnan(size):
+        return turn(size)
+    # The residual is linear in a small angle.
+    probe, _ = _whole_group_residual(turn(TOL), table)
+    return turn(TOL * size / probe)
+
+
+@pytest.mark.parametrize("size", PLANT_SIZES, ids=lambda size: f"{size:.6g}")
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_GROUPS))
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(pick=st.integers(0, 2**32 - 1))
+def test_invariance_certificate_bounds_the_whole_group_residual(name, size, pick):
+    """Whenever the generators certify a cluster, the exact residual over
+    every slice is at most half the tolerance; and the cluster's decision
+    and message are those of the whole-group residual.
+
+    A true cluster's basis is turned out of its subspace toward each of:
+    its twist by each nontrivial one-dimensional character (the copy of the
+    irrep times that character, which only the generators that the
+    character moves can see), a random direction, and none (a scaling, the
+    only fault the trivial group admits).
+    """
+    group, depth, clusters, characters = _true_clusters(name)
+    table = group.mult_table
+    rng = np.random.default_rng(pick)
+    idx = pick % len(clusters)
+    basis = clusters[idx]
+    n, d = basis.shape
+    directions = [None]
+    if n > d:
+        noise = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        directions.append(noise / np.linalg.norm(noise, axis=0))
+        directions += [character[:, None] * basis for character in characters]
+    for direction in directions:
+        if direction is not None:
+            direction = direction - basis @ (basis.conj().T @ direction)
+            if np.linalg.norm(direction) < 1e-3:
+                continue
+        planted = _planted(basis, direction, size, table)
+        want, sub = _whole_group_residual(planted, table)
+        if irreps_module._invariance_certificate(planted, sub, group, depth):
+            assert want <= TOL / 2
+        if want <= TOL:
+            got = irreps_module._invariant_catalog(planted, group, depth, idx)
+            assert got.tobytes() == sub.tobytes()
+        else:
+            with pytest.raises(NumericalError) as exc:
+                irreps_module._invariant_catalog(planted, group, depth, idx)
+            assert str(exc.value) == (
+                f"irrep split: eigenvalue cluster {idx} is not an invariant subspace "
+                f"(residual {want:.3e})"
+            )
+
+
+def test_generators_that_miss_an_element_leave_every_slice_to_the_residual(monkeypatch):
+    group = _group_of(*S5XC2)
+    partial = dataclasses.replace(group, generators=group.generators[:2])
+    classes = conjugacy_classes(group)
+    original = irreps_module._slice_residual
+    peaks = []
+
+    def spy(*args):
+        peaks.append(original(*args))
+        return peaks[-1]
+
+    monkeypatch.setattr(irreps_module, "_slice_residual", spy)
+    got = irreps_module._decompose_regular(partial, classes, np.random.default_rng(3))
+    assert len(peaks) == len(got) * -(-group.order // 32)
+    assert all(peak <= TOL for peak in peaks)
+    want = reference_decompose_regular(group, classes, np.random.default_rng(3))
+    assert [sub.tobytes() for sub in got] == [sub.tobytes() for sub in want]
+
+    # And the residual decides: none passes a negative tolerance.
+    monkeypatch.setattr(irreps_module, "DEFAULT_VERIFY_TOL", -1.0)
+    message = r"^irrep split: eigenvalue cluster 0 is not an invariant subspace \(residual "
+    with pytest.raises(NumericalError, match=message):
+        irreps_module._decompose_regular(partial, classes, np.random.default_rng(3))
+
+
+class _Averaged(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", sorted({**REFERENCE_GROUPS, "S5 x C2": S5XC2}))
+def test_averaged_lower_triangle_matches_the_whole_matrix_average(monkeypatch, name):
+    """``eigh`` reads the lower triangle alone: it is the whole-matrix
+    average's, bit for bit, and so is ``eigh``'s output.  C33 and C43 x| C3
+    have orders that are not multiples of the 64-row block."""
+    group = _group_of(*REFERENCE_GROUPS.get(name, S5XC2))
+    eigh = np.linalg.eigh
+    captured = []
+
+    def capture(matrix):
+        captured.append(matrix)
+        raise _Averaged
+
+    monkeypatch.setattr(np.linalg, "eigh", capture)
+    with pytest.raises(_Averaged):
+        reference_decompose_regular(group, conjugacy_classes(group), np.random.default_rng(5))
+    (want,) = captured
+    seed_matrix = irreps_module._random_hermitian(np.random.default_rng(5), group.order)
+    got = irreps_module._average_conjugates(seed_matrix, group.mult_table)
+    lower = np.tril_indices(group.order)
+    assert got[lower].tobytes() == want[lower].tobytes()
+    for a, b in zip(eigh(got), eigh(want)):
+        assert a.tobytes() == b.tobytes()
 
 
 class TestComputeIrrepsStageNames:

@@ -34,7 +34,8 @@ for its wall time, peak RSS, faults and system time, and once more as a
 probe process (:func:`probe`) that wraps the CLI's stages.
 
 Each section of the file gives, per instance and side, the fastest value of
-every ``*_ms`` field over the rounds and the largest of every ``*_mb``;
+every ``*_ms`` field over the rounds and the largest of every ``*_mb``, the
+median and quartiles of ``whole_ms`` over the rounds (``whole_ms_quartiles``);
 ``same_answer``, whether every round on both sides hashed the same answer;
 and, per side, the sums of every time over the instances (``pass_ms``), the
 whole pass of every round (``rounds_whole_ms``, with the number of rounds
@@ -98,7 +99,10 @@ STAGES = {
         "averaging": ("irreps._average_conjugates",),
         "gather": ("irreps._shift_slice",),
         "catalog": ("irreps._catalog_slices",),
-        "invariance_residual": ("irreps._slice_residual",),
+        "invariance_certificate": ("irreps._invariance_certificate",),
+        # Residuals at the identity and the generators, for the certificate,
+        # and at every element only where it fails.
+        "invariance_residual": ("irreps._residual_norms", "irreps._slice_residual"),
         "sort": ("irreps._sort_irreps",),
         "validate": ("irreps._validate_irrep_set",),
     },
@@ -145,7 +149,9 @@ SUBJECTS = {
         "closing the group included, each in a fresh process",
         {
             "ladder": ([["compute_irreps"]], 4),
-            "one_call": ([["one_call", name] for name in ONE_CALL], 2),
+            # The fastest of two fresh calls could not resolve a 10 % change
+            # in one; six give a median and quartiles beside the fastest.
+            "one_call": ([["one_call", name] for name in ONE_CALL], 6),
         },
     ),
     "lift_spectrum": (
@@ -688,17 +694,21 @@ def _section(trees, work, child_args, rounds):
             runs[side].append([row for args in child_args for row in _run_child(tree, work, *args)])
 
     instances = {}
+    wholes = {}
     for side, side_runs in runs.items():
         for rows in side_runs:
             for row in rows:
                 entry = instances.setdefault(row["label"], {"hashes": set()})
                 entry["hashes"].add(row["sha256"])
+                wholes.setdefault((row["label"], side), []).append(row["whole_ms"])
                 if side in entry:
                     _fold(entry[side], row)
                 else:
                     entry[side] = {
                         k: v for k, v in row.items() if k not in ("label", "sha256", "rusage")
                     }
+    for (label, side), values in wholes.items():
+        instances[label][side]["whole_ms_quartiles"] = _quartiles(values)
     for entry in instances.values():
         entry["same_answer"] = len(entry.pop("hashes")) == 1
 
@@ -767,10 +777,15 @@ def _machine():
     }
 
 
-def _ab_summary(paths):
-    """Every saved ``perfbench/run.py`` output's metrics, pooled per workload."""
+def _quartiles(values):
     import statistics
 
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def _ab_summary(paths):
+    """Every saved ``perfbench/run.py`` output's metrics, pooled per workload."""
     runs = {}
     for path in paths:
         lines = Path(path).read_text().splitlines()
@@ -784,14 +799,7 @@ def _ab_summary(paths):
     for workload, metrics in runs.items():
         summary[workload] = {"seeds": sorted(metrics.pop("seeds"))}
         for key, values in metrics.items():
-            q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-            summary[workload][key] = {
-                "runs": len(values),
-                "values": values,
-                "median": median,
-                "q1": q1,
-                "q3": q3,
-            }
+            summary[workload][key] = {"runs": len(values), "values": values, **_quartiles(values)}
     return summary
 
 
