@@ -350,9 +350,9 @@ def _shift_slice(columns: np.ndarray, elements: np.ndarray) -> np.ndarray:
 
 def _catalog_slices(basis: np.ndarray, table: np.ndarray, sub: np.ndarray):
     """Fill ``sub[g] = basis^* R(g) basis`` for the regular representation ``R``,
-    32 group elements ``g`` at a time.
+    32 group elements ``g`` at a time, and yield each filled slice of ``sub``.
 
-    Each slice yields ``(part, shifted)``: its block of ``sub`` and the gathered
+    Each slice is contracted from the gathered
     ``shifted[g, b, a] = basis[table[a, g], b]``, held once as a C-contiguous
     ``(g, b, a)`` array (:func:`_shift_slice`).
     """
@@ -368,7 +368,7 @@ def _catalog_slices(basis: np.ndarray, table: np.ndarray, sub: np.ndarray):
         # ``einsum("ai,gab->gib", basis.conj(), basis[table.T[g0:g0 + 32]])``,
         # which ``test_catalog_slices_match_the_strided_einsum`` pins.
         np.einsum("ia,gba->gib", dual, shifted, out=part)
-        yield part, shifted
+        yield part
 
 
 def _average_conjugates(seed_matrix: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -408,45 +408,18 @@ def _average_conjugates(seed_matrix: np.ndarray, table: np.ndarray) -> np.ndarra
     return averaged
 
 
-def _slice_residual(basis: np.ndarray, part: np.ndarray, shifted: np.ndarray):
-    """How far one slice of :func:`_catalog_slices` is from invariance.
-
-    That is the largest entry of ``basis @ part`` less the shifted basis,
-    read as ``(g, a, b)``; it is NaN if any entry is.  A slice whose residual
-    is plainly below the tolerance reports ``DEFAULT_VERIFY_TOL / 2``
-    instead, which is at least its residual and decides the same.
-    """
-    # First one gemm in the ``(g, b, a)`` layout of ``shifted``.  Its entries
-    # differ from the product below only by rounding, far under a tenth of
-    # the tolerance, and ``|z| <= sqrt(2) * max(|Re z|, |Im z|)``; so if no
-    # real or imaginary part exceeds a quarter of the tolerance, the residual
-    # is below half of it.  Two reductions of the float view take that
-    # bound, and a NaN reaches both and fails it.
-    d = part.shape[1]
-    lifted = (part.transpose(0, 2, 1).reshape(-1, d) @ basis.T).reshape(shifted.shape)
-    lifted -= shifted
-    parts = lifted.view(float)
-    if max(parts.max(), -parts.min()) <= DEFAULT_VERIFY_TOL / 4:
-        return DEFAULT_VERIFY_TOL / 2
-    # Otherwise one broadcast product and a transposed view give the exact
-    # residual, so the messages that report it keep their bits; the gemm
-    # above would change them (test_residual_message_matches_the_whole_g_residual).
-    lifted = basis @ part
-    lifted -= shifted.transpose(0, 2, 1)
-    return np.max(np.abs(lifted))
-
-
-def _residual_norms(basis: np.ndarray, sub: np.ndarray, table: np.ndarray, elements):
-    """The Frobenius norms of ``basis @ sub[x] - R(x) basis`` for each ``x`` in ``elements``."""
-    elements = list(elements)
-    off = basis @ sub[elements]
-    off -= basis[table[:, elements]].transpose(1, 0, 2)
-    return np.linalg.norm(off, axis=(1, 2))
+def _residual_stack(basis: np.ndarray, sub: np.ndarray, table: np.ndarray, elements):
+    """The stack ``basis @ sub[x] - R(x) basis`` over the ``x`` in ``elements``,
+    with ``R(x) basis`` gathered as ``basis[table[:, x]]``."""
+    stack = basis @ sub[elements]
+    stack -= basis[table[:, elements]].transpose(1, 0, 2)
+    return stack
 
 
 def _invariance_certificate(basis: np.ndarray, sub: np.ndarray, group: FiniteGroup, depth: int):
     """Whether the residuals at the identity and the generators prove every
-    slice's :func:`_slice_residual` at most ``DEFAULT_VERIFY_TOL / 2``.
+    entry of every element's :func:`_residual_stack` at most
+    ``DEFAULT_VERIFY_TOL / 2``.
 
     ``sub`` is the catalog of :func:`_catalog_slices` and ``depth`` that of
     :func:`_generator_walk`, which must reach every element.  A NaN anywhere
@@ -461,16 +434,16 @@ def _invariance_certificate(basis: np.ndarray, sub: np.ndarray, group: FiniteGro
     # The rest is rounding, bounded by counting roundings generously: gamma
     # covers an inner product of length n or d, and d * gamma is below 1e-10
     # for every order compute_irreps admits.  The computed ``sub`` is off
-    # from S(g) by at most d gamma (1 + eta) in norm, and the slice residual
-    # adds gamma ||B row|| ||sub column|| per entry and the rounding of its
-    # subtraction, all within ``rounding`` and the last factor below.
+    # from S(g) by at most d gamma (1 + eta) in norm, and each computed
+    # residual entry adds gamma ||B row|| ||sub column|| and the rounding of
+    # its subtraction, all within ``rounding`` and the last factor below.
     n, d = basis.shape
     gamma = 2 * (n + d + 4) * np.finfo(float).eps
     gram = basis.conj().T @ basis - np.eye(d)
     kappa = 1 + np.linalg.norm(gram) * (1 + 4 * d * gamma) + 2 * d * gamma
     rounding = d * gamma * kappa * (kappa + np.sqrt(d) * np.abs(sub).max())
-    norms = _residual_norms(basis, sub, group.mult_table, (group.identity, *group.generators))
-    steps = norms * (1 + 2 * d * gamma) + rounding
+    stack = _residual_stack(basis, sub, group.mult_table, [group.identity, *group.generators])
+    steps = np.linalg.norm(stack, axis=(1, 2)) * (1 + 2 * d * gamma) + rounding
     bound = kappa**depth * (steps[0] + depth * max(steps[1:], default=0.0))
     return (1 + gamma) * (bound + rounding) <= DEFAULT_VERIFY_TOL / 4
 
@@ -483,8 +456,8 @@ def _invariant_catalog(
 
     :func:`_invariance_certificate` shows it from the generators, when
     ``depth`` is the depth of a walk that reaches every element.  Otherwise
-    the residual is the largest :func:`_slice_residual` over every slice,
-    and one above ``DEFAULT_VERIFY_TOL``, or NaN, raises
+    the residual is the largest entry of :func:`_residual_stack` over every
+    element, and one above ``DEFAULT_VERIFY_TOL``, or NaN, raises
     :class:`NumericalError`.
     """
     n, d = basis.shape
@@ -497,11 +470,14 @@ def _invariant_catalog(
         pass
     if depth is not None and _invariance_certificate(basis, sub, group, depth):
         return sub
-    # The slices again, with the same bits, each with its residual: a gemm
-    # first, and the exact broadcast matmul only for a slice that the gemm
-    # cannot pass.  A NaN peak carries through ``np.max`` and fails the test.
+    # The residual over 32 elements at a time, for the same memory bound.  A
+    # NaN peak carries through ``np.max`` and fails the test.
+    elements = np.arange(n)
     residual = np.max(
-        [_slice_residual(basis, part, shifted) for part, shifted in _catalog_slices(basis, table, sub)]
+        [
+            np.max(np.abs(_residual_stack(basis, sub, table, elements[g0 : g0 + 32])))
+            for g0 in range(0, n, 32)
+        ]
     )
     if not residual <= DEFAULT_VERIFY_TOL:
         raise NumericalError(
@@ -522,7 +498,7 @@ def _decompose_regular(
     averaged = _average_conjugates(_random_hermitian(rng, n), table)
     eigenvalues, eigenvectors = np.linalg.eigh(averaged)
     del averaged
-    # Generators that miss an element certify nothing, so every slice's
+    # Generators that miss an element certify nothing, so every element's
     # residual is taken instead.
     steps, depth = _generator_walk(group)
     if len(steps) != n - 1:

@@ -612,8 +612,14 @@ def _column_norms(matrix: np.ndarray) -> np.ndarray:
 
 
 def _check_residuals(
-    idx: int, terms: list, pulled: np.ndarray, values: np.ndarray, picked: tuple, tol: float
-) -> np.ndarray:
+    idx: int,
+    terms: list,
+    pulled: np.ndarray,
+    values: np.ndarray,
+    picked: tuple,
+    tol: float,
+    norms: np.ndarray,
+) -> None:
     """Residual-check the columns of the picked rows in one irrep's ``(k, n, d, dk)`` block.
 
     Each checked column ``v`` is read as returned: ``A v - lambda v`` starts
@@ -621,7 +627,9 @@ def _check_residuals(
     arc ``u -> v`` with voltage ``a`` joins ``(u, J)`` to ``(v, J a)``, so
     row ``(u, J)`` gathers row ``(v, J a)`` of the columns.  A column fails
     unless its residual's norm is within ``tol * max(1, |v|)``, so a NaN
-    fails.  Returns the norms ``|v|`` of the checked columns, in block order.
+    fails.  ``norms`` holds the whole block's column norms
+    (:func:`_column_norms`); a column's norm has the same bits there as over
+    any subset of the block's columns.
 
     The block is C-contiguous (:func:`_pull_back`), so when every row is
     picked the columns are read in place; otherwise ``take`` copies the
@@ -638,7 +646,7 @@ def _check_residuals(
             gathered *= c
         residual[u] += gathered
     residuals = _column_norms(residual.reshape(k * n, -1))
-    norms = _column_norms(vectors.reshape(k * n, -1))
+    norms = norms.reshape(d, dk)[list(picked)].reshape(-1)
     failed = np.flatnonzero(~(residuals <= tol * np.maximum(1.0, norms)))
     if failed.size:
         j, c = divmod(int(failed[0]), dk)
@@ -646,7 +654,6 @@ def _check_residuals(
             f"residual: irrep {idx}, column j={picked[j]} w={c // d} i={c % d} "
             f"fails the eigenvector residual bound ({residuals[failed[0]]:.3e})"
         )
-    return norms
 
 
 def _peak_zero_flags(blocks: list[np.ndarray]) -> list[np.ndarray]:
@@ -723,8 +730,7 @@ def lift_eigenvectors(
     all columns, which happens exactly on the rows ``j`` that
     ``P = (1/|H|) sum_{h in H} rho(h)`` kills.  The flags are decided from
     the column norms by a certified bound, with that peak rule as the
-    fallback (:func:`_zero_flags`); the residual check supplies the norms
-    of every block whose rows are all picked.
+    fallback (:func:`_zero_flags`); the residual check reads the same norms.
 
     The rank of ``P`` is its trace (Frobenius reciprocity), and the
     dimension-weighted ranks must add up to ``n``.  Greedy pivoted
@@ -766,12 +772,10 @@ def _lift_eigenvectors(base: BaseMatrix, source, residual_tol: float) -> Eigenve
         pulled = _pull_back(source.sums[idx], eigenvectors, k)
         picked = source.picked[idx]
         dim = source.dims[idx]
+        norms.append(_column_norms(pulled.reshape(kn, -1)))
         if picked:
-            checked = _check_residuals(idx, terms, pulled, eigenvalues, picked, residual_tol)
-        pulled = pulled.reshape(kn, -1)
-        # The residual check took the norm of every column if every row is picked.
-        norms.append(checked if len(picked) == dim else _column_norms(pulled))
-        parts.append((dim, eigenvalues, pulled, picked))
+            _check_residuals(idx, terms, pulled, eigenvalues, picked, residual_tol, norms[-1])
+        parts.append((dim, eigenvalues, pulled.reshape(kn, -1), picked))
     zero_flags = _zero_flags([pulled for _, _, pulled, _ in parts], norms, kn)
 
     blocks: list[IrrepColumns] = []

@@ -610,10 +610,9 @@ def reference_decompose_regular(group, classes, rng):
 
 
 def reference_slice_residual(basis, part, shifted):
-    """The exact residual of one ``irreps._catalog_slices`` slice, as
-    ``irreps._slice_residual`` computed it before its bound: the largest
-    entry of ``basis @ part`` less the shifted basis, read as ``(g, a, b)``,
-    verbatim."""
+    """The exact residual of one ``irreps._catalog_slices`` slice: the largest
+    entry of ``basis @ part`` less the shifted ``(g, b, a)`` basis, read as
+    ``(g, a, b)``."""
     lifted = basis @ part
     lifted -= shifted.transpose(0, 2, 1)
     return np.max(np.abs(lifted))

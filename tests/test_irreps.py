@@ -478,54 +478,11 @@ def test_catalog_slices_match_the_strided_einsum(n, d, seed):
     sub = np.empty((n, d, d), dtype=complex)
     slices = list(irreps_module._catalog_slices(basis, table, sub))
     assert len(slices) == -(-n // 32)
-    for k, (part, shifted) in enumerate(slices):
+    for k, part in enumerate(slices):
         g0 = 32 * k
-        want_shifted = basis[table.T[g0 : g0 + 32]]
-        want = np.einsum("ai,gab->gib", basis.conj(), want_shifted)
-        assert shifted.flags.c_contiguous
-        assert shifted.transpose(0, 2, 1).tobytes("C") == want_shifted.tobytes()
+        want = np.einsum("ai,gab->gib", basis.conj(), basis[table.T[g0 : g0 + 32]])
         assert part.tobytes() == want.tobytes()
     assert sub.tobytes() == np.einsum("ai,gab->gib", basis.conj(), basis[table.T]).tobytes()
-
-
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(
-    n=st.sampled_from([1, 31, 33, 97]),
-    d=st.integers(1, 16),
-    seed=st.integers(0, 2**32 - 1),
-    plant=st.sampled_from(["none", "large", "nan", "near"]),
-)
-def test_slice_residual_bounds_the_exact_residual(n, d, seed, plant):
-    """On every slice, the short last one included, ``_slice_residual`` is at
-    least the exact residual, is that residual itself above half the
-    tolerance or when it is NaN, and decides as it does.
-
-    Each slice's shifted basis is made consistent with its ``part`` up to
-    rounding, and then one entry is moved: by nothing, by 1e-3, to NaN, or
-    by 1/4 to 4 times half the tolerance in a random direction.
-    """
-    tol = irreps_module.DEFAULT_VERIFY_TOL
-    rng = np.random.default_rng(seed)
-    wide = rng.standard_normal((n, d + 2)) + 1j * rng.standard_normal((n, d + 2))
-    basis = wide[:, 1 : d + 1] / np.sqrt(n)
-    table = np.stack([rng.permutation(n) for _ in range(n)], axis=1)
-    sub = np.empty((n, d, d), dtype=complex)
-    for part, _ in irreps_module._catalog_slices(basis, table, sub):
-        # Summed in another order than either product, as a real gather is.
-        shifted = np.einsum("ai,gib->gba", basis, part)
-        at = tuple(int(rng.integers(size)) for size in shifted.shape)
-        phase = np.exp(2j * np.pi * rng.random())
-        near = rng.uniform(0.25, 4.0) * tol / 2
-        shifted[at] += {"none": 0, "large": 1e-3, "nan": np.nan, "near": near}[plant] * phase
-        want = reference_slice_residual(basis, part, shifted)
-        got = irreps_module._slice_residual(basis, part, shifted)
-        if np.isnan(want):
-            assert np.isnan(got)
-            continue
-        assert got >= want
-        if want > tol / 2:
-            assert got == want
-        assert (got <= tol) == (want <= tol)
 
 
 def _group_of(degree, gens):
@@ -573,9 +530,10 @@ def _whole_group_residual(basis, table):
     """``reference_slice_residual`` over every slice, and the catalog."""
     n, d = basis.shape
     sub = np.empty((n, d, d), dtype=complex)
+    slices = irreps_module._catalog_slices(basis, table, sub)
     peaks = [
-        reference_slice_residual(basis, part, shifted)
-        for part, shifted in irreps_module._catalog_slices(basis, table, sub)
+        reference_slice_residual(basis, part, basis[table.T[g0 : g0 + 32]].transpose(0, 2, 1))
+        for g0, part in zip(range(0, n, 32), slices)
     ]
     return np.max(peaks), sub
 
@@ -632,32 +590,38 @@ def test_invariance_certificate_bounds_the_whole_group_residual(name, size, pick
         want, sub = _whole_group_residual(planted, table)
         if irreps_module._invariance_certificate(planted, sub, group, depth):
             assert want <= TOL / 2
-        if want <= TOL:
-            got = irreps_module._invariant_catalog(planted, group, depth, idx)
-            assert got.tobytes() == sub.tobytes()
-        else:
-            with pytest.raises(NumericalError) as exc:
-                irreps_module._invariant_catalog(planted, group, depth, idx)
-            assert str(exc.value) == (
-                f"irrep split: eigenvalue cluster {idx} is not an invariant subspace "
-                f"(residual {want:.3e})"
-            )
+        # Without a depth, every element's residual decides.
+        for walk in (depth, None):
+            if want <= TOL:
+                got = irreps_module._invariant_catalog(planted, group, walk, idx)
+                assert got.tobytes() == sub.tobytes()
+            else:
+                with pytest.raises(NumericalError) as exc:
+                    irreps_module._invariant_catalog(planted, group, walk, idx)
+                assert str(exc.value) == (
+                    f"irrep split: eigenvalue cluster {idx} is not an invariant subspace "
+                    f"(residual {want:.3e})"
+                )
 
 
 def test_generators_that_miss_an_element_leave_every_slice_to_the_residual(monkeypatch):
     group = _group_of(*S5XC2)
     partial = dataclasses.replace(group, generators=group.generators[:2])
     classes = conjugacy_classes(group)
-    original = irreps_module._slice_residual
+    original = irreps_module._residual_stack
+    chunks = []
     peaks = []
 
-    def spy(*args):
-        peaks.append(original(*args))
-        return peaks[-1]
+    def spy(basis, sub, table, elements):
+        stack = original(basis, sub, table, elements)
+        chunks.append(list(elements))
+        peaks.append(np.max(np.abs(stack)))
+        return stack
 
-    monkeypatch.setattr(irreps_module, "_slice_residual", spy)
+    monkeypatch.setattr(irreps_module, "_residual_stack", spy)
     got = irreps_module._decompose_regular(partial, classes, np.random.default_rng(3))
-    assert len(peaks) == len(got) * -(-group.order // 32)
+    n = group.order
+    assert chunks == len(got) * [list(range(g0, min(g0 + 32, n))) for g0 in range(0, n, 32)]
     assert all(peak <= TOL for peak in peaks)
     want = reference_decompose_regular(group, classes, np.random.default_rng(3))
     assert [sub.tobytes() for sub in got] == [sub.tobytes() for sub in want]

@@ -102,7 +102,7 @@ STAGES = {
         "invariance_certificate": ("irreps._invariance_certificate",),
         # Residuals at the identity and the generators, for the certificate,
         # and at every element only where it fails.
-        "invariance_residual": ("irreps._residual_norms", "irreps._slice_residual"),
+        "invariance_residual": ("irreps._residual_stack",),
         "sort": ("irreps._sort_irreps",),
         "validate": ("irreps._validate_irrep_set",),
     },
