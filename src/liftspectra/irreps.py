@@ -348,27 +348,29 @@ def _shift_slice(columns: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def _catalog_slices(basis: np.ndarray, table: np.ndarray, sub: np.ndarray):
-    """Fill ``sub[g] = basis^* R(g) basis`` for the regular representation ``R``,
-    32 group elements ``g`` at a time, and yield each filled slice of ``sub``.
+def _catalog(basis: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The catalog ``sub[g] = basis^* R(g) basis`` of the regular
+    representation ``R``, filled 32 group elements ``g`` at a time.
 
     Each slice is contracted from the gathered
     ``shifted[g, b, a] = basis[table[a, g], b]``, held once as a C-contiguous
-    ``(g, b, a)`` array (:func:`_shift_slice`).
+    ``(g, b, a)`` array (:func:`_shift_slice`), so no |G| x |G| x d array is
+    held.  A BLAS product would change the catalog's bits, so it is an einsum.
     """
+    n, d = basis.shape
+    sub = np.empty((n, d, d), dtype=complex)
     columns = basis.T.copy()
     dual = columns.conj()
-    for g0 in range(0, len(sub), 32):
-        part = sub[g0 : g0 + 32]
+    for g0 in range(0, n, 32):
         shifted = _shift_slice(columns, np.ascontiguousarray(table.T[g0 : g0 + 32]))
         # With ``(g, b, a)`` the sum over ``a`` runs innermost along
         # contiguous memory; a ``(g, a, b)`` gather would leave numpy's inner
         # loop over the d entries of ``b``.  Either way each entry adds the
         # same products one by one in ``a`` order, so every bit is that of
         # ``einsum("ai,gab->gib", basis.conj(), basis[table.T[g0:g0 + 32]])``,
-        # which ``test_catalog_slices_match_the_strided_einsum`` pins.
-        np.einsum("ia,gba->gib", dual, shifted, out=part)
-        yield part
+        # which ``test_catalog_matches_the_strided_einsum`` pins.
+        np.einsum("ia,gba->gib", dual, shifted, out=sub[g0 : g0 + 32])
+    return sub
 
 
 def _average_conjugates(seed_matrix: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -421,7 +423,7 @@ def _invariance_certificate(basis: np.ndarray, sub: np.ndarray, group: FiniteGro
     entry of every element's :func:`_residual_stack` at most
     ``DEFAULT_VERIFY_TOL / 2``.
 
-    ``sub`` is the catalog of :func:`_catalog_slices` and ``depth`` that of
+    ``sub`` is the catalog of :func:`_catalog` and ``depth`` that of
     :func:`_generator_walk`, which must reach every element.  A NaN anywhere
     in ``sub`` or in the residuals, or a negative tolerance, fails it.
     """
@@ -460,17 +462,12 @@ def _invariant_catalog(
     element, and one above ``DEFAULT_VERIFY_TOL``, or NaN, raises
     :class:`NumericalError`.
     """
-    n, d = basis.shape
+    n = len(basis)
     table = group.mult_table
-    # ``sub`` is the catalog: a BLAS product would change its bits.  It is
-    # built over 32 elements g at a time, so no |G| x |G| x d array is held;
-    # each slice's einsum gives the bits of the whole-g call.
-    sub = np.empty((n, d, d), dtype=complex)
-    for _ in _catalog_slices(basis, table, sub):
-        pass
+    sub = _catalog(basis, table)
     if depth is not None and _invariance_certificate(basis, sub, group, depth):
         return sub
-    # The residual over 32 elements at a time, for the same memory bound.  A
+    # The residual over 32 elements at a time, for the catalog's memory bound.  A
     # NaN peak carries through ``np.max`` and fails the test.
     elements = np.arange(n)
     residual = np.max(

@@ -168,7 +168,8 @@ class EigenvectorBundle:
     The columns are held per irrep as arrays (``blocks``), in irrep order;
     ``selected_basis`` indexes them in that order.  ``columns``, one tagged
     :class:`EigenvectorColumn` per pulled column whose ``vector`` is a view
-    into its block, is built the first time it is read.
+    into its block, is built the first time it is read, from the same
+    per-column description that ``to_json`` and the CLI's ``eigvecs`` write.
     """
 
     blocks: tuple[IrrepColumns, ...]
@@ -178,25 +179,7 @@ class EigenvectorBundle:
     @functools.cached_property
     def columns(self) -> tuple[EigenvectorColumn, ...]:
         """One tagged column per pulled column, in bundle order, built on first read."""
-        columns = []
-        for idx, block in enumerate(self.blocks):
-            d = block.dim
-            dk = block.eigenvalues.size
-            for col in range(block.pulled.shape[1]):
-                j, c = divmod(col, dk)
-                columns.append(
-                    EigenvectorColumn(
-                        vector=block.pulled[:, col],
-                        eigenvalue=complex(block.eigenvalues[c]),
-                        irrep=idx,
-                        j=j,
-                        w=c // d,
-                        i=c % d,
-                        zero=bool(block.zero[col]),
-                        selected=j in block.picked,
-                    )
-                )
-        return tuple(columns)
+        return tuple(EigenvectorColumn(**column) for column in self._document()["columns"])
 
     def matrix(self) -> np.ndarray:
         return np.hstack([block.pulled for block in self.blocks])

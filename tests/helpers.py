@@ -70,14 +70,6 @@ def multiset_contains(smaller, larger, tol):
     return True
 
 
-def expand_counts(pairs):
-    """Flatten (value, count) pairs into a value list."""
-    out = []
-    for value, count in pairs:
-        out.extend([value] * count)
-    return out
-
-
 def reference_irrep_image(base, irrep):
     """``rho`` applied entry by entry in a triple loop: the bit-for-bit reference.
 
@@ -610,7 +602,7 @@ def reference_decompose_regular(group, classes, rng):
 
 
 def reference_slice_residual(basis, part, shifted):
-    """The exact residual of one ``irreps._catalog_slices`` slice: the largest
+    """The exact residual of one 32-element slice of ``irreps._catalog``: the largest
     entry of ``basis @ part`` less the shifted ``(g, b, a)`` basis, read as
     ``(g, a, b)``."""
     lifted = basis @ part

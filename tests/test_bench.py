@@ -77,7 +77,7 @@ def _silent_main(argv):
         return cli.main(argv)
 
 
-def test_stages_book_generator_steps_and_nested_calls_once(bench):
+def test_stages_book_nested_calls_once(bench):
     dumbbell = cli.load_instance(str(ROOT / "instances" / "dumbbell.json"))
     base = build_base_matrix(dumbbell.graph)
     # Read through the module, so that the wrapper is the one called.
@@ -90,15 +90,9 @@ def test_stages_book_generator_steps_and_nested_calls_once(bench):
     assert row["inner_ms"] > 0
     assert row["outer_ms"] + row["inner_ms"] <= row["wrapped_ms"] + 1e-6
 
-    # ``_catalog_slices`` runs as it is stepped, after the wrapped call
-    # returned: about a tenth of the call here, where making the five
-    # generators alone takes a few microseconds.
+    # The subjects' own tables, with stages inside others.
     group = generate_group([parse_permutation(g, 4) for g in ("(1 2 3 4)", "(1 2)")])
     catalog = functools.partial(compute_irreps, group, 0)
-    (row,) = bench.time_calls([("S4", catalog, 2)], {"catalog": ("irreps._catalog_slices",)})
-    assert row["catalog_ms"] > 0.02 * row["wrapped_ms"]
-
-    # The subjects' own tables, with stages inside others.
     argv = ["spectrum", str(ROOT / "instances" / "dumbbell.json")]
     command = functools.partial(_silent_main, argv)
     for call, subject in ((catalog, "compute_irreps"), (command, "cli_output")):

@@ -751,3 +751,14 @@ class TestImports:
             "liftspectra.permgroup",
             "liftspectra.voltage",
         ]
+
+    def test_option_defaults_are_the_library_defaults(self):
+        # ``cli`` spells the defaults as literals, since it must not import
+        # ``spectral`` at start-up; they stay the library's own.
+        from liftspectra import cli, permgroup, spectral
+
+        assert cli.Options() == cli.Options(
+            tol_match=spectral.DEFAULT_MATCH_TOL,
+            tol_residual=spectral.DEFAULT_RESIDUAL_TOL,
+            order_cap=permgroup.DEFAULT_ORDER_CAP,
+        )

@@ -467,21 +467,20 @@ class TestComputeIrrepsBits:
     d=st.integers(1, 16),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_catalog_slices_match_the_strided_einsum(n, d, seed):
+def test_catalog_matches_the_strided_einsum(n, d, seed):
     """The ``(g, b, a)`` gather and its contraction give the bits of the
-    ``(g, a, b)`` einsum on every slice, the short last one included."""
+    ``(g, a, b)`` einsum on every 32-element slice, the short last one
+    included, and on the whole catalog."""
     rng = np.random.default_rng(seed)
     wide = rng.standard_normal((n, d + 2)) + 1j * rng.standard_normal((n, d + 2))
     # A column slice, strided as an eigenvalue cluster's basis is.
     basis = wide[:, 1 : d + 1]
     table = np.stack([rng.permutation(n) for _ in range(n)], axis=1)
-    sub = np.empty((n, d, d), dtype=complex)
-    slices = list(irreps_module._catalog_slices(basis, table, sub))
-    assert len(slices) == -(-n // 32)
-    for k, part in enumerate(slices):
-        g0 = 32 * k
+    sub = irreps_module._catalog(basis, table)
+    assert sub.shape == (n, d, d)
+    for g0 in range(0, n, 32):
         want = np.einsum("ai,gab->gib", basis.conj(), basis[table.T[g0 : g0 + 32]])
-        assert part.tobytes() == want.tobytes()
+        assert sub[g0 : g0 + 32].tobytes() == want.tobytes()
     assert sub.tobytes() == np.einsum("ai,gab->gib", basis.conj(), basis[table.T]).tobytes()
 
 
@@ -528,12 +527,12 @@ def _true_clusters(name):
 
 def _whole_group_residual(basis, table):
     """``reference_slice_residual`` over every slice, and the catalog."""
-    n, d = basis.shape
-    sub = np.empty((n, d, d), dtype=complex)
-    slices = irreps_module._catalog_slices(basis, table, sub)
+    sub = irreps_module._catalog(basis, table)
     peaks = [
-        reference_slice_residual(basis, part, basis[table.T[g0 : g0 + 32]].transpose(0, 2, 1))
-        for g0, part in zip(range(0, n, 32), slices)
+        reference_slice_residual(
+            basis, sub[g0 : g0 + 32], basis[table.T[g0 : g0 + 32]].transpose(0, 2, 1)
+        )
+        for g0 in range(0, len(sub), 32)
     ]
     return np.max(peaks), sub
 
@@ -633,6 +632,31 @@ def test_generators_that_miss_an_element_leave_every_slice_to_the_residual(monke
         irreps_module._decompose_regular(partial, classes, np.random.default_rng(3))
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_cluster_the_certificate_fails_is_decided_by_every_element(monkeypatch, seed):
+    """C256, whose walk along its one generator has depth 255, fails the
+    certificate on 2 of its 256 clusters at these seeds; every element's
+    residual decides those, and the catalog is the reference's."""
+    group = _group_of(256, ["(" + " ".join(map(str, range(1, 257))) + ")"])
+    original = irreps_module._invariance_certificate
+    verdicts = []
+
+    def spy(*args):
+        verdicts.append(original(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(irreps_module, "_invariance_certificate", spy)
+    got = compute_irreps(group, seed)
+    assert len(verdicts) == group.order
+    assert verdicts.count(False) >= 1
+    monkeypatch.setattr(irreps_module, "_decompose_regular", reference_decompose_regular)
+    want = compute_irreps(group, seed)
+    assert got.dims == want.dims
+    for a, b in zip(got, want):
+        assert a.matrices.tobytes() == b.matrices.tobytes()
+        assert a.character.tobytes() == b.character.tobytes()
+
+
 class _Averaged(Exception):
     pass
 
@@ -708,7 +732,7 @@ class TestComputeIrrepsStageNames:
             return eigenvalues, eigenvectors
 
         monkeypatch.setattr(np.linalg, "eigh", poisoned)
-        monkeypatch.setattr(irreps_module, "_catalog_slices", lambda *args: pytest.fail("built"))
+        monkeypatch.setattr(irreps_module, "_catalog", lambda *args: pytest.fail("built"))
         message = (
             r"^irrep split: reducible eigenvalue cluster 0 \(\d+-dimensional\): "
             r"character norm nan departs from 1$"

@@ -56,7 +56,6 @@ import json
 import os
 import resource
 import sys
-import types
 from pathlib import Path
 from time import perf_counter
 
@@ -98,7 +97,7 @@ STAGES = {
         "seed_matrix": ("irreps._random_hermitian",),
         "averaging": ("irreps._average_conjugates",),
         "gather": ("irreps._shift_slice",),
-        "catalog": ("irreps._catalog_slices",),
+        "catalog": ("irreps._catalog",),
         "invariance_certificate": ("irreps._invariance_certificate",),
         # Residuals at the identity and the generators, for the certificate,
         # and at every element only where it fails.
@@ -108,9 +107,8 @@ STAGES = {
     },
     "lift_spectrum": {
         "base_build": ("voltage.build_base_matrix",),
-        # The ranks come from the pair's cached image source, checked once;
-        # a side without that source reads them from ``subgroup_ranks``.
-        "ranks": ("spectral._image_source", "irreps.subgroup_ranks"),
+        # The ranks come from the pair's cached image source, checked once.
+        "ranks": ("spectral._image_source",),
         "images": ("spectral.irrep_image",),
         "hermitian": ("spectral.is_hermitian",),
         "eigensolve": ("spectral.eig_dense",),
@@ -192,10 +190,11 @@ class Stages:
         self.calls.update(dict.fromkeys(self.table, 0))
         self.inner[:] = [0.0]
 
-    def _clock(self, stage, fn):
-        spent, inner = self.spent, self.inner
+    def _wrap(self, stage, fn):
+        spent, calls, inner = self.spent, self.calls, self.inner
 
-        def clocked(*args, **kwargs):
+        def wrapped(*args, **kwargs):
+            calls[stage] += 1
             inner.append(0.0)
             begun = perf_counter()
             try:
@@ -204,19 +203,6 @@ class Stages:
                 took = perf_counter() - begun
                 spent[stage] += took - inner.pop()
                 inner[-1] += took
-
-        return clocked
-
-    def _wrap(self, stage, fn):
-        clocked = self._clock(stage, fn)
-
-        def wrapped(*args, **kwargs):
-            self.calls[stage] += 1
-            result = clocked(*args, **kwargs)
-            # A generator runs when it is stepped, so each step is booked.
-            if isinstance(result, types.GeneratorType):
-                return _stepped(self._clock(stage, result.__next__))
-            return result
 
         return wrapped
 
@@ -242,20 +228,11 @@ class Stages:
         return row
 
 
-def _stepped(step):
-    while True:
-        try:
-            item = step()
-        except StopIteration:
-            return
-        yield item
-
-
 def rebind(names, wrap):
     """Replace each ``liftspectra`` function named ``module.name`` by ``wrap(fn)``.
 
     The wrapper goes into every loaded ``liftspectra`` module that holds the
-    function, since ``from .irreps import subgroup_ranks`` copies the binding
+    function, since ``from .voltage import build_base_matrix`` copies the binding
     into ``spectral``.  Returns an undo callable and whether any name was found.
     """
     targets = {}
